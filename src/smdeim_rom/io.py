@@ -469,7 +469,7 @@ def _parse_redm(payload, model):
             left = cur.f64_block((k, m))
             lin_reduced = cur.f64_block((k, k))
             jac = DeimFunctionJacobian.from_parts(
-                op, basis.u, indexes, left, lin_reduced
+                op, basis, indexes, left, lin_reduced
             )
         elif kind == "matrix":
             m = cur.u64()
@@ -477,7 +477,7 @@ def _parse_redm(payload, model):
             sample_rows = cur.u64_block(m)
             sample_cols = cur.u64_block(m)
             jac = MatrixInterpolantJacobian.from_parts(
-                op, k, reducer, sample_rows, sample_cols
+                op, basis, reducer, sample_rows, sample_cols
             )
         else:
             raise FormatError(f"unknown jacobian payload kind {kind!r}")

@@ -8,7 +8,9 @@ with sparse L, G_t, H_t ((.) is the entrywise product).  That single form
 provides, generically and exactly:
 
 * the sparse Jacobian  J(x) = L + sum_t [diag(G_t x) H_t + diag(H_t x) G_t],
-* O(stencil) evaluation of any single Jacobian entry without assembling J,
+* O(stencil) evaluation of Jacobian entries without assembling J, through
+  sampling plans precomputed for a fixed coordinate list that read the
+  state only on their sample mesh,
 * a time-invariant structural sparsity pattern,
 * the ingredients for exact reduced-space precomputation of the projected
   residual and Jacobian.
@@ -25,7 +27,7 @@ import scipy.sparse
 from .. import instrumentation
 from ..snapshots import SparsityPattern
 
-__all__ = ["QuadraticOperator"]
+__all__ = ["QuadraticOperator", "SamplingPlan"]
 
 
 def _as_sorted_csr(mat):
@@ -66,27 +68,105 @@ def _row_major_template(pattern):
     return perm, indices, indptr
 
 
-def _entry(mat, a, b):
-    # stored value at (a, b) of a sorted CSR matrix, 0.0 if absent
-    start, end = mat.indptr[a], mat.indptr[a + 1]
-    view = mat.indices[start:end]
-    pos = np.searchsorted(view, b)
-    if pos < view.size and view[pos] == b:
-        return float(mat.data[start + pos])
-    return 0.0
+def _reject_outside(n, rows, cols=None):
+    # sample indexes must lie in [0, n); name the first one that does not
+    bad = (rows < 0) | (rows >= n)
+    if cols is not None:
+        bad |= (cols < 0) | (cols >= n)
+    if bad.any():
+        q = int(np.argmax(bad))
+        what = f"row {rows[q]}" if cols is None else f"coordinate ({rows[q]}, {cols[q]})"
+        raise ValueError(f"sample {what} at position {q} lies outside [0, {n})")
 
 
-def _row_dot(mat, a, x):
-    # (mat @ x)[a] accumulated left to right, matching the CSR matvec order
-    # bit for bit so sampled entries equal assembled ones exactly
-    start = int(mat.indptr[a])
-    end = int(mat.indptr[a + 1])
-    indices = mat.indices
-    data = mat.data
-    acc = 0.0
-    for jj in range(start, end):
-        acc += data[jj] * x[indices[jj]]
-    return acc, end - start
+def _row_stencils(mat, rows):
+    # (width, len(rows)) column indexes and values of the given rows of a
+    # sorted CSR matrix in storage order, and the mask of real entries;
+    # padded slots hold the value 0
+    starts = mat.indptr[rows].astype(np.int64)
+    counts = mat.indptr[rows + 1] - starts
+    offs = np.arange(int(counts.max(initial=0)), dtype=np.int64)[:, None]
+    valid = offs < counts
+    if mat.nnz == 0:
+        return np.zeros(valid.shape, np.int64), np.zeros(valid.shape), valid
+    pos = np.minimum(starts + np.where(valid, offs, 0), mat.nnz - 1)
+    idx = mat.indices[pos].astype(np.int64)
+    return idx, np.where(valid, mat.data[pos], 0.0), valid
+
+
+def _stored(stencil, slot, cols):
+    # value stored at each coordinate (row slot, col), 0.0 where none is;
+    # a sorted CSR row stores a column at most once
+    idx, val, _ = stencil
+    return np.where(idx[:, slot] == cols, val[:, slot], 0.0).sum(axis=0)
+
+
+class SamplingPlan:
+    """Precomputed gathers that evaluate Jacobian entries at fixed coordinates.
+
+    Built offline by `QuadraticOperator.sampling_plan`.  For the m
+    coordinates (rows[q], cols[q]) it stores L[a, b] (zeros when the linear
+    part is left out), G_t[a, b] and H_t[a, b], and the stencils of the
+    distinct sampled rows of every G_t and H_t, padded to a common width,
+    with values in CSR storage order and column indexes remapped into the
+    sample mesh: the sorted union of the columns those stencils read.
+
+    `apply(x[mesh])` then costs a few gathers and multiply-adds over the m
+    samples, independent of n.  Each row product is accumulated left to
+    right from zero, the CSR matvec order, and the terms are added in the
+    order of `jacobian_values`, so sampled entries equal assembled ones bit
+    for bit.  `flops` is the accounted cost of one application: m times the
+    operator's fixed per-entry charge.
+    """
+
+    def __init__(self, op, rows, cols, linear=True):
+        self.rows = rows
+        self.cols = cols
+        distinct, self.slot = np.unique(rows, return_inverse=True)
+        if linear:
+            self.base = _stored(_row_stencils(op.linear, distinct), self.slot, cols)
+        else:
+            self.base = np.zeros(rows.size, dtype=np.float64)
+        # one row product per factor, in the order G_1, H_1, G_2, ...; the
+        # G_t product multiplies H_t[a, b] and the H_t product G_t[a, b]
+        stencils = []
+        self.coef = np.empty((2 * len(op.pairs), rows.size), dtype=np.float64)
+        for t, (g, h) in enumerate(op.pairs):
+            g_st = _row_stencils(g, distinct)
+            h_st = _row_stencils(h, distinct)
+            stencils += [g_st, h_st]
+            self.coef[2 * t] = _stored(h_st, self.slot, cols)
+            self.coef[2 * t + 1] = _stored(g_st, self.slot, cols)
+        width = max((st[0].shape[0] for st in stencils), default=0)
+        shape = (width, len(stencils), distinct.size)
+        cols_read = np.zeros(shape, dtype=np.int64)
+        self.val = np.zeros(shape, dtype=np.float64)
+        used = np.zeros(shape, dtype=bool)
+        for s, (idx, val, valid) in enumerate(stencils):
+            w = idx.shape[0]
+            cols_read[:w, s], self.val[:w, s], used[:w, s] = idx, val, valid
+        self.mesh = np.unique(cols_read[used])
+        # padded slots may name a column off the mesh; any mesh position
+        # serves, since their value is 0
+        self.idx = np.minimum(
+            np.searchsorted(self.mesh, cols_read), max(self.mesh.size - 1, 0)
+        )
+        self.flops = rows.size * op._sample_charge
+
+    @property
+    def m(self):
+        return int(self.rows.size)
+
+    def apply(self, x_mesh):
+        """Jacobian values at the plan's coordinates from x restricted to mesh."""
+        prod = self.val * x_mesh[self.idx]
+        dots = np.zeros(prod.shape[1:], dtype=np.float64)
+        for w in range(prod.shape[0]):
+            dots += prod[w]
+        out = self.base.copy()
+        for term in dots[:, self.slot] * self.coef:
+            out += term
+        return out
 
 
 class QuadraticOperator:
@@ -138,15 +218,10 @@ class QuadraticOperator:
             + 2
             for g, h in self.pairs
         )
-        nl_perm, nl_indices, nl_indptr = _row_major_template(self.nl_pattern)
-        self._nl_csr = (nl_perm, nl_indices, nl_indptr)
-        self._nl_aligned = [
-            (
-                _aligned_values(g, self.nl_pattern)[nl_perm],
-                _aligned_values(h, self.nl_pattern)[nl_perm],
-            )
-            for g, h in self.pairs
-        ]
+        # row-major layout of the nonlinear pattern, for row sampling
+        _, self._nl_indices, self._nl_indptr = _row_major_template(
+            self.nl_pattern
+        )
 
     # -- full-space evaluation -------------------------------------------
 
@@ -183,29 +258,48 @@ class QuadraticOperator:
 
     # -- pointwise sampling (independent of n) ----------------------------
 
-    def sample_jacobian(self, x, rows, cols):
-        """Jacobian values at arbitrary coordinates, one entry at a time.
+    def sampling_plan(self, rows, cols):
+        """Offline plan for Jacobian values at the coordinates (rows, cols).
 
-        Cost per entry is bounded by the operator stencil width; coordinates
-        outside the structural pattern evaluate to 0.  Agrees bit for bit
-        with `jacobian_values` on pattern coordinates.
+        Raises ValueError if any coordinate lies outside [0, n).
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if rows.shape != cols.shape:
             raise ValueError("rows and cols must have equal length")
-        out = np.empty(rows.size, dtype=np.float64)
-        for q in range(rows.size):
-            a = int(rows[q])
-            b = int(cols[q])
-            val = _entry(self.linear, a, b)
-            for g, h in self.pairs:
-                gxa, _ = _row_dot(g, a, x)
-                hxa, _ = _row_dot(h, a, x)
-                val += gxa * _entry(h, a, b)
-                val += hxa * _entry(g, a, b)
-            out[q] = val
-        instrumentation.bump("sample_flops", rows.size * self._sample_charge)
+        rows = rows.ravel()
+        cols = cols.ravel()
+        _reject_outside(self.n, rows, cols)
+        return SamplingPlan(self, rows, cols)
+
+    def nl_row_plan(self, row_ids):
+        """Plan over the nonlinear-pattern entries of the given rows.
+
+        Returns (plan, indptr): the plan's coordinates run through the rows
+        in order, each row's columns sorted, and indptr delimits the rows.
+        """
+        row_ids = np.asarray(row_ids, dtype=np.int64).ravel()
+        _reject_outside(self.n, row_ids)
+        starts = self._nl_indptr[row_ids].astype(np.int64)
+        counts = self._nl_indptr[row_ids + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        pos = np.arange(indptr[-1], dtype=np.int64) + np.repeat(
+            starts - indptr[:-1], counts
+        )
+        rows = np.repeat(row_ids, counts)
+        cols = self._nl_indices[pos].astype(np.int64)
+        return SamplingPlan(self, rows, cols, linear=False), indptr
+
+    def sample_jacobian(self, x, rows, cols):
+        """Jacobian values at arbitrary coordinates without assembling J.
+
+        Cost per entry is bounded by the operator stencil width; coordinates
+        outside the structural pattern evaluate to 0.  Agrees bit for bit
+        with `jacobian_values` on pattern coordinates.
+        """
+        plan = self.sampling_plan(rows, cols)
+        out = plan.apply(x[plan.mesh])
+        instrumentation.bump("sample_flops", plan.flops)
         return out
 
     def sample_nl_rows(self, x, row_ids):
@@ -213,28 +307,10 @@ class QuadraticOperator:
 
         Cost per row is bounded by the stencil width of the requested rows.
         """
-        row_ids = np.asarray(row_ids, dtype=np.int64)
-        _, nl_indices, nl_indptr = self._nl_csr
-        data = []
-        indices = []
-        indptr = [0]
-        for a in row_ids:
-            a = int(a)
-            start, end = int(nl_indptr[a]), int(nl_indptr[a + 1])
-            vals = np.zeros(end - start, dtype=np.float64)
-            for (g, h), (gvals, hvals) in zip(self.pairs, self._nl_aligned):
-                gxa, _ = _row_dot(g, a, x)
-                hxa, _ = _row_dot(h, a, x)
-                vals += gxa * hvals[start:end]
-                vals += hxa * gvals[start:end]
-            data.append(vals)
-            indices.append(nl_indices[start:end])
-            indptr.append(indptr[-1] + (end - start))
-        data = np.concatenate(data) if data else np.empty(0)
-        indices = np.concatenate(indices) if indices else np.empty(0, np.int32)
+        plan, indptr = self.nl_row_plan(row_ids)
         return scipy.sparse.csr_matrix(
-            (data, indices, np.asarray(indptr, dtype=np.int64)),
-            shape=(row_ids.size, self.n),
+            (plan.apply(x[plan.mesh]), plan.cols, indptr),
+            shape=(indptr.size - 1, self.n),
         )
 
     # -- reduced-space precomputation --------------------------------------

@@ -21,6 +21,12 @@ root; the strategies differ only in how the k-by-k Newton matrix is built:
   coordinates, contracted to k-by-k offline.
 * mdeim-reference: same contraction built from the guarded vectorized
   route, kept as an oracle.
+
+Only direct-projection and directional-derivative lift the full state at
+each Newton evaluation.  deim, smdeim and mdeim-reference sample through a
+precomputed plan and lift only its sample mesh, the state entries the
+sampled Jacobian entries read, so their online work does not grow with n;
+tensorial lifts nothing.
 """
 
 import time
@@ -126,41 +132,75 @@ class DirectionalDerivativeJacobian:
         self.h = float(h)
 
     def evaluate(self, xt, x_full):
-        f_base = self.op.rhs(x_full)
-        k = self.u.shape[1]
-        diffs = np.empty((self.u.shape[0], k))
-        for j in range(k):
-            diffs[:, j] = (self.op.rhs(x_full + self.h * self.u[:, j]) - f_base) / self.h
-        return self.u.T @ diffs
+        # one matrix rhs over the base state and the k shifted states
+        states = np.empty((self.u.shape[0], self.u.shape[1] + 1))
+        states[:, 0] = x_full
+        states[:, 1:] = x_full[:, None] + self.h * self.u
+        f = self.op.rhs(states)
+        return self.u.T @ ((f[:, 1:] - f[:, :1]) / self.h)
+
+
+class _SampleMesh:
+    """The basis rows of a sampling plan's mesh, for lifting only those.
+
+    lift(xt) equals basis.lift(xt)[mesh] at O(k |mesh|) cost.  A caller that
+    already holds a full state passes it as x_full and its mesh entries are
+    used instead.
+    """
+
+    def __init__(self, basis, mesh):
+        self.mesh = mesh
+        self.u = np.ascontiguousarray(basis.u[mesh])
+        self.mean = basis.mean[mesh]
+
+    def lift(self, xt, x_full=None):
+        if x_full is not None:
+            return x_full[self.mesh]
+        return self.mean + self.u @ xt
 
 
 class DeimFunctionJacobian:
     """Sampled rows of the nonlinear Jacobian through a function-snapshot
-    interpolant; the linear part is projected exactly offline."""
+    interpolant; the linear part is projected exactly offline.  Only the
+    sample mesh of the sampled rows is lifted."""
 
-    needs_lift = True
+    needs_lift = False
 
-    def __init__(self, op, u, fn_interp, lin_reduced):
-        self.op = op
-        self.u = u
-        self.indexes = fn_interp.indexes
-        self.left = u.T @ fn_interp.projector
-        self.lin_reduced = lin_reduced
+    def __init__(self, op, basis, fn_interp, lin_reduced):
+        self._setup(op, basis, fn_interp.indexes,
+                    basis.u.T @ fn_interp.projector, lin_reduced)
 
     @classmethod
-    def from_parts(cls, op, u, indexes, left, lin_reduced):
+    def from_parts(cls, op, basis, indexes, left, lin_reduced):
         """Rebuild from persisted offline products."""
         obj = cls.__new__(cls)
-        obj.op = op
-        obj.u = u
-        obj.indexes = indexes
-        obj.left = left
-        obj.lin_reduced = lin_reduced
+        obj._setup(op, basis, indexes, left, lin_reduced)
         return obj
 
-    def evaluate(self, xt, x_full):
-        rows = self.op.sample_nl_rows(x_full, self.indexes)
-        return self.lin_reduced + self.left @ (rows @ self.u)
+    def _setup(self, op, basis, indexes, left, lin_reduced):
+        self.op = op
+        self.indexes = indexes
+        self.left = left
+        self.lin_reduced = lin_reduced
+        self.plan, indptr = op.nl_row_plan(indexes)
+        self.sample_mesh = _SampleMesh(basis, self.plan.mesh)
+        # (rows @ u) of the sampled CSR rows, as a padded (width, m) layout:
+        # entry w of row i is plan value take[w, i] (index m reads a 0) and
+        # multiplies the basis row u_taken[w, i]
+        counts = np.diff(indptr)
+        offs = np.arange(int(counts.max(initial=0)))[:, None]
+        self._take = np.where(offs < counts, indptr[:-1] + offs, self.plan.m)
+        mesh_cols = np.append(np.searchsorted(self.plan.mesh, self.plan.cols), 0)
+        self._u_taken = self.sample_mesh.u[mesh_cols[self._take]]
+
+    def evaluate(self, xt, x_full=None):
+        vals = np.append(self.plan.apply(self.sample_mesh.lift(xt, x_full)), 0.0)
+        terms = vals[self._take][:, :, None] * self._u_taken
+        rows_u = np.zeros(terms.shape[1:])
+        # summed in CSR order, as a sparse-times-dense product would
+        for term in terms:
+            rows_u += term
+        return self.lin_reduced + self.left @ rows_u
 
 
 class MatrixInterpolantJacobian:
@@ -169,13 +209,14 @@ class MatrixInterpolantJacobian:
     The contraction matrix has row (j + k l) equal to u_j(rows) (.) u_l(cols)
     over the interpolant's coordinate list; multiplying the precomputed
     product by the m sampled entries and reshaping column-major yields the
-    reduced Jacobian in O(k^2 m) online work.
+    reduced Jacobian in O(k^2 m) online work.  The entries come from a
+    precomputed sampling plan over a lift of the sample mesh alone.
     """
 
-    needs_lift = True
+    needs_lift = False
 
-    def __init__(self, op, u, mi):
-        self.op = op
+    def __init__(self, op, basis, mi):
+        u = basis.u
         k = u.shape[1]
         if mi.mode == "sparse":
             factor = np.einsum(
@@ -184,24 +225,34 @@ class MatrixInterpolantJacobian:
         else:
             n = mi.pattern.n
             factor = np.einsum("aj,bl->ljba", u, u).reshape(k * k, n * n)
-        self.reducer = np.ascontiguousarray(factor @ mi.interp.projector)
-        self.sample_rows = mi.sample_rows
-        self.sample_cols = mi.sample_cols
-        self.k = k
+        reducer = np.ascontiguousarray(factor @ mi.interp.projector)
+        self._setup(op, basis, reducer, mi.sample_rows, mi.sample_cols)
 
     @classmethod
-    def from_parts(cls, op, k, reducer, sample_rows, sample_cols):
+    def from_parts(cls, op, basis, reducer, sample_rows, sample_cols):
         """Rebuild from persisted offline products."""
         obj = cls.__new__(cls)
-        obj.op = op
-        obj.k = int(k)
-        obj.reducer = reducer
-        obj.sample_rows = sample_rows
-        obj.sample_cols = sample_cols
+        obj._setup(op, basis, reducer, sample_rows, sample_cols)
         return obj
 
-    def evaluate(self, xt, x_full):
-        samples = self.op.sample_jacobian(x_full, self.sample_rows, self.sample_cols)
+    def _setup(self, op, basis, reducer, sample_rows, sample_cols):
+        self.op = op
+        self.k = int(basis.k)
+        self.reducer = reducer
+        self.plan = op.sampling_plan(sample_rows, sample_cols)
+        self.sample_mesh = _SampleMesh(basis, self.plan.mesh)
+
+    @property
+    def sample_rows(self):
+        return self.plan.rows
+
+    @property
+    def sample_cols(self):
+        return self.plan.cols
+
+    def evaluate(self, xt, x_full=None):
+        samples = self.plan.apply(self.sample_mesh.lift(xt, x_full))
+        instrumentation.bump("sample_flops", self.plan.flops)
         instrumentation.bump("reduced_jacobian_flops", 2 * self.reducer.size)
         return (self.reducer @ samples).reshape((self.k, self.k), order="F")
 
@@ -294,7 +345,7 @@ def reduce_model(
                 )
             fn_interp = deim_interpolant(svd.u, m)
             lin_reduced = u.T @ (stage.op.linear @ u)
-            jac = DeimFunctionJacobian(stage.op, u, fn_interp, lin_reduced)
+            jac = DeimFunctionJacobian(stage.op, basis, fn_interp, lin_reduced)
         else:
             if prebuilt is not None and s_idx in prebuilt:
                 mi = prebuilt[s_idx]
@@ -302,7 +353,7 @@ def reduce_model(
                 mi = build_smdeim(snapshots[s_idx], m)
             else:
                 mi = build_mdeim_reference(snapshots[s_idx], m, guard_n=guard_n)
-            jac = MatrixInterpolantJacobian(stage.op, u, mi)
+            jac = MatrixInterpolantJacobian(stage.op, basis, mi)
         stages.append(
             ReducedStage(
                 name=stage.name,

@@ -11,11 +11,19 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from smdeim_rom.models import full_solve
 from smdeim_rom.models.burgers import build_burgers
 from smdeim_rom.models.swe import build_swe
 from smdeim_rom.pod import pod_basis
+
+# Property tests draw a fixed sequence of examples, so every run checks the
+# same cases, and no example database is kept between runs.
+settings.register_profile(
+    "deterministic", derandomize=True, max_examples=40, deadline=None, database=None
+)
+settings.load_profile("deterministic")
 
 
 class FullRun:

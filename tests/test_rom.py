@@ -152,6 +152,22 @@ def test_directional_derivative_matches_manual_differences(rng, burgers_rom_part
     assert np.allclose(reduced_jacobian(rm, xt), np.column_stack(cols), atol=1e-12)
 
 
+def test_directional_derivative_batch_equals_column_loop(burgers_rom_parts):
+    # one matrix rhs call gives the same bits as k single-column calls
+    model, _, snaps, basis = burgers_rom_parts
+    h = 0.01
+    rm = reduce_model(model, basis, "directional-derivative", h=h)
+    op = model.stages[0].op
+    for col in (0, 7, 30):
+        x_full = basis.lift(basis.project(snaps[0].states[:, col]))
+        f0 = op.rhs(x_full)
+        diffs = np.empty((model.n, basis.k))
+        for j in range(basis.k):
+            diffs[:, j] = (op.rhs(x_full + h * basis.u[:, j]) - f0) / h
+        got = rm.stages[0].jacobian.evaluate(None, x_full)
+        assert np.array_equal(got, basis.u.T @ diffs)
+
+
 def test_smdeim_strategy_matches_sampled_matrix_projection(rng, burgers_rom_parts):
     model, _, snaps, basis = burgers_rom_parts
     m = 10
