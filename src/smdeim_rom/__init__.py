@@ -9,8 +9,10 @@ k-by-k Jacobians in O(k^2 m) work, independent of n.
 
 Layout:
 
-* linalg, snapshots, pod, deim - numerical kernels: thin SVD, pattern
-  gather/scatter, basis truncation, greedy interpolation indexes.
+* linalg, snapshots, pod, deim - numerical kernels: thin SVD and dense LU,
+  pattern gather/scatter, basis truncation, greedy interpolation indexes.
+* stats - the Newton stage loop shared by the full-order and reduced
+  solvers, with its iteration statistics and typed failure.
 * jacobian_approx - the sparse interpolation route plus the vectorized
   reference oracle and their equivalence checks.
 * rom - reduced models with six interchangeable Jacobian strategies.
@@ -45,7 +47,6 @@ from .linalg import (
     SvdConvergenceError,
     SvdResult,
     solve_dense,
-    spmv,
     thin_svd,
 )
 from .models import FullModel, ImplicitStage, QuadraticOperator, full_solve
@@ -67,7 +68,6 @@ from .snapshots import (
     SnapshotSet,
     SparsityPattern,
     build_pattern,
-    collect_snapshots,
     gather,
     pattern_union,
     scatter,
@@ -98,7 +98,6 @@ __all__ = [
     "SvdConvergenceError",
     "SvdResult",
     "solve_dense",
-    "spmv",
     "thin_svd",
     "FullModel",
     "ImplicitStage",
@@ -121,7 +120,6 @@ __all__ = [
     "SnapshotSet",
     "SparsityPattern",
     "build_pattern",
-    "collect_snapshots",
     "gather",
     "pattern_union",
     "scatter",

@@ -22,7 +22,6 @@ __all__ = [
     "SingularMatrixError",
     "thin_svd",
     "solve_dense",
-    "spmv",
 ]
 
 # Relative magnitude below which a leading singular-vector entry is treated
@@ -145,10 +144,3 @@ def solve_dense(a, b):
     if diag[worst] <= scale:
         raise SingularMatrixError(worst, lu[worst, worst], scale)
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-
-
-def spmv(a, x):
-    """Sparse matrix times dense vector with explicit shape validation."""
-    if a.shape[1] != x.shape[0]:
-        raise ValueError(f"shape mismatch: matrix {a.shape} vs vector {x.shape}")
-    return a @ x

@@ -6,14 +6,15 @@ Each stage solves
     x_new - b - fraction * dt * F_imp(x_new) = 0,
     b = x_from + fraction * dt * F_exp(x_from),
 
-by Newton iteration with the sparse stage Jacobian.  Backward Euler is the
+by Newton iteration with the sparse stage Jacobian, in the stage loop
+shared with the reduced solver (stats.integrate).  Backward Euler is the
 single-stage case (fraction 1, no explicit part); the alternating-direction
 scheme is two stages with fraction 1/2, each treating one coordinate
 direction implicitly and the other explicitly.
 """
 
+import functools
 import hashlib
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from ..snapshots import SnapshotSet
-from ..stats import NewtonConvergenceError, NewtonStats
+from ..stats import integrate
 from .quadratic import QuadraticOperator
 
 __all__ = [
@@ -67,97 +68,45 @@ class FullModel:
         return len(self.stages) == 1
 
 
-def _solve_stage(stage, x_from, b, dt, tol, cap):
-    """Newton solve of one stage; returns (x, iteration_count, residual_norms).
-
-    Counts linear solves: at least one per call, stopping when the residual
-    after an update falls to tolerance.  At an exact root the first solve
-    yields a zero update and the state passes through bit for bit.
-    """
-    op = stage.op
-    coef = stage.fraction * dt
-    eye = scipy.sparse.identity(op.n, format="csr")
-    x = x_from.copy()
-    norms = []
-    iters = 0
-    residual = x - b - coef * op.rhs(x)
-    while True:
-        iters += 1
-        matrix = (eye - coef * op.jacobian(x)).tocsc()
-        delta = scipy.sparse.linalg.splu(matrix).solve(-residual)
-        x = x + delta
-        residual = x - b - coef * op.rhs(x)
-        norm = float(np.linalg.norm(residual))
-        norms.append(norm)
-        if norm <= tol:
-            return x, iters, norms, True
-        if iters >= cap:
-            return x, iters, norms, False
-
-
-def full_solve(model, n_t=None, newton_tol=1e-10, newton_cap=50,
-               newton_guess="initial"):
+def full_solve(model, n_t=None, newton_tol=1e-10, newton_cap=50):
     """Advance the full-order model and record snapshots.
 
     Returns (trajectory, stats, snapshot_sets): trajectory is (n, n_t) with
     the initial state in column 0; snapshot_sets has one SnapshotSet per
     stage, each holding every recorded state along with that stage's
     nonlinear term and gathered Jacobian values at those states.  Single
-    stage models record the initial state plus one state per step; the
-    two-stage model records both intermediate states of every step.
+    stage models record the trajectory's columns; the two-stage model
+    records both intermediate states of every step.
 
-    newton_guess picks the starting iterate of every stage solve:
-    "initial" restarts from the run's initial state (default -- per-step
-    iteration counts then reflect solve difficulty rather than step size,
-    and stay comparable across grids), "previous" warm-starts from the
-    state entering the stage (fewest iterations), "zero" starts cold.
-    All three land on the same converged states to within the tolerance.
+    Every stage solve starts from the run's initial state, so per-step
+    iteration counts reflect solve difficulty rather than step size and
+    stay comparable across grids.  Each Newton update solves with a sparse
+    LU factorization of I - fraction dt J(x).
 
-    Raises NewtonConvergenceError (with step index and final residual) if
-    any stage solve fails.
+    Raises NewtonConvergenceError (with step, stage, final residual and
+    iteration count) if any stage solve fails.
     """
     if n_t is None:
         n_t = model.default_n_t
-    if n_t < 1:
-        raise ValueError("n_t must be at least 1")
-    if newton_guess not in ("initial", "previous", "zero"):
-        raise ValueError(f"unknown newton_guess {newton_guess!r}")
-    x = np.array(model.initial_state, dtype=np.float64, copy=True)
-    x_init = x.copy()
-    trajectory = np.empty((model.n, n_t), dtype=np.float64)
-    trajectory[:, 0] = x
-    stats = NewtonStats()
-    recorded = [x.copy()] if model.single_stage else []
-    t_start = time.perf_counter()
-    for step in range(1, n_t):
-        for stage in model.stages:
-            if stage.explicit is not None:
-                b = x + stage.fraction * model.dt * stage.explicit.rhs(x)
-            else:
-                b = x
-            if newton_guess == "previous":
-                start = x
-            elif newton_guess == "initial":
-                start = x_init
-            else:
-                start = np.zeros_like(x)
-            x, iters, norms, ok = _solve_stage(
-                stage, start, b, model.dt, newton_tol, newton_cap
-            )
-            stats.iterations.append(iters)
-            stats.residual_norms.append(norms)
-            if not ok:
-                raise NewtonConvergenceError(step, stage.name, norms[-1], newton_cap)
-            if not model.single_stage:
-                recorded.append(x.copy())
-        if model.single_stage:
-            recorded.append(x.copy())
-        trajectory[:, step] = x
-    stats.online_seconds = time.perf_counter() - t_start
+    eye = scipy.sparse.identity(model.n, format="csr")
 
-    states = (
-        np.column_stack(recorded) if recorded else np.empty((model.n, 0), dtype=np.float64)
+    def newton_step(op, coef, x, residual):
+        matrix = (eye - coef * op.jacobian(x)).tocsc()
+        return scipy.sparse.linalg.splu(matrix).solve(-residual)
+
+    stages = []
+    for stage in model.stages:
+        coef = stage.fraction * model.dt
+        explicit = stage.explicit.rhs if stage.explicit is not None else None
+        stages.append((stage.name, coef, stage.op.rhs, explicit,
+                       functools.partial(newton_step, stage.op, coef)))
+    trajectory, stats, outputs = integrate(
+        model.initial_state, n_t, stages, newton_tol, newton_cap
     )
+
+    if model.single_stage:
+        outputs = list(trajectory.T)
+    states = np.column_stack(outputs) if outputs else np.empty((model.n, 0))
     n_cols = states.shape[1]
     sets = []
     for stage in model.stages:

@@ -26,7 +26,7 @@ import scipy.sparse
 
 from . import FullModel, ImplicitStage, QuadraticOperator, params_hash
 
-__all__ = ["build_burgers", "burgers_residual", "burgers_jacobian", "initial_profile"]
+__all__ = ["build_burgers", "initial_profile"]
 
 
 def initial_profile(grid, length=1.0, peak=3.5):
@@ -73,15 +73,3 @@ def build_burgers(n=201, mu=0.01, length=1.0, t_final=2.0, n_t=401, u0_peak=3.5)
         stages=[ImplicitStage(name="step", op=op, fraction=1.0)],
         meta={"grid": grid, "mu": mu, "length": length, "t_final": t_final},
     )
-
-
-def burgers_residual(model, u, u_prev, dt=None):
-    """Backward Euler residual u - u_prev - dt F(u)."""
-    if dt is None:
-        dt = model.dt
-    return u - u_prev - dt * model.stages[0].op.rhs(u)
-
-
-def burgers_jacobian(model, u):
-    """Sparse Jacobian of the right-hand side at state u."""
-    return model.stages[0].op.jacobian(u)

@@ -40,7 +40,6 @@ __all__ = [
     "initial_height",
     "swe_initialize",
     "build_swe",
-    "swe_step_adi",
 ]
 
 LENGTH_X = 6.0e6
@@ -200,22 +199,3 @@ def build_swe(nx_points=21, ny_points=15, dt=240.0, n_t=91, h1=H1, h2=H2):
         ],
         meta=info,
     )
-
-
-def swe_step_adi(model, w, dt=None, newton_tol=1e-10, newton_cap=50):
-    """Advance one time step; returns (w_half, w_next, iteration_counts)."""
-    from . import _solve_stage
-
-    if dt is None:
-        dt = model.dt
-    states = []
-    counts = []
-    x = w
-    for stage in model.stages:
-        b = x + stage.fraction * dt * stage.explicit.rhs(x)
-        x, iters, _, ok = _solve_stage(stage, x, b, dt, newton_tol, newton_cap)
-        if not ok:
-            raise RuntimeError(f"stage {stage.name!r} did not converge")
-        states.append(x)
-        counts.append(iters)
-    return states[0], states[1], counts

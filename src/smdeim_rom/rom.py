@@ -5,7 +5,8 @@ The reduced trajectory solves, per stage,
     r(xt) = xt - b - fraction * dt * F_red(xt) = 0,
     b = xt_prev + fraction * dt * F_exp(xt_prev),
 
-by Newton iteration on k unknowns.  The reduced nonlinearity F_red is always
+by Newton iteration on k unknowns, in the stage loop shared with the
+full-order solver (stats.integrate).  The reduced nonlinearity F_red is always
 evaluated through exact precomputed tensors (projected constant, linear and
 quadratic parts of the operator), so every strategy converges to the same
 root; the strategies differ only in how the k-by-k Newton matrix is built:
@@ -29,6 +30,7 @@ sampled Jacobian entries read, so their online work does not grow with n;
 tensorial lifts nothing.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -39,7 +41,7 @@ from .jacobian_approx import RankError, build_mdeim_reference, build_smdeim
 from .deim import deim_interpolant
 from .linalg import solve_dense, thin_svd
 from .pod import PodBasis
-from .stats import NewtonConvergenceError, NewtonStats
+from .stats import integrate
 
 __all__ = [
     "STRATEGIES",
@@ -401,80 +403,37 @@ def reduced_jacobian(rm, xt, stage=0):
     return st.jacobian.evaluate(xt, x_full)
 
 
-def _solve_reduced_stage(rm, st, xt_from, b, record):
-    coef = st.fraction * rm.dt
-    eye = np.eye(rm.k)
-    xt = xt_from.copy()
-    norms = []
-    iters = 0
-    residual = xt - b - coef * st.core.rhs(xt)
-    while True:
-        iters += 1
-        if record is not None:
-            record.append(xt.copy())
-        x_full = rm.basis.lift(xt) if st.jacobian.needs_lift else None
-        jac = st.jacobian.evaluate(xt, x_full)
-        delta = solve_dense(eye - coef * jac, -residual)
-        xt = xt + delta
-        residual = xt - b - coef * st.core.rhs(xt)
-        norm = float(np.linalg.norm(residual))
-        norms.append(norm)
-        if norm <= rm.newton_tol:
-            return xt, iters, norms, True
-        if iters >= rm.newton_cap:
-            return xt, iters, norms, False
-
-
-def rom_solve(rm, n_t, x0=None, continue_on_failure=False, record_iterates=False,
-              newton_guess="initial"):
+def rom_solve(rm, n_t, x0=None, continue_on_failure=False, record_iterates=False):
     """Advance the reduced model for n_t time points.
 
     Returns (trajectory, stats): trajectory is (k, n_t) in reduced
-    coordinates with the initial column included.  On Newton failure the run
-    either raises (default) or records the failure and continues with the
-    unconverged state, per continue_on_failure.  With record_iterates=True,
-    stats.meta["iterates"] collects every reduced state at which a Newton
-    matrix was evaluated, per solve.  newton_guess picks the starting
-    iterate of every stage solve, as in models.full_solve: "initial"
-    (default) restarts from the run's first reduced state, "previous"
-    warm-starts, "zero" starts cold.
+    coordinates with the initial column included.  Every stage solve starts
+    from the run's first reduced state and each Newton update is a dense LU
+    solve with I - fraction dt reduced_jacobian(xt); failures are handled
+    by stats.integrate, continue_on_failure included.  With
+    record_iterates=True, stats.meta["iterates"] collects every reduced
+    state at which a Newton matrix was evaluated, per solve.
     """
-    if n_t < 1:
-        raise ValueError("n_t must be at least 1")
-    if newton_guess not in ("initial", "previous", "zero"):
-        raise ValueError(f"unknown newton_guess {newton_guess!r}")
-    xt = np.array(rm.initial_reduced if x0 is None else x0, dtype=np.float64)
-    xt_init = xt.copy()
-    trajectory = np.empty((rm.k, n_t))
-    trajectory[:, 0] = xt
-    stats = NewtonStats(offline_seconds=rm.offline_seconds)
-    all_iterates = [] if record_iterates else None
-    t_start = time.perf_counter()
-    for step in range(1, n_t):
-        for st in rm.stages:
-            coef = st.fraction * rm.dt
-            if st.explicit_core is not None:
-                b = xt + coef * st.explicit_core.rhs(xt)
-            else:
-                b = xt
-            record = [] if record_iterates else None
-            if newton_guess == "previous":
-                start = xt
-            elif newton_guess == "initial":
-                start = xt_init
-            else:
-                start = np.zeros_like(xt)
-            xt, iters, norms, ok = _solve_reduced_stage(rm, st, start, b, record)
-            stats.iterations.append(iters)
-            stats.residual_norms.append(norms)
-            if record_iterates:
-                all_iterates.append(record)
-            if not ok:
-                if not continue_on_failure:
-                    raise NewtonConvergenceError(step, st.name, norms[-1], rm.newton_cap)
-                stats.failures.append((step, st.name, norms[-1]))
-        trajectory[:, step] = xt
-    stats.online_seconds = time.perf_counter() - t_start
+    eye = np.eye(rm.k)
+    iterates = [] if record_iterates else None
+
+    def newton_step(s_idx, coef, xt, residual):
+        if iterates is not None:
+            iterates.append(xt.copy())
+        return solve_dense(eye - coef * reduced_jacobian(rm, xt, s_idx), -residual)
+
+    stages = []
+    for s_idx, st in enumerate(rm.stages):
+        coef = st.fraction * rm.dt
+        explicit = st.explicit_core.rhs if st.explicit_core is not None else None
+        stages.append((st.name, coef, st.core.rhs, explicit,
+                       functools.partial(newton_step, s_idx, coef)))
+    trajectory, stats, _ = integrate(
+        rm.initial_reduced if x0 is None else x0, n_t, stages,
+        rm.newton_tol, rm.newton_cap, continue_on_failure,
+    )
+    stats.offline_seconds = rm.offline_seconds
     if record_iterates:
-        stats.meta = {"iterates": all_iterates}
+        it = iter(iterates)
+        stats.meta = {"iterates": [[next(it) for _ in range(n)] for n in stats.iterations]}
     return trajectory, stats

@@ -22,7 +22,6 @@ __all__ = [
     "pattern_union",
     "gather",
     "scatter",
-    "collect_snapshots",
 ]
 
 
@@ -203,17 +202,3 @@ class SnapshotSet:
             if not np.all(np.isfinite(block)):
                 raise ValueError(f"non-finite values in {name} block")
         return self
-
-
-def collect_snapshots(model, n_t, newton_tol=1e-10, newton_cap=50,
-                      newton_guess="initial"):
-    """Run the full-order model for n_t time points and record snapshots.
-
-    Returns the per-stage SnapshotSet list; see models.full_solve for the
-    trajectory and iteration statistics.
-    """
-    from .models import full_solve
-
-    _, _, sets = full_solve(model, n_t, newton_tol=newton_tol,
-                            newton_cap=newton_cap, newton_guess=newton_guess)
-    return sets

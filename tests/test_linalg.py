@@ -8,13 +8,11 @@ solution of a hand-built system.
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from smdeim_rom.linalg import (
     SingularMatrixError,
     SvdResult,
     solve_dense,
-    spmv,
     thin_svd,
 )
 
@@ -125,17 +123,3 @@ def test_solve_dense_shape_validation():
         solve_dense(np.zeros((2, 3)), np.zeros(2))
     with pytest.raises(ValueError):
         solve_dense(np.eye(3), np.zeros(2))
-
-
-def test_spmv_matches_dense(rng):
-    dense = rng.standard_normal((7, 7))
-    dense[np.abs(dense) < 0.8] = 0.0
-    sp = scipy.sparse.csr_matrix(dense)
-    x = rng.standard_normal(7)
-    assert np.allclose(spmv(sp, x), dense @ x, atol=1e-14)
-
-
-def test_spmv_shape_check():
-    sp = scipy.sparse.identity(4, format="csr")
-    with pytest.raises(ValueError):
-        spmv(sp, np.zeros(5))

@@ -7,12 +7,8 @@ import numpy as np
 import pytest
 
 from smdeim_rom.models import full_solve
-from smdeim_rom.models.burgers import (
-    build_burgers,
-    burgers_jacobian,
-    burgers_residual,
-    initial_profile,
-)
+from smdeim_rom.models.burgers import build_burgers, initial_profile
+from smdeim_rom.stats import NewtonConvergenceError
 
 
 def dense_operators(n, mu, length):
@@ -103,21 +99,30 @@ def test_build_uses_profile_and_records_config():
     assert model.dt == pytest.approx(2.0 / 8.0)
 
 
-def test_residual_zero_time_step_is_state_difference(rng):
-    model = build_burgers(n=21, n_t=5)
-    u = rng.standard_normal(model.n)
-    u_prev = rng.standard_normal(model.n)
-    assert np.array_equal(burgers_residual(model, u, u_prev, dt=0.0), u - u_prev)
+def test_residual_zero_time_step_is_state_difference():
+    # at dt = 0 the backward Euler residual is u - u_prev, already zero at
+    # the previous state: one Newton update per step, state kept bit for bit
+    model = build_burgers(n=21, n_t=5, t_final=0.0)
+    assert model.dt == 0.0
+    traj, stats, _ = full_solve(model)
+    for j in range(traj.shape[1]):
+        assert np.array_equal(traj[:, j], model.initial_state)
+    assert stats.iterations == [1, 1, 1, 1]
+    assert stats.residual_norms == [[0.0]] * 4
 
 
-def test_residual_definition(rng):
-    model = build_burgers(n=21, n_t=5)
+def test_residual_definition(burgers51):
+    # every column solves the backward Euler step from the one before it
+    model, traj = burgers51.model, burgers51.trajectory
     op = model.stages[0].op
-    u = rng.standard_normal(model.n)
-    u_prev = rng.standard_normal(model.n)
-    expect = u - u_prev - model.dt * op.rhs(u)
-    assert np.allclose(burgers_residual(model, u, u_prev), expect, atol=1e-14)
-    assert (burgers_jacobian(model, u) != op.jacobian(u)).nnz == 0
+    for j in range(1, traj.shape[1]):
+        u, u_prev = traj[:, j], traj[:, j - 1]
+        residual = u - u_prev - model.dt * op.rhs(u)
+        assert np.linalg.norm(residual) <= 1e-10
+    snap = burgers51.snaps[0]
+    assert np.array_equal(snap.states, traj)
+    for j in (0, traj.shape[1] // 2, traj.shape[1] - 1):
+        assert np.array_equal(snap.jacobian[:, j], op.jacobian_values(traj[:, j]))
 
 
 def test_solution_dissipates():
@@ -130,18 +135,24 @@ def test_solution_dissipates():
     assert not stats.failures
 
 
-def test_newton_guess_variants_agree():
-    model = build_burgers(n=51, n_t=21)
-    base, stats_init, _ = full_solve(model, 21, newton_guess="initial")
-    warm, stats_prev, _ = full_solve(model, 21, newton_guess="previous")
-    cold, _, _ = full_solve(model, 21, newton_guess="zero")
-    scale = np.linalg.norm(base[:, -1])
-    assert np.linalg.norm(base - warm) <= 1e-8 * scale
-    assert np.linalg.norm(base - cold) <= 1e-8 * scale
-    # warm starts cannot be slower on a smooth trajectory
-    assert stats_prev.mean_iterations <= stats_init.mean_iterations
+def test_nan_state_raises_typed_error_from_failed_factorization():
+    model = build_burgers(n=21, n_t=5)
+    model.initial_state[4] = np.nan
+    with pytest.raises(NewtonConvergenceError) as err:
+        full_solve(model)
+    assert (err.value.step, err.value.stage, err.value.iterations) == (1, "step", 1)
+    assert isinstance(err.value.__cause__, RuntimeError)
+    assert "linear solve failed at iteration 1" in str(err.value)
+
+
+def test_cap_failure_reports_iterations_made():
+    model = build_burgers(n=21, n_t=5)
+    with pytest.raises(NewtonConvergenceError) as err:
+        full_solve(model, newton_tol=0.0, newton_cap=3)
+    assert (err.value.step, err.value.iterations) == (1, 3)
+    assert "after 3 iterations" in str(err.value)
     with pytest.raises(ValueError):
-        full_solve(model, 5, newton_guess="nearby")
+        full_solve(model, 0)
 
 
 def test_stats_shape(burgers51):

@@ -22,7 +22,6 @@ from smdeim_rom.models.swe import (
     build_swe,
     initial_height,
     swe_initialize,
-    swe_step_adi,
 )
 
 
@@ -142,14 +141,19 @@ def test_flat_rest_state_is_steady():
 
 def test_adi_step_matches_full_solve():
     model = build_swe(nx_points=9, ny_points=7, n_t=4)
-    traj, _, snaps = full_solve(model, 3)
-    w_half, w1, counts = swe_step_adi(model, model.initial_state)
-    _, w2, _ = swe_step_adi(model, w1)
-    assert len(counts) == 2
-    assert np.allclose(traj[:, 1], w1, atol=1e-9)
-    assert np.allclose(traj[:, 2], w2, atol=1e-9)
-    # the half step is the state the x-stage snapshot set records first
-    assert np.allclose(snaps[0].states[:, 0], w_half, atol=1e-9)
+    traj, stats, snaps = full_solve(model)
+    assert len(stats.iterations) == 2 * 3
+    x_stage, y_stage = model.stages
+    for step in range(1, 4):
+        # the recorded half and full states of this step, in solve order
+        w_prev = traj[:, step - 1]
+        w_half = snaps[0].states[:, 2 * step - 2]
+        w_next = snaps[0].states[:, 2 * step - 1]
+        for stage, w_in, w_out in ((x_stage, w_prev, w_half), (y_stage, w_half, w_next)):
+            coef = stage.fraction * model.dt
+            b = w_in + coef * stage.explicit.rhs(w_in)
+            assert np.linalg.norm(w_out - b - coef * stage.op.rhs(w_out)) <= 1e-10
+        assert np.array_equal(w_next, traj[:, step])
 
 
 def test_two_stage_snapshot_conventions():

@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse
 
 from smdeim_rom.jacobian_approx import build_smdeim, sample_and_approximate
-from smdeim_rom.linalg import thin_svd
+from smdeim_rom.linalg import SingularMatrixError, thin_svd
 from smdeim_rom.models import FullModel, ImplicitStage, full_solve
 from smdeim_rom.models.burgers import build_burgers
 from smdeim_rom.models.quadratic import QuadraticOperator
@@ -286,20 +286,6 @@ def test_zero_rhs_passes_through_bit_exact(rng):
     for j in range(5):
         assert np.array_equal(traj[:, j], rm.initial_reduced)
     assert stats.iterations == [1, 1, 1, 1]
-
-
-def test_rom_solve_guess_variants_agree(burgers_rom_parts):
-    model, _, snaps, basis = burgers_rom_parts
-    rm = reduce_model(model, basis, "tensorial")
-    n_t = 15
-    base, _ = rom_solve(rm, n_t, newton_guess="initial")
-    warm, _ = rom_solve(rm, n_t, newton_guess="previous")
-    cold, _ = rom_solve(rm, n_t, newton_guess="zero")
-    scale = max(1.0, np.linalg.norm(base))
-    assert np.linalg.norm(base - warm) <= 1e-7 * scale
-    assert np.linalg.norm(base - cold) <= 1e-7 * scale
-    with pytest.raises(ValueError):
-        rom_solve(rm, 3, newton_guess="warmish")
     with pytest.raises(ValueError):
         rom_solve(rm, 0)
 
@@ -321,10 +307,43 @@ def test_newton_failure_raises_and_continue_records(burgers_rom_parts):
     with pytest.raises(NewtonConvergenceError) as err:
         rom_solve(rm, 8)
     assert err.value.step == 1
+    assert err.value.iterations == 2
+    assert "after 2 iterations" in str(err.value)
     traj, stats = rom_solve(rm, 8, continue_on_failure=True)
     assert traj.shape == (basis.k, 8)
     assert stats.failures
     assert all(iters <= 2 for iters in stats.iterations)
+
+
+@pytest.mark.parametrize("strategy", ["tensorial", "smdeim", "direct-projection"])
+def test_non_finite_residual_fails_fast(burgers_rom_parts, strategy):
+    model, _, snaps, basis = burgers_rom_parts
+    rm = reduce_model(model, basis, strategy, snapshots=snaps, m=10)
+    x0 = rm.initial_reduced.copy()
+    x0[0] = np.nan
+    with pytest.raises(NewtonConvergenceError) as err:
+        rom_solve(rm, 5, x0=x0)
+    assert (err.value.step, err.value.iterations) == (1, 1)
+    assert "after 1 iterations" in str(err.value)
+    _, stats = rom_solve(rm, 5, x0=x0, continue_on_failure=True)
+    assert stats.iterations == [1, 1, 1, 1]
+    assert [f[0] for f in stats.failures] == [1, 2, 3, 4]
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_singular_newton_matrix_raises_typed_error():
+    # L = I / dt and a coordinate basis make the Newton matrix I - dt L zero
+    model = zero_rhs_model(dt=0.25)
+    model.stages[0].op = QuadraticOperator(
+        linear=scipy.sparse.identity(model.n, format="csr") / 0.25, pairs=[]
+    )
+    basis = PodBasis(u=np.eye(model.n)[:, :3], singulars=np.ones(3), k=3,
+                     gamma=1.0, centered=False, mean=np.zeros(model.n))
+    rm = reduce_model(model, basis, "tensorial")
+    with pytest.raises(NewtonConvergenceError) as err:
+        rom_solve(rm, 5, continue_on_failure=True)
+    assert (err.value.step, err.value.stage, err.value.iterations) == (1, "s", 1)
+    assert isinstance(err.value.__cause__, SingularMatrixError)
 
 
 def test_trajectory_tracks_projected_full_solution(burgers_rom_parts):

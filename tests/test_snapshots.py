@@ -16,7 +16,6 @@ from smdeim_rom.snapshots import (
     PatternViolationError,
     SparsityPattern,
     build_pattern,
-    collect_snapshots,
     gather,
     pattern_union,
     scatter,
@@ -154,7 +153,7 @@ def test_snapshot_set_validate_catches_mismatches(burgers51):
 
 def test_collect_snapshots_single_stage_conventions():
     model = build_burgers(n=21, n_t=5)
-    sets = collect_snapshots(model, n_t=5)
+    _, _, sets = full_solve(model, 5)
     assert len(sets) == 1
     snap = sets[0]
     # initial state plus one column per implicit step; 19 interior unknowns
