@@ -9,8 +9,9 @@ k-by-k Jacobians in O(k^2 m) work, independent of n.
 
 Layout:
 
-* linalg, snapshots, pod, deim - numerical kernels: thin SVD and dense LU,
-  pattern gather/scatter, basis truncation, greedy interpolation indexes.
+* linalg, snapshots, pod, deim - numerical kernels: thin SVD, Lanczos
+  leading singular value and dense LU, pattern gather/scatter, basis
+  truncation, greedy interpolation indexes.
 * stats - the Newton stage loop shared by the full-order and reduced
   solvers, with its iteration statistics and typed failure.
 * jacobian_approx - the sparse interpolation route plus the vectorized
@@ -46,6 +47,7 @@ from .linalg import (
     SingularMatrixError,
     SvdConvergenceError,
     SvdResult,
+    leading_singular_value,
     solve_dense,
     thin_svd,
 )
@@ -60,7 +62,6 @@ from .rom import (
     build_tensor_core,
     reduce_model,
     reduced_jacobian,
-    reduced_residual,
     rom_solve,
 )
 from .snapshots import (
@@ -97,6 +98,7 @@ __all__ = [
     "SingularMatrixError",
     "SvdConvergenceError",
     "SvdResult",
+    "leading_singular_value",
     "solve_dense",
     "thin_svd",
     "FullModel",
@@ -114,7 +116,6 @@ __all__ = [
     "build_tensor_core",
     "reduce_model",
     "reduced_jacobian",
-    "reduced_residual",
     "rom_solve",
     "PatternViolationError",
     "SnapshotSet",

@@ -183,8 +183,8 @@ def validate_config(cfg):
     else:
         if not cfg.swe_nx or any(v < 5 for v in cfg.swe_nx):
             raise ConfigError("key 'swe.nx': grid sizes must be at least 5")
-        if not cfg.swe_ny or any(v < 4 for v in cfg.swe_ny):
-            raise ConfigError("key 'swe.ny': grid sizes must be at least 4")
+        if not cfg.swe_ny or any(v < 5 for v in cfg.swe_ny):
+            raise ConfigError("key 'swe.ny': grid sizes must be at least 5")
         if cfg.swe_n_t < 2:
             raise ConfigError("key 'swe.n_t': need at least 2 time points")
     if not cfg.seeds:

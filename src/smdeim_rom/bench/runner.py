@@ -42,10 +42,9 @@ from ..jacobian_approx import (
     RankError,
     build_mdeim_reference,
     build_smdeim,
-    deim_function_jacobian,
     sample_and_approximate,
 )
-from ..linalg import SvdConvergenceError, thin_svd
+from ..linalg import SvdConvergenceError, leading_singular_value, thin_svd
 from ..models import burgers as burgers_model
 from ..models import full_solve
 from ..models import swe as swe_model
@@ -371,6 +370,44 @@ def _heldout_ids(n_cols, stride):
     return [i for i in range(n_cols) if i % stride == stride - 1]
 
 
+# rows of the deim Jacobian error formed at a time in _deim_frobenius_distance
+_FROB_BLOCK_ROWS = 64
+
+
+def _deim_jacobian_operator(linear, projector, rows):
+    """The deim Jacobian approximation L + P R as an operator, never formed.
+
+    L is the sparse linear part, P the (n, m) interpolation projector and R
+    the (m, n) sampled rows of the nonlinear-part Jacobian.
+    """
+    n = linear.shape[0]
+    return scipy.sparse.linalg.LinearOperator(
+        (n, n),
+        matvec=lambda v: linear @ v + projector @ (rows @ v),
+        rmatvec=lambda v: linear.T @ v + rows.T @ (projector.T @ v),
+        dtype=np.float64,
+    )
+
+
+def _deim_frobenius_distance(linear, projector, rows, jac):
+    """||(L + P R) - J||_F over blocks of _FROB_BLOCK_ROWS rows, so at most
+    that many rows of the n-by-n difference exist at once."""
+    rows = rows.toarray()
+    sq = 0.0
+    for a in range(0, jac.shape[0], _FROB_BLOCK_ROWS):
+        b = a + _FROB_BLOCK_ROWS
+        diff = linear[a:b].toarray() + projector[a:b] @ rows - jac[a:b].toarray()
+        sq += float(np.dot(diff.ravel(), diff.ravel()))
+    return np.sqrt(sq)
+
+
+def _trajectory_error(basis, traj_red, traj_full):
+    """Relative distance of the lifted reduced trajectory from the basis
+    projection of the full one; the lifted (n, n_t) arrays die here."""
+    ref = basis.lift(basis.project(traj_full))
+    return float(np.linalg.norm(basis.lift(traj_red) - ref) / np.linalg.norm(ref))
+
+
 def run_online_point(cfg, model, snaps, traj_full, strategy, k, m):
     """Integrate one persisted reduced model and evaluate its metrics.
 
@@ -384,25 +421,21 @@ def run_online_point(cfg, model, snaps, traj_full, strategy, k, m):
             f"expected offline artifact {path}; run the offline command first"
         )
     rm = artifact_io.load_reduced_model(path, model)
-    with instrumentation.online_section():
-        traj_red, stats = rom_solve(rm, model.default_n_t)
-
-    basis = rm.basis
-    lifted = basis.lift(traj_red)
-    ref = basis.lift(basis.project(traj_full))
-    traj_err = float(np.linalg.norm(lifted - ref) / np.linalg.norm(ref))
-
     s0 = snaps[0]
-    op0 = model.stages[0].op
-    probe_ids = _heldout_ids(s0.n_cols, cfg.heldout_stride)
     mi = None
     fn_interp = None
     if strategy in ("smdeim", "mdeim-reference"):
         mi = artifact_io.load_interpolant(path, stage=0)
     elif strategy == "deim":
-        svd = thin_svd(s0.nonlinear)
-        fn_interp = deim_interpolant(svd.u, rm.meta["m"])
+        fn_interp = deim_interpolant(thin_svd(s0.nonlinear).u, rm.meta["m"])
+    with instrumentation.online_section():
+        traj_red, stats = rom_solve(rm, model.default_n_t)
 
+    basis = rm.basis
+    traj_err = _trajectory_error(basis, traj_red, traj_full)
+
+    op0 = model.stages[0].op
+    probe_ids = _heldout_ids(s0.n_cols, cfg.heldout_stride)
     red_errs = []
     jac_errs = []
     sv_errs = []
@@ -415,26 +448,21 @@ def run_online_point(cfg, model, snaps, traj_full, strategy, k, m):
         red_errs.append(
             float(np.linalg.norm(red_approx - red_true) / np.linalg.norm(red_true))
         )
-        approx_dense = None
         if mi is not None:
             approx = sample_and_approximate(mi, op0, x_p)
             num = scipy.sparse.linalg.norm(approx - jac_true)
-            den = scipy.sparse.linalg.norm(jac_true)
-            jac_errs.append(float(num / den))
-            if count < cfg.sv_probes:
-                approx_dense = approx.toarray()
         elif fn_interp is not None:
             rows = op0.sample_nl_rows(x_p, fn_interp.indexes)
-            dense = op0.linear.toarray() + deim_function_jacobian(fn_interp, rows)
-            dense_true = jac_true.toarray()
-            jac_errs.append(
-                float(np.linalg.norm(dense - dense_true) / np.linalg.norm(dense_true))
+            approx = _deim_jacobian_operator(op0.linear, fn_interp.projector, rows)
+            num = _deim_frobenius_distance(
+                op0.linear, fn_interp.projector, rows, jac_true
             )
-            if count < cfg.sv_probes:
-                approx_dense = dense
-        if approx_dense is not None:
-            sv_true = float(np.linalg.svd(jac_true.toarray(), compute_uv=False)[0])
-            sv_app = float(np.linalg.svd(approx_dense, compute_uv=False)[0])
+        else:
+            continue
+        jac_errs.append(float(num / scipy.sparse.linalg.norm(jac_true)))
+        if count < cfg.sv_probes:
+            sv_true = leading_singular_value(jac_true)
+            sv_app = leading_singular_value(approx)
             sv_errs.append(abs(sv_app - sv_true) / sv_true)
 
     return {

@@ -1,11 +1,13 @@
-"""Dense linear algebra kernels shared by the reduction stack.
+"""Linear algebra kernels shared by the reduction stack.
 
-Thin wrappers over LAPACK (via numpy/scipy) pinned to the conventions the
-rest of the package depends on:
+Thin wrappers over LAPACK and ARPACK (via numpy/scipy) pinned to the
+conventions the rest of the package depends on:
 
 * all floating point work is IEEE double precision;
 * singular vectors carry a deterministic sign, so index selections built on
   them are reproducible run to run;
+* iterative solvers start from a fixed vector, so their results are the
+  same bits on every run;
 * failures raise diagnostic errors instead of returning poisoned arrays.
 """
 
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from . import instrumentation
 
@@ -21,6 +24,7 @@ __all__ = [
     "SvdConvergenceError",
     "SingularMatrixError",
     "thin_svd",
+    "leading_singular_value",
     "solve_dense",
 ]
 
@@ -29,6 +33,9 @@ __all__ = [
 # (O(1e-17) entries in structurally zero rows), small enough to never skip a
 # genuine entry.
 _SIGN_TOL = 1e-12
+
+# Seed of the Lanczos starting vector in leading_singular_value.
+_LANCZOS_SEED = 20140101
 
 
 class SvdConvergenceError(np.linalg.LinAlgError):
@@ -123,6 +130,37 @@ def thin_svd(a, overwrite_a=False):
             ) from exc
     u, w = _apply_sign_convention(u, vt.T.copy())
     return SvdResult(u=u, singulars=s, w=w)
+
+
+def leading_singular_value(a):
+    """Largest singular value of a sparse matrix or operator, by Lanczos.
+
+    ARPACK (through scipy.sparse.linalg.svds) runs to machine precision from
+    a seeded starting vector, so the same input gives the same bits on
+    every call.  Only products with a and its transpose are taken; no dense
+    copy of a is made.
+
+    Parameters
+    ----------
+    a : sparse matrix, ndarray or scipy.sparse.linalg.LinearOperator
+        Needs products with the matrix and with its transpose.
+
+    Raises
+    ------
+    SvdConvergenceError
+        If the Lanczos iteration does not converge; names the shape.
+    """
+    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(min(a.shape))
+    try:
+        s = scipy.sparse.linalg.svds(
+            a, k=1, tol=0, v0=v0, return_singular_vectors=False
+        )
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise SvdConvergenceError(
+            f"Lanczos iteration for the leading singular value failed to "
+            f"converge on a {a.shape[0]}x{a.shape[1]} matrix"
+        ) from exc
+    return float(s[0])
 
 
 def solve_dense(a, b):

@@ -321,13 +321,17 @@ class QuadraticOperator:
         Contracting q with reduced coordinates gives the exact projected
         quadratic term: residual_j = xt^T q[j] xt and Jacobian term
         sum_p xt_p (q[j,l,p] + q[j,p,l]).
+
+        Each slice q[j] takes one (k, n) @ (n, k) BLAS product per pair
+        (G_t, H_t): O(n k^3) work in all, with O(n k) scratch.
         """
         k = u.shape[1]
         tensor = np.zeros((k, k, k), dtype=np.float64)
         for g, h in self.pairs:
             gu = np.asarray(g @ u)
             hu = np.asarray(h @ u)
-            tensor += np.einsum("sj,sl,sp->jlp", u, hu, gu, optimize=True)
+            for j in range(k):
+                tensor[j] += (u[:, j, None] * hu).T @ gu
         return tensor
 
     def reduced_linear(self, u, mean=None):

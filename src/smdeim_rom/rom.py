@@ -50,7 +50,6 @@ __all__ = [
     "ReducedModel",
     "build_tensor_core",
     "reduce_model",
-    "reduced_residual",
     "reduced_jacobian",
     "rom_solve",
 ]
@@ -381,19 +380,6 @@ def reduce_model(
         offline_seconds=offline,
         meta={"m": m, "h": h},
     )
-
-
-def reduced_residual(rm, xt, xt_prev, dt=None, stage=0):
-    """Stage residual xt - b - fraction dt F_red(xt) in reduced coordinates."""
-    st = rm.stages[stage]
-    if dt is None:
-        dt = rm.dt
-    coef = st.fraction * dt
-    if st.explicit_core is not None:
-        b = xt_prev + coef * st.explicit_core.rhs(xt_prev)
-    else:
-        b = xt_prev
-    return xt - b - coef * st.core.rhs(xt)
 
 
 def reduced_jacobian(rm, xt, stage=0):

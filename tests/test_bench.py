@@ -1,5 +1,6 @@
 """Benchmark driver: config grammar, hashing, CLI exit codes, resume
-semantics, parallel parity, and deterministic outputs.
+semantics, parallel parity, deterministic outputs, and the held-out
+metrics against dense oracles.
 
 End-to-end runs use a deliberately tiny Burgers setup (n=31, 20 steps) so a
 full sweep takes well under a second.  Determinism is asserted on the
@@ -7,9 +8,13 @@ results CSV after masking the wall-clock columns (offline/online seconds and
 the timestamp), which are the only fields allowed to vary between runs.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from smdeim_rom import io as artifact_io
+from smdeim_rom.bench import runner
 from smdeim_rom.bench.cli import main
 from smdeim_rom.bench.config import (
     ConfigError,
@@ -21,6 +26,9 @@ from smdeim_rom.bench.config import (
     with_overrides,
 )
 from smdeim_rom.bench.runner import CSV_COLUMNS, unit_list
+from smdeim_rom.deim import deim_interpolant
+from smdeim_rom.jacobian_approx import deim_function_jacobian, sample_and_approximate
+from smdeim_rom.linalg import thin_svd
 
 TINY = """
 # tiny grid for driver tests
@@ -130,6 +138,21 @@ def test_validation_rules():
         validate_config(ExperimentConfig(m_list=(), strategies=("smdeim",)))
     # m is not required when no sampled strategy is configured
     validate_config(ExperimentConfig(m_list=(), strategies=("tensorial",)))
+
+
+def test_swe_grid_needs_five_points_each_way(tmp_path, capsys):
+    # build_swe rejects fewer than 5 points per direction, so the config
+    # must too: a bare ValueError from the model would exit 1
+    for key in ("swe.nx", "swe.ny"):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"model = swe\n{key} = 4\n")
+        assert key in str(err.value) and "at least 5" in str(err.value)
+    parse_config_text("model = swe\nswe.nx = 5\nswe.ny = 5\n")
+    bad = tmp_path / "swe.cfg"
+    bad.write_text(f"model = swe\nswe.ny = 4\nrun.out = {tmp_path}\n",
+                   encoding="utf-8")
+    assert main(["simulate", "--config", str(bad)]) == 2
+    assert "swe.ny" in capsys.readouterr().err
 
 
 def test_canonical_config_excludes_out_dir():
@@ -279,3 +302,99 @@ def test_failed_point_is_recorded_not_raised(tmp_path):
     assert by_key[("smdeim", "6")]["status"] == "ok"
     assert by_key[("smdeim", "500")]["status"].startswith("failed:RankError")
     assert by_key[("smdeim", "500")]["traj_l2_err"] == ""
+
+
+# -- held-out metrics -----------------------------------------------------
+
+SWE_SMALL = """
+model = swe
+swe.nx = 11
+swe.ny = 9
+rom.k = 10
+rom.m = 12
+rom.strategy = deim, smdeim
+run.out = {out}
+"""
+
+
+def dense_sv1_err(cfg, strategy, k, m):
+    """sv1_err recomputed with dense n-by-n Jacobians and a full SVD."""
+    model = runner.build_model(cfg, {"nx": cfg.swe_nx[0], "ny": cfg.swe_ny[0]})
+    snap = runner.load_snapshot_artifacts(cfg, model)[0][0]
+    op = model.stages[0].op
+    path = runner.rom_artifact_path(cfg, model.config_hash, strategy, k, m)
+    basis = artifact_io.load_reduced_model(path, model).basis
+    if strategy == "smdeim":
+        mi = artifact_io.load_interpolant(path, stage=0)
+    else:
+        fn_interp = deim_interpolant(thin_svd(snap.nonlinear).u, m)
+    stride = cfg.heldout_stride
+    probes = list(range(stride - 1, snap.n_cols, stride))[: cfg.sv_probes]
+    errs = []
+    for i in probes:
+        x = basis.lift(basis.project(snap.states[:, i]))
+        true = op.jacobian(x).toarray()
+        if strategy == "smdeim":
+            approx = sample_and_approximate(mi, op, x).toarray()
+        else:
+            rows = op.sample_nl_rows(x, fn_interp.indexes)
+            approx = op.linear.toarray() + deim_function_jacobian(fn_interp, rows)
+        sv_true = np.linalg.svd(true, compute_uv=False)[0]
+        sv_app = np.linalg.svd(approx, compute_uv=False)[0]
+        errs.append(abs(sv_app - sv_true) / sv_true)
+    return float(np.mean(errs))
+
+
+def test_sv1_err_matches_dense_svd_and_jobs(tmp_path):
+    seq, par = tmp_path / "seq", tmp_path / "par"
+    for out, jobs in ((seq, "1"), (par, "2")):
+        path = tmp_path / f"{out.name}.cfg"
+        path.write_text(SWE_SMALL.format(out=out), encoding="utf-8")
+        assert main(["sweep", "--config", str(path), "--jobs", jobs]) == 0
+    rows = read_rows(seq / "results.csv")
+    assert masked(rows) == masked(read_rows(par / "results.csv"))
+    cfg = parse_config_text(SWE_SMALL.format(out=seq))
+    checked = 0
+    for row in rows:
+        if row["strategy"] == "full":
+            continue
+        assert row["status"] == "ok"
+        expect = dense_sv1_err(cfg, row["strategy"], 10, 12)
+        assert abs(float(row["sv1_err"]) - expect) <= 1e-12
+        checked += 1
+    assert checked == 2
+
+
+@pytest.mark.parametrize("strategy", ["deim", "smdeim"])
+def test_heldout_metrics_form_no_dense_square_matrix(
+    tmp_path, monkeypatch, swe_run, strategy
+):
+    # The peak is taken from the end of the reduced solve, so it covers the
+    # held-out evaluation, where an n-by-n float64 array alone would take
+    # 8 n^2 bytes (the evaluation peaks near 0.4 of that here).  The whole
+    # call peaks higher, up to 2.3 times 8 n^2, on loading the artifact
+    # before the solve: the reader holds the file's bytes and every parsed
+    # block, the r-by-m interpolant bases of both stages included.
+    cfg = ExperimentConfig(model="swe", out_dir=str(tmp_path))
+    model, snaps, traj = swe_run.model, swe_run.snaps, swe_run.trajectory
+    runner.artifact_dir(cfg).mkdir(parents=True)
+    runner.build_rom_artifact(cfg, model, snaps, strategy, 25, 30)
+    after_solve = []
+    rom_solve = runner.rom_solve
+
+    def solve_then_reset_peak(*args, **kwargs):
+        out = rom_solve(*args, **kwargs)
+        tracemalloc.reset_peak()
+        after_solve.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    monkeypatch.setattr(runner, "rom_solve", solve_then_reset_peak)
+    tracemalloc.start()
+    try:
+        result = runner.run_online_point(cfg, model, snaps, traj, strategy, 25, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result["status"] == "ok" and result["sv1_err"] is not None
+    assert len(after_solve) == 1
+    assert peak - after_solve[0] < 8 * model.n ** 2

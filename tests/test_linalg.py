@@ -1,5 +1,6 @@
-"""Dense kernel contracts: factorization accuracy, deterministic signs,
-and diagnostic failure modes.
+"""Kernel contracts: factorization accuracy, deterministic signs, the
+Lanczos leading singular value against a dense oracle, and diagnostic
+failure modes.
 
 Every expected value is either recomputed from the inputs inside the test
 (multiply-back residuals, orthonormality) or is an analytically known
@@ -9,12 +10,22 @@ solution of a hand-built system.
 import numpy as np
 import pytest
 
+from smdeim_rom.bench.runner import _deim_jacobian_operator
+from smdeim_rom.deim import deim_interpolant
+from smdeim_rom.jacobian_approx import (
+    build_smdeim,
+    deim_function_jacobian,
+    sample_and_approximate,
+)
 from smdeim_rom.linalg import (
     SingularMatrixError,
     SvdResult,
+    leading_singular_value,
     solve_dense,
     thin_svd,
 )
+from smdeim_rom.models.burgers import build_burgers
+from smdeim_rom.models.swe import build_swe
 
 
 @pytest.mark.parametrize("shape", [(12, 7), (7, 12), (9, 9), (40, 3)])
@@ -123,3 +134,58 @@ def test_solve_dense_shape_validation():
         solve_dense(np.zeros((2, 3)), np.zeros(2))
     with pytest.raises(ValueError):
         solve_dense(np.eye(3), np.zeros(2))
+
+
+# -- leading singular value -----------------------------------------------
+
+
+def dense_sv1(a):
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        build_burgers(n=6),
+        build_burgers(n=201),
+        build_swe(nx_points=5, ny_points=5),
+        build_swe(nx_points=21, ny_points=15),
+    ],
+    ids=["burgers-6", "burgers-201", "swe-5x5", "swe-21x15"],
+)
+def test_leading_singular_value_matches_dense_svd_on_jacobians(model):
+    for stage in model.stages:
+        jac = stage.op.jacobian(model.initial_state)
+        expect = dense_sv1(jac.toarray())
+        got = leading_singular_value(jac)
+        assert abs(got - expect) <= 1e-13 * expect
+
+
+def probe(swe_run):
+    snap = swe_run.snaps[0]
+    return snap, swe_run.model.stages[0].op, snap.states[:, 29]
+
+
+def test_leading_singular_value_of_smdeim_approximation(swe_run):
+    snap, op, x = probe(swe_run)
+    approx = sample_and_approximate(build_smdeim(snap, 30), op, x)
+    expect = dense_sv1(approx.toarray())
+    assert abs(leading_singular_value(approx) - expect) <= 1e-13 * expect
+
+
+def test_leading_singular_value_of_deim_operator(swe_run):
+    snap, op, x = probe(swe_run)
+    fn_interp = deim_interpolant(thin_svd(snap.nonlinear).u, 30)
+    rows = op.sample_nl_rows(x, fn_interp.indexes)
+    approx = _deim_jacobian_operator(op.linear, fn_interp.projector, rows)
+    dense = op.linear.toarray() + deim_function_jacobian(fn_interp, rows)
+    expect = dense_sv1(dense)
+    assert abs(leading_singular_value(approx) - expect) <= 1e-13 * expect
+
+
+def test_leading_singular_value_repeats_bit_for_bit(swe_run):
+    snap, op, x = probe(swe_run)
+    jac = op.jacobian(x)
+    first = leading_singular_value(jac)
+    assert leading_singular_value(jac) == first
+    assert leading_singular_value(jac.copy()) == first
