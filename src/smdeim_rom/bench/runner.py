@@ -420,13 +420,15 @@ def run_online_point(cfg, model, snaps, traj_full, strategy, k, m):
         raise MissingArtifactError(
             f"expected offline artifact {path}; run the offline command first"
         )
-    rm = artifact_io.load_reduced_model(path, model)
-    s0 = snaps[0]
+    blocks = artifact_io.read_blocks(path)
+    rm = artifact_io.load_reduced_model(path, model, blocks=blocks)
     mi = None
-    fn_interp = None
     if strategy in ("smdeim", "mdeim-reference"):
-        mi = artifact_io.load_interpolant(path, stage=0)
-    elif strategy == "deim":
+        mi = artifact_io.load_interpolant(path, stage=0, blocks=blocks)
+    del blocks
+    s0 = snaps[0]
+    fn_interp = None
+    if strategy == "deim":
         fn_interp = deim_interpolant(thin_svd(s0.nonlinear).u, rm.meta["m"])
     with instrumentation.online_section():
         traj_red, stats = rom_solve(rm, model.default_n_t)

@@ -213,7 +213,7 @@ def _read_body(cur):
 
 
 def _read_file(path):
-    buf = Path(path).read_bytes()
+    buf = memoryview(Path(path).read_bytes())
     cur = _Cursor(buf)
     snap = _read_body(cur)
     blocks = []
@@ -222,7 +222,7 @@ def _read_file(path):
             raise FormatError(f"truncated block frame at offset {cur.off}")
         tag = bytes(cur.take(4)).decode("ascii")
         length = cur.u64()
-        blocks.append((tag, bytes(cur.take(length))))
+        blocks.append((tag, cur.take(length)))
     return snap, blocks
 
 
@@ -244,13 +244,18 @@ def append_block(path, tag, payload):
 
 
 def read_blocks(path):
-    """All (tag, payload) blocks of an artifact file, in file order."""
+    """All (tag, payload) blocks of an artifact file, in file order.
+
+    Payloads are read-only memoryviews into one buffer holding the file.
+    """
     _, blocks = _read_file(path)
     return blocks
 
 
-def _last_block(path, tag):
-    payloads = [p for t, p in read_blocks(path) if t == tag]
+def _last_block(path, tag, blocks=None):
+    if blocks is None:
+        blocks = read_blocks(path)
+    payloads = [p for t, p in blocks if t == tag]
     if not payloads:
         raise FormatError(f"no {tag!r} block in {path}")
     return payloads[-1]
@@ -538,9 +543,12 @@ def load_pod_basis(path):
     return parse_pod_block(_last_block(path, TAG_POD))
 
 
-def load_interpolant(path, stage=0):
+def load_interpolant(path, stage=0, blocks=None):
+    """The matrix interpolant of one stage.  blocks, the file's
+    read_blocks(path) result when the caller already holds it, saves
+    reading the file again."""
     found = []
-    for tag, payload in read_blocks(path):
+    for tag, payload in read_blocks(path) if blocks is None else blocks:
         if tag == TAG_MINT:
             got_stage, mi = parse_mint_block(payload)
             if got_stage == stage:
@@ -560,7 +568,8 @@ def save_reduced_model(path, rm):
     append_block(path, TAG_REDM, redm_block(rm))
 
 
-def load_reduced_model(path, model):
+def load_reduced_model(path, model, blocks=None):
     """Rebuild a persisted reduced model, rebinding operator references to
-    the supplied full model (which must match the stored identity)."""
-    return _parse_redm(_last_block(path, TAG_REDM), model)
+    the supplied full model (which must match the stored identity).  blocks
+    is as in load_interpolant."""
+    return _parse_redm(_last_block(path, TAG_REDM, blocks), model)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 from . import instrumentation
@@ -36,6 +37,9 @@ _SIGN_TOL = 1e-12
 
 # Seed of the Lanczos starting vector in leading_singular_value.
 _LANCZOS_SEED = 20140101
+
+# LU factor-and-solve driver of solve_dense, looked up once
+_gesv = scipy.linalg.lapack.dgesv
 
 
 class SvdConvergenceError(np.linalg.LinAlgError):
@@ -166,6 +170,11 @@ def leading_singular_value(a):
 def solve_dense(a, b):
     """Solve a @ x = b by LU with partial pivoting.
 
+    One LAPACK gesv call (getrf, then getrs: the same routines, hence the
+    same bits, as scipy.linalg.lu_factor followed by lu_solve).  b may be a
+    vector or a matrix of right-hand sides.  Non-finite input is passed
+    through to the result.
+
     Raises SingularMatrixError naming the failing pivot when any |U_ii| falls
     at or below 1e-14 times the Frobenius norm of `a`.
     """
@@ -175,10 +184,16 @@ def solve_dense(a, b):
         raise ValueError(f"solve_dense expects a square matrix, got {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
-    lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    diag = np.abs(np.diag(lu))
+    lu, _, x, info = _gesv(a, b)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK gesv")
+    diag = np.abs(lu.diagonal())
     scale = 1e-14 * float(np.linalg.norm(a))
-    worst = int(np.argmin(diag))
+    worst = int(diag.argmin())
     if diag[worst] <= scale:
         raise SingularMatrixError(worst, lu[worst, worst], scale)
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    if info > 0:
+        # gesv skips the solve after an exactly zero pivot; a finite `a`
+        # fails the pivot check first, so only non-finite input gets here
+        x.fill(np.nan)
+    return x

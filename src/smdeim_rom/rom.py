@@ -71,6 +71,10 @@ class TensorCore:
     rhs(xt) = const + lin @ xt + quad contraction; jacobian(xt) is its exact
     derivative.  const and the mean contribution inside lin vanish for an
     uncentered basis.
+
+    Both contract quad through (k^2, k) layouts built on first use, so each
+    call is one matrix-vector product per term, with the same bits as
+    np.tensordot over the same axes.  quad must not change after that.
     """
 
     const: np.ndarray
@@ -81,13 +85,24 @@ class TensorCore:
     def k(self):
         return int(self.lin.shape[0])
 
+    @functools.cached_property
+    def _quad_last(self):
+        # row j k + l holds q[j, l, :], so a product with xt sums over p
+        return self.quad.reshape(self.k * self.k, self.k)
+
+    @functools.cached_property
+    def _quad_middle(self):
+        # row j k + l holds q[j, :, l]
+        k = self.k
+        return np.ascontiguousarray(self.quad.transpose(0, 2, 1)).reshape(k * k, k)
+
     def rhs(self, xt):
-        qx = np.tensordot(self.quad, xt, axes=([2], [0]))
+        qx = (self._quad_last @ xt).reshape(self.lin.shape)
         return self.const + self.lin @ xt + qx @ xt
 
     def jacobian(self, xt):
-        term_a = np.tensordot(self.quad, xt, axes=([2], [0]))
-        term_b = np.tensordot(self.quad, xt, axes=([1], [0]))
+        term_a = (self._quad_last @ xt).reshape(self.lin.shape)
+        term_b = (self._quad_middle @ xt).reshape(self.lin.shape)
         return self.lin + term_a + term_b
 
 
@@ -219,14 +234,20 @@ class MatrixInterpolantJacobian:
     def __init__(self, op, basis, mi):
         u = basis.u
         k = u.shape[1]
+        projector = mi.interp.projector
         if mi.mode == "sparse":
             factor = np.einsum(
                 "qj,ql->ljq", u[mi.pattern.rows], u[mi.pattern.cols]
             ).reshape(k * k, -1)
+            reducer = np.ascontiguousarray(factor @ projector)
         else:
+            # column i is vec_F(U^T P_i U), P_i the n-by-n column-major
+            # matrix of projector column i; no k^2-by-n^2 factor is formed
             n = mi.pattern.n
-            factor = np.einsum("aj,bl->ljba", u, u).reshape(k * k, n * n)
-        reducer = np.ascontiguousarray(factor @ mi.interp.projector)
+            reducer = np.empty((k * k, projector.shape[1]))
+            for i in range(projector.shape[1]):
+                p_i = projector[:, i].reshape((n, n), order="F")
+                reducer[:, i] = (u.T @ p_i @ u).ravel(order="F")
         self._setup(op, basis, reducer, mi.sample_rows, mi.sample_cols)
 
     @classmethod

@@ -291,6 +291,23 @@ def test_plotdata_series(tmp_path):
     assert traj.exists()
 
 
+def test_online_reads_each_model_artifact_once(tmp_path, monkeypatch):
+    cfg_path, out = write_config(tmp_path)
+    assert main(["offline", "--config", str(cfg_path)]) == 0
+    read = []
+    read_blocks = artifact_io.read_blocks
+
+    def counted(path):
+        read.append(path.name)
+        return read_blocks(path)
+
+    monkeypatch.setattr(artifact_io, "read_blocks", counted)
+    assert main(["online", "--config", str(cfg_path)]) == 0
+    model_reads = sorted(name for name in read if name.startswith("rom-"))
+    assert len(model_reads) == 2  # smdeim and tensorial
+    assert len(set(model_reads)) == 2
+
+
 def test_failed_point_is_recorded_not_raised(tmp_path):
     # m beyond the snapshot rank: the point fails, the run continues
     cfg_path, out = write_config(tmp_path, extra="rom.newton_cap = 50\n")
@@ -372,9 +389,9 @@ def test_heldout_metrics_form_no_dense_square_matrix(
     # The peak is taken from the end of the reduced solve, so it covers the
     # held-out evaluation, where an n-by-n float64 array alone would take
     # 8 n^2 bytes (the evaluation peaks near 0.4 of that here).  The whole
-    # call peaks higher, up to 2.3 times 8 n^2, on loading the artifact
-    # before the solve: the reader holds the file's bytes and every parsed
-    # block, the r-by-m interpolant bases of both stages included.
+    # call peaks higher, up to 1.9 times 8 n^2, on loading the artifact
+    # before the solve: the reader holds the file's bytes, the parsed
+    # reduced model and the stage-0 interpolant with its r-by-m bases.
     cfg = ExperimentConfig(model="swe", out_dir=str(tmp_path))
     model, snaps, traj = swe_run.model, swe_run.snaps, swe_run.trajectory
     runner.artifact_dir(cfg).mkdir(parents=True)

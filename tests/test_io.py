@@ -5,6 +5,8 @@ Every round trip is checked with array_equal (no tolerance): the format
 stores raw little-endian float64, so serialization must not perturb values.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,26 @@ def test_block_framing_appends_in_order(tmp_path, setup):
         artifact_io.append_block(path, "TOOLONG", b"")
 
 
+def test_read_blocks_holds_one_copy_of_the_file(tmp_path, setup):
+    # payloads are views into the buffer read from disk, not copies of it
+    _, _, snaps, _ = setup
+    path = tmp_path / "art.bin"
+    artifact_io.save_snapshots(path, snaps[0])
+    for tag in ("AAAA", "BBBB"):
+        artifact_io.append_block(path, tag, bytes(1 << 20))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        blocks = artifact_io.read_blocks(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(t, bytes(p)) for t, p in blocks[-2:]] == [
+        ("AAAA", bytes(1 << 20)), ("BBBB", bytes(1 << 20)),
+    ]
+    assert peak < 1.5 * size
+
+
 def test_truncated_block_frame_rejected(tmp_path, setup):
     _, _, snaps, _ = setup
     path = tmp_path / "art.bin"
@@ -163,6 +185,22 @@ def test_reduced_model_round_trip_replays_identically(tmp_path, setup, strategy)
     t2, s2 = rom_solve(back, 21)
     assert np.array_equal(t1, t2)
     assert s1.iterations == s2.iterations
+
+
+def test_loaders_parse_given_blocks_without_reading(tmp_path, setup):
+    model, _, snaps, basis = setup
+    mi = build_smdeim(snaps[0], 6)
+    rm = reduce_model(model, basis, "smdeim", prebuilt={0: mi}, snapshots=snaps, m=6)
+    path = tmp_path / "art.bin"
+    artifact_io.save_snapshots(path, snaps[0])
+    artifact_io.append_block(path, artifact_io.TAG_MINT, artifact_io.mint_block(mi))
+    artifact_io.save_reduced_model(path, rm)
+    blocks = artifact_io.read_blocks(path)
+    path.unlink()
+    back = artifact_io.load_reduced_model(path, model, blocks=blocks)
+    assert np.array_equal(rom_solve(back, 21)[0], rom_solve(rm, 21)[0])
+    back_mi = artifact_io.load_interpolant(path, stage=0, blocks=blocks)
+    assert np.array_equal(back_mi.interp.projector, mi.interp.projector)
 
 
 def test_reduced_model_identity_mismatch(tmp_path, setup):

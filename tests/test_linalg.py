@@ -9,6 +9,7 @@ solution of a hand-built system.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from smdeim_rom.bench.runner import _deim_jacobian_operator
 from smdeim_rom.deim import deim_interpolant
@@ -117,7 +118,35 @@ def test_solve_dense_matrix_rhs(rng):
     assert np.linalg.norm(a @ x - b) <= 1e-11
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("rhs_shape", [(25,), (25, 3)])
+def test_solve_dense_bit_identical_to_lu_factor_and_solve(rng, order, rhs_shape):
+    for _ in range(20):
+        a = np.asarray(rng.standard_normal((25, 25)), order=order)
+        b = np.asarray(rng.standard_normal(rhs_shape), order=order)
+        expect = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
+        x = solve_dense(a, b)
+        assert x.shape == expect.shape
+        assert np.array_equal(x, expect)
+
+
+def test_solve_dense_near_singular_pivot_raises(rng):
+    # an upper triangular matrix is its own U, so the last pivot is exactly
+    # 1e-20: below 1e-14 ||a||_F but not zero
+    a = np.triu(rng.uniform(1.0, 2.0, (5, 5)))
+    a[4, 4] = 1e-20
+    with pytest.raises(SingularMatrixError) as err:
+        solve_dense(a, np.ones(5))
+    assert err.value.pivot_index == 4
+    assert err.value.pivot_value == 1e-20
+
+
+def test_solve_dense_passes_non_finite_input_through():
+    for a in ([[np.nan, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, np.nan]]):
+        x = solve_dense(np.array(a), np.ones(2))
+        assert not np.isfinite(x).any()
+
+
 def test_solve_dense_singular_names_pivot():
     a = np.zeros((3, 3))
     a[0, 0] = 1.0

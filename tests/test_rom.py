@@ -9,11 +9,18 @@ are asserted at random reduced states, and the integrator contracts
 models.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
 
-from smdeim_rom.jacobian_approx import build_smdeim, sample_and_approximate
+from smdeim_rom import io as artifact_io
+from smdeim_rom.jacobian_approx import (
+    build_mdeim_reference,
+    build_smdeim,
+    sample_and_approximate,
+)
 from smdeim_rom.linalg import SingularMatrixError, thin_svd
 from smdeim_rom.models import FullModel, ImplicitStage, full_solve
 from smdeim_rom.models.burgers import build_burgers
@@ -21,6 +28,7 @@ from smdeim_rom.models.quadratic import QuadraticOperator
 from smdeim_rom.pod import PodBasis, pod_basis
 from smdeim_rom.rom import (
     STRATEGIES,
+    MatrixInterpolantJacobian,
     build_tensor_core,
     reduce_model,
     reduced_jacobian,
@@ -109,6 +117,79 @@ def burgers_setup(n=31, n_t=41, k=6, gamma=1.0):
 @pytest.fixture(scope="module")
 def burgers_rom_parts():
     return burgers_setup()
+
+
+def peak_bytes(fn):
+    """Peak traced allocation of one fn() call, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def tensordot_rhs(core, xt):
+    qx = np.tensordot(core.quad, xt, axes=([2], [0]))
+    return core.const + core.lin @ xt + qx @ xt
+
+
+def tensordot_jacobian(core, xt):
+    term_a = np.tensordot(core.quad, xt, axes=([2], [0]))
+    term_b = np.tensordot(core.quad, xt, axes=([1], [0]))
+    return core.lin + term_a + term_b
+
+
+@pytest.fixture(scope="module")
+def k25_cores(tmp_path_factory, burgers_rom_parts):
+    """A k=25 tensor core as built and as loaded back from an artifact."""
+    model, _, snaps, _ = burgers_rom_parts
+    rng = np.random.default_rng(25)
+    basis = manual_basis(rng, model.n, 25, mean=0.1 * rng.standard_normal(model.n))
+    rm = reduce_model(model, basis, "tensorial")
+    path = tmp_path_factory.mktemp("core") / "tensorial.smdm"
+    artifact_io.save_snapshots(path, snaps[0])
+    artifact_io.save_reduced_model(path, rm)
+    back = artifact_io.load_reduced_model(path, model)
+    return {"built": rm.stages[0].core, "loaded": back.stages[0].core}
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_tensor_core_contractions_equal_tensordot_bit_for_bit(rng, k25_cores, source):
+    core = k25_cores[source]
+    for _ in range(5):
+        xt = rng.standard_normal(core.k)
+        assert np.array_equal(core.rhs(xt), tensordot_rhs(core, xt))
+        assert np.array_equal(core.jacobian(xt), tensordot_jacobian(core, xt))
+
+
+def test_tensor_core_jacobian_copies_no_k3_tensor(rng, k25_cores):
+    core = k25_cores["loaded"]
+    xt = rng.standard_normal(core.k)
+    core.jacobian(xt)  # builds the contraction layouts
+    assert peak_bytes(lambda: core.jacobian(xt)) < 8 * core.k**3
+
+
+@pytest.fixture(scope="module")
+def reference_parts():
+    model, _, snaps, basis = burgers_setup(n=101)
+    return model, basis, build_mdeim_reference(snaps[0], 8)
+
+
+def test_vectorized_reducer_matches_einsum_oracle(reference_parts):
+    model, basis, mi = reference_parts
+    jac = MatrixInterpolantJacobian(model.stages[0].op, basis, mi)
+    u, k, n = basis.u, basis.k, model.n
+    oracle = np.einsum("aj,bl->ljba", u, u).reshape(k * k, n * n) @ mi.interp.projector
+    assert np.max(np.abs(jac.reducer - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+def test_vectorized_reducer_allocates_less_than_one_n_by_n_array(reference_parts):
+    # the k^2-by-n^2 einsum factor would take 8 k^2 n^2 bytes
+    model, basis, mi = reference_parts
+    op = model.stages[0].op
+    peak = peak_bytes(lambda: MatrixInterpolantJacobian(op, basis, mi))
+    assert peak < 8 * model.n**2
 
 
 def test_tensorial_equals_direct_projection(rng, burgers_rom_parts):
@@ -315,7 +396,6 @@ def test_non_finite_residual_fails_fast(burgers_rom_parts, strategy):
     assert [f[0] for f in stats.failures] == [1, 2, 3, 4]
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_newton_matrix_raises_typed_error():
     # L = I / dt and a coordinate basis make the Newton matrix I - dt L zero
     model = zero_rhs_model(dt=0.25)
