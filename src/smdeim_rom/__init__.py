@@ -10,8 +10,8 @@ k-by-k Jacobians in O(k^2 m) work, independent of n.
 Layout:
 
 * linalg, snapshots, pod, deim - numerical kernels: thin SVD, Lanczos
-  leading singular value and dense LU, pattern gather/scatter, basis
-  truncation, greedy interpolation indexes.
+  leading singular value, dense and banded LU, pattern gather/scatter,
+  basis truncation, greedy interpolation indexes.
 * stats - the Newton stage loop shared by the full-order and reduced
   solvers, with its iteration statistics and typed failure.
 * jacobian_approx - the sparse interpolation route plus the vectorized
@@ -44,6 +44,7 @@ from .jacobian_approx import (
     verify_lemma2,
 )
 from .linalg import (
+    BandTooWideError,
     SingularMatrixError,
     SvdConvergenceError,
     SvdResult,
@@ -95,6 +96,7 @@ __all__ = [
     "guard_limit",
     "sample_and_approximate",
     "verify_lemma2",
+    "BandTooWideError",
     "SingularMatrixError",
     "SvdConvergenceError",
     "SvdResult",

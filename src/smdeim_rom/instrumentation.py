@@ -18,11 +18,6 @@ _COUNTERS = {
 }
 
 
-def reset():
-    for key in _COUNTERS:
-        _COUNTERS[key] = 0
-
-
 def bump(name, amount=1):
     _COUNTERS[name] += amount
 

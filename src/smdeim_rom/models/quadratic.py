@@ -48,17 +48,6 @@ def _structural_linear_indexes(mat, row_mask=None):
     return cols * np.int64(mat.shape[0]) + rows
 
 
-def _aligned_values(mat, pattern):
-    # values of mat spread onto the pattern coordinate list (zeros elsewhere)
-    coo = mat.tocoo()
-    pos = pattern.positions_of(coo.row, coo.col)
-    if np.any(pos < 0):
-        raise AssertionError("operator entry outside the structural pattern")
-    out = np.zeros(pattern.r, dtype=np.float64)
-    out[pos] = coo.data
-    return out
-
-
 def _row_major_template(pattern):
     # permutation from the pattern's column-major order into CSR order
     perm = np.lexsort((pattern.cols, pattern.rows))
@@ -201,11 +190,17 @@ class QuadraticOperator:
         )
         self.nl_pattern = SparsityPattern(n=n, rows=nl_union % n, cols=nl_union // n)
 
-        self._lvals = _aligned_values(self.linear, self.pattern)
-        self._aligned = [
-            (_aligned_values(g, self.pattern), _aligned_values(h, self.pattern))
-            for g, h in self.pairs
-        ]
+        # the factors stacked by rows as [G_1; H_1; G_2; ...], so one sparse
+        # product gives every factor product; each row keeps its entries in
+        # the factor's own storage order, so the products are bit-identical
+        # to the separate ones
+        if self.pairs:
+            self._factors = scipy.sparse.vstack(
+                [m for pair in self.pairs for m in pair], format="csr"
+            )
+        else:
+            self._factors = scipy.sparse.csr_matrix((0, n), dtype=np.float64)
+        self._values_map = self._jacobian_values_map()
         self._csr_perm, self._csr_indices, self._csr_indptr = _row_major_template(
             self.pattern
         )
@@ -225,28 +220,65 @@ class QuadraticOperator:
 
     # -- full-space evaluation -------------------------------------------
 
-    def rhs(self, x):
-        out = self.linear @ x
-        for g, h in self.pairs:
-            out = out + (g @ x) * (h @ x)
+    def _plus_products(self, out, x):
+        # out + (G_1 x)(.)(H_1 x) + (G_2 x)(.)(H_2 x) + ..., added left to right.
+        # A state vector takes one product with the stacked factors.  A block
+        # takes one product per factor, so each (n, c) product is still in
+        # cache when it is multiplied: the stacked (2T n, c) product made
+        # directional-derivative solves (c = 26) 16% slower on SWE 41x31.
+        if x.ndim == 1:
+            prods = (self._factors @ x).reshape(2 * len(self.pairs), self.n)
+            products = zip(prods[0::2], prods[1::2])
+        else:
+            products = ((g @ x, h @ x) for g, h in self.pairs)
+        for gx, hx in products:
+            out = out + gx * hx
         return out
+
+    def rhs(self, x):
+        """F(x) for a state vector x, or column by column for an (n, c) block."""
+        return self._plus_products(self.linear @ x, x)
 
     def nonlinear_term(self, x):
-        out = np.zeros(self.n, dtype=np.float64)
-        for g, h in self.pairs:
-            out = out + (g @ x) * (h @ x)
-        return out
+        """F(x) - L x, for a state vector or an (n, c) block."""
+        return self._plus_products(np.zeros(x.shape, dtype=np.float64), x)
 
     def jacobian_values(self, x):
-        """Jacobian entries at the pattern coordinates (column-major order)."""
-        out = self._lvals.copy()
-        rows = self.pattern.rows
-        for (g, h), (gvals, hvals) in zip(self.pairs, self._aligned):
-            gx = g @ x
-            hx = h @ x
-            out += gx[rows] * hvals
-            out += hx[rows] * gvals
-        return out
+        """Jacobian entries at the pattern coordinates (column-major order).
+
+        For an (n, c) block of states, column j of the (r, c) result holds
+        the entries at x[:, j], bit for bit the vector call's.
+        """
+        ones = np.ones((1,) + x.shape[1:], dtype=np.float64)
+        return self._values_map @ np.concatenate((ones, self._factors @ x))
+
+    def _jacobian_values_map(self):
+        # (r, 1 + 2 T n) CSR M with jacobian_values(x) = M @ [1; G_1 x; H_1 x;
+        # G_2 x; ...]: row p holds L[a, b] against the 1, then for each pair
+        # H_t[a, b] against (G_t x)[a] and G_t[a, b] against (H_t x)[a],
+        # (a, b) being coordinate p.  A CSR row is summed from zero in
+        # column order, which is the order of the terms of
+        # J = L + sum_t diag(G_t x) H_t + diag(H_t x) G_t; the terms left out
+        # are zeros for finite x.  A factor entry in a row where its partner
+        # is empty always multiplies zero and may lie off the pattern, so it
+        # is left out too.
+        coo = self.linear.tocoo()
+        rows = [self.pattern.positions_of(coo.row, coo.col)]
+        cols = [np.zeros(coo.nnz, dtype=np.int64)]
+        vals = [coo.data]
+        for s, factor in enumerate(m for g, h in self.pairs for m in (h, g)):
+            coo = factor.tocoo()
+            pos = self.pattern.positions_of(coo.row, coo.col)
+            keep = pos >= 0
+            rows.append(pos[keep])
+            cols.append(1 + s * self.n + coo.row[keep].astype(np.int64))
+            vals.append(coo.data[keep])
+        return _as_sorted_csr(
+            scipy.sparse.csr_matrix(
+                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                shape=(self.pattern.r, 1 + 2 * len(self.pairs) * self.n),
+            )
+        )
 
     def jacobian(self, x):
         """Assembled sparse Jacobian with the fixed structural pattern."""

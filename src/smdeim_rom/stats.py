@@ -71,8 +71,8 @@ def integrate(x0, n_t, stages, tol, cap, continue_on_failure=False):
     update and stops once the residual is at most tol.  At cap updates or a
     non-finite residual it fails: NewtonConvergenceError, or with
     continue_on_failure an entry in stats.failures and the run goes on.  A
-    SuperLU RuntimeError or SingularMatrixError from newton_step always
-    raises NewtonConvergenceError, chained from the cause.
+    SingularMatrixError from newton_step always raises
+    NewtonConvergenceError, chained from the cause.
 
     Returns (trajectory, stats, outputs): trajectory is (len(x0), n_t) with
     x0 in column 0; outputs lists every stage solution in solve order.
@@ -94,7 +94,7 @@ def integrate(x0, n_t, stages, tol, cap, continue_on_failure=False):
             while True:
                 try:
                     delta = newton_step(x, residual)
-                except (RuntimeError, SingularMatrixError) as exc:
+                except SingularMatrixError as exc:
                     raise NewtonConvergenceError(
                         step, name, float(np.linalg.norm(residual)),
                         len(norms) + 1, reason=str(exc),

@@ -6,6 +6,7 @@ right-hand side, the structural pattern law, and integrator behavior.
 import numpy as np
 import pytest
 
+from smdeim_rom.linalg import SingularMatrixError
 from smdeim_rom.models import full_solve
 from smdeim_rom.models.burgers import build_burgers, initial_profile
 from smdeim_rom.stats import NewtonConvergenceError
@@ -141,7 +142,7 @@ def test_nan_state_raises_typed_error_from_failed_factorization():
     with pytest.raises(NewtonConvergenceError) as err:
         full_solve(model)
     assert (err.value.step, err.value.stage, err.value.iterations) == (1, "step", 1)
-    assert isinstance(err.value.__cause__, RuntimeError)
+    assert isinstance(err.value.__cause__, SingularMatrixError)
     assert "linear solve failed at iteration 1" in str(err.value)
 
 

@@ -165,9 +165,7 @@ def test_collect_snapshots_single_stage_conventions():
     for j in range(snap.n_cols):
         expect = gather(op.jacobian(snap.states[:, j]), snap.pattern)
         assert np.array_equal(snap.jacobian[:, j], expect)
-        assert np.allclose(
-            snap.nonlinear[:, j], op.nonlinear_term(snap.states[:, j]), atol=1e-14
-        )
+        assert np.array_equal(snap.nonlinear[:, j], op.nonlinear_term(snap.states[:, j]))
 
 
 def test_collect_snapshots_matches_full_solve_trajectory():
