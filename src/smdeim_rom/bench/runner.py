@@ -4,8 +4,9 @@ Command semantics:
 
 * simulate - run the full-order model, persist snapshot artifacts and the
   trajectory, append one "full" row per seed.
-* offline  - build reduced-model artifacts for every grid point; only
-  failed builds produce rows (so a later online pass skips them).
+* offline  - build reduced-model artifacts for every grid point and write
+  each stage's Jacobian spectrum when absent; only failed builds produce
+  rows (so a later online pass skips them).
 * online   - load artifacts, integrate the reduced models, append metric
   rows and regenerate the plot series.  Missing artifacts are an error
   naming the expected file.
@@ -19,15 +20,22 @@ regardless of worker scheduling.  All metric columns are deterministic
 functions of the configuration; the wall-clock columns (offline_seconds,
 online_seconds, timestamp) are the only ones expected to vary between runs.
 
+Each command trains once per model: it works through the models one at a
+time, and every grid unit of a model shares one ModelContext, which loads
+the model's snapshot files once and factors each snapshot matrix once.
+Nothing is kept from one command to the next.
+
 Metrics are evaluated on stage-0 quantities at held-out snapshot states
 (every stride-th column), each projected onto the basis subspace first so
 the numbers isolate approximation error from subspace truncation error.
 """
 
+import contextlib
+import functools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -42,6 +50,7 @@ from ..jacobian_approx import (
     RankError,
     build_mdeim_reference,
     build_smdeim,
+    check_rank,
     sample_and_approximate,
 )
 from ..linalg import SvdConvergenceError, leading_singular_value, thin_svd
@@ -50,7 +59,6 @@ from ..models import full_solve
 from ..models import swe as swe_model
 from ..pod import pod_basis
 from ..rom import reduce_model, rom_solve
-from ..snapshots import SnapshotSet
 from ..stats import NewtonConvergenceError
 
 __all__ = [
@@ -58,6 +66,7 @@ __all__ = [
     "CSV_COLUMNS",
     "M_DEPENDENT",
     "MissingArtifactError",
+    "ModelContext",
     "ResultRow",
     "cmd_simulate",
     "cmd_offline",
@@ -141,29 +150,9 @@ class ResultRow:
                        self.k, self.m, self.seed)
 
     def csv_line(self, timestamp):
-        vals = (
-            str(SCHEMA_VERSION),
-            self.model,
-            self.config_hash,
-            self.strategy,
-            _fmt(self.n),
-            _fmt(self.k),
-            _fmt(self.m),
-            _fmt(self.gamma),
-            _fmt(self.seed),
-            _fmt(self.n_t),
-            _fmt(self.dt),
-            _fmt(self.jac_frob_err),
-            _fmt(self.red_jac_frob_err),
-            _fmt(self.sv1_err),
-            _fmt(self.traj_l2_err),
-            _fmt(self.mean_newton_iters),
-            _fmt(self.full_mean_newton_iters),
-            _fmt(self.offline_seconds),
-            _fmt(self.online_seconds),
-            self.status.replace(",", ";"),
-            timestamp,
-        )
+        vals = [str(SCHEMA_VERSION)]
+        vals += [_fmt(getattr(self, col)) for col in CSV_COLUMNS[1:-2]]
+        vals += [self.status.replace(",", ";"), timestamp]
         return ",".join(vals)
 
 
@@ -181,18 +170,10 @@ def csv_path(cfg):
 
 def existing_keys(path):
     """Row keys already present in a results file."""
-    path = Path(path)
-    if not path.exists():
-        return set()
-    keys = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != len(CSV_COLUMNS) or parts[0] != str(SCHEMA_VERSION):
-                continue
-            keys.add("|".join((parts[1], parts[2], parts[3], parts[5],
-                               parts[6], parts[8])))
-    return keys
+    return {
+        row_key(r["model"], r["config_hash"], r["strategy"], r["k"], r["m"], r["seed"])
+        for r in _read_rows(path)
+    }
 
 
 def append_rows(path, rows, timestamp):
@@ -251,93 +232,163 @@ def rom_artifact_path(cfg, config_hash, strategy, k, m):
     return artifact_dir(cfg) / f"rom-{config_hash}-{strategy}-k{k}-{mtag}.smdm"
 
 
-def ensure_snapshots(cfg, model):
-    """Load the snapshot artifacts for a model, running the full solve and
-    persisting them when absent.  Returns (snaps, trajectory, full-model
-    mean Newton iterations, full-model solve seconds)."""
+def load_snapshot_artifacts(cfg, model, simulate=False):
+    """A model's snapshot artifacts, each file read once: (snaps,
+    trajectory, full-model mean Newton iterations, full-model solve
+    seconds).  When a file is absent, simulate=True runs the full solve and
+    persists its snapshots and trajectory; otherwise MissingArtifactError
+    names the file."""
     paths = snap_paths(cfg, model)
-    if all(p.exists() for p in paths):
-        snaps = [artifact_io.load_snapshots(p) for p in paths]
-        traj, mean_iters, seconds = artifact_io.load_trajectory(paths[0])
+    missing = [p for p in paths if not p.exists()]
+    if not missing:
+        snap0, blocks = artifact_io.load_snapshots(paths[0], with_blocks=True)
+        traj, mean_iters, seconds = artifact_io.load_trajectory(paths[0], blocks=blocks)
+        snaps = [snap0] + [artifact_io.load_snapshots(p) for p in paths[1:]]
         return snaps, traj, mean_iters, seconds
+    if not simulate:
+        raise MissingArtifactError(
+            f"expected snapshot artifact {missing[0]}; run simulate or offline first"
+        )
     artifact_dir(cfg).mkdir(parents=True, exist_ok=True)
     traj, stats, snaps = full_solve(
         model, newton_tol=cfg.newton_tol, newton_cap=cfg.newton_cap
     )
     for p, s in zip(paths, snaps):
         artifact_io.save_snapshots(p, s)
-    artifact_io.append_block(
-        paths[0],
-        artifact_io.TAG_TRAJ,
-        artifact_io.traj_block(traj, stats.mean_iterations, stats.online_seconds),
-    )
-    _write_spectrum(cfg, model, snaps)
+    artifact_io.append_block(paths[0], artifact_io.TAG_TRAJ, artifact_io.traj_block(
+        traj, stats.mean_iterations, stats.online_seconds))
     return snaps, traj, stats.mean_iterations, stats.online_seconds
 
 
-def load_snapshot_artifacts(cfg, model):
-    """Strict variant of ensure_snapshots used by the online command."""
-    paths = snap_paths(cfg, model)
-    for p in paths:
-        if not p.exists():
-            raise MissingArtifactError(
-                f"expected snapshot artifact {p}; run simulate or offline first"
-            )
-    snaps = [artifact_io.load_snapshots(p) for p in paths]
-    traj, mean_iters, seconds = artifact_io.load_trajectory(paths[0])
-    return snaps, traj, mean_iters, seconds
+class _Probe:
+    """Held-out truth at one probe state x = lift(project(state)): the true
+    stage-0 Jacobian J with ||J||_F, and U^T J U with its norm; sigma_1(J)
+    is computed on first use."""
+
+    def __init__(self, op, basis, state):
+        self.xt = basis.project(state)
+        self.x = basis.lift(self.xt)
+        self.jac = op.jacobian(self.x)
+        self.jac_norm = scipy.sparse.linalg.norm(self.jac)
+        self.red = basis.u.T @ (self.jac @ basis.u)
+        self.red_norm = np.linalg.norm(self.red)
+
+    @functools.cached_property
+    def sv1(self):
+        return leading_singular_value(self.jac)
 
 
-def _write_spectrum(cfg, model, snaps):
+class ModelContext:
+    """One model and what the grid units of one command share for it.
+
+    It holds the built model, its snapshots and full-order trajectory, and
+    computes on first use, once each: the SVD of each snapshot matrix, the
+    deim and smdeim interpolants of each (stage, m), and the held-out truth
+    of each basis.  _run_grid holds one context at a time and a pool worker
+    its own, so nothing in it outlives the command.
+    """
+
+    def __init__(self, cfg, model, snaps, traj=None, mean_iters=None, seconds=None):
+        self.cfg = cfg
+        self.model = model
+        self.snaps = snaps
+        self.traj = traj
+        self.mean_iters = mean_iters
+        self.seconds = seconds
+        self._memo = {}
+
+    @classmethod
+    def open(cls, cfg, params, simulate):
+        model = build_model(cfg, params)
+        return cls(cfg, model, *load_snapshot_artifacts(cfg, model, simulate))
+
+    def _once(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def svd(self, block, stage):
+        """thin_svd of one stage's "jacobian" or "nonlinear" snapshots."""
+        return self._once(
+            (block, stage), lambda: thin_svd(getattr(self.snaps[stage], block))
+        )
+
+    def basis(self, k):
+        """The POD basis for k, truncated from one basis of every mode the
+        energy rule keeps."""
+        cfg = self.cfg
+        full = self._once("pod", lambda: pod_basis(
+            self.snaps[0].states,
+            gamma=cfg.gamma,
+            centered=cfg.centered,
+            difference_quotients=cfg.difference_quotients,
+        ))
+        return full.truncate(k)
+
+    def interpolant(self, strategy, stage, m):
+        """A stage's deim or smdeim interpolant for m modes."""
+
+        def build():
+            if strategy == "smdeim":
+                svd = self.svd("jacobian", stage)
+                return build_smdeim(self.snaps[stage], m, svd=svd)
+            svd = self.svd("nonlinear", stage)
+            check_rank(svd, m, "nonlinear-term")
+            return deim_interpolant(svd.u, m)
+
+        return self._once((strategy, stage, m), build)
+
+    def probes(self, basis):
+        """Held-out truth at every probe state, for one basis."""
+        s0 = self.snaps[0]
+        op = self.model.stages[0].op
+        ids = _heldout_ids(s0.n_cols, self.cfg.heldout_stride)
+        return self._once(
+            ("probes", basis.u.tobytes(), basis.mean.tobytes()),
+            lambda: [_Probe(op, basis, s0.states[:, i]) for i in ids],
+        )
+
+
+def _write_spectrum(cfg, ctx):
     """Singular values of each stage's gathered Jacobian snapshots (one TSV
-    per stage, written once per model configuration)."""
+    per stage, written when absent), from the SVD smdeim trains on."""
     pd_dir = Path(cfg.out_dir) / "plotdata"
     pd_dir.mkdir(parents=True, exist_ok=True)
-    for j, snap in enumerate(snaps):
-        path = pd_dir / f"{model.model_id}-jacobian-singulars-s{j}.tsv"
+    for j in range(len(ctx.snaps)):
+        path = pd_dir / f"{ctx.model.model_id}-jacobian-singulars-s{j}.tsv"
         if path.exists():
             continue
-        singulars = thin_svd(snap.jacobian).singulars
-        lines = ["mode\tsingular_value"]
-        lines += [f"{i + 1}\t{_fmt(float(s))}" for i, s in enumerate(singulars)]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        singulars = ctx.svd("jacobian", j).singulars
+        _write_tsv(path, ("mode", "singular_value"),
+                   [(i + 1, _fmt(float(s))) for i, s in enumerate(singulars)])
 
 
 def _header_snapshot(snap):
     """Zero-column snapshot body carrying identity + pattern for artifacts."""
-    return SnapshotSet(
-        model_id=snap.model_id,
-        config_hash=snap.config_hash,
-        stage=snap.stage,
-        dt=snap.dt,
-        pattern=snap.pattern,
-        states=np.empty((snap.n, 0)),
-        nonlinear=np.empty((snap.n, 0)),
-        jacobian=np.empty((snap.pattern.r, 0)),
-    )
+    empty = np.empty((snap.n, 0))
+    return replace(snap, states=empty, nonlinear=empty,
+                   jacobian=np.empty((snap.pattern.r, 0)), meta={})
 
 
-def build_rom_artifact(cfg, model, snaps, strategy, k, m):
-    """Build one reduced model offline and persist it; idempotent."""
+def build_rom_artifact(cfg, model, snaps, strategy, k, m, ctx=None):
+    """Build one reduced model offline and persist it; idempotent.  ctx, the
+    ModelContext of model and snaps, shares factorizations between calls;
+    the unit that first needs one carries its time in offline_seconds."""
     path = rom_artifact_path(cfg, model.config_hash, strategy, k, m)
     if path.exists():
         return path
+    if ctx is None:
+        ctx = ModelContext(cfg, model, snaps)
     t0 = time.perf_counter()
-    basis = pod_basis(
-        snaps[0].states,
-        gamma=cfg.gamma,
-        k_max=k,
-        centered=cfg.centered,
-        difference_quotients=cfg.difference_quotients,
-    )
+    basis = ctx.basis(k)
     prebuilt = {}
-    if strategy == "smdeim":
-        prebuilt = {j: build_smdeim(s, m) for j, s in enumerate(snaps)}
-    elif strategy == "mdeim-reference":
+    if strategy == "mdeim-reference":
         prebuilt = {
             j: build_mdeim_reference(s, m, guard_n=cfg.guard_n)
             for j, s in enumerate(snaps)
         }
+    elif strategy in M_DEPENDENT:
+        prebuilt = {j: ctx.interpolant(strategy, j, m) for j in range(len(snaps))}
     rm = reduce_model(
         model,
         basis,
@@ -348,16 +399,18 @@ def build_rom_artifact(cfg, model, snaps, strategy, k, m):
         guard_n=cfg.guard_n,
         newton_tol=cfg.newton_tol,
         newton_cap=cfg.newton_cap,
-        prebuilt=prebuilt or None,
+        prebuilt=prebuilt,
     )
     rm.offline_seconds = time.perf_counter() - t0
     tmp = path.with_name(path.name + ".tmp")
     artifact_io.save_snapshots(tmp, _header_snapshot(snaps[0]))
     artifact_io.save_pod_basis(tmp, basis)
-    for j, mi in prebuilt.items():
-        artifact_io.append_block(
-            tmp, artifact_io.TAG_MINT, artifact_io.mint_block(mi, stage=j)
-        )
+    for j, interp in prebuilt.items():
+        if strategy == "deim":
+            block = (artifact_io.TAG_DEIM, artifact_io.deim_block(interp, stage=j))
+        else:
+            block = (artifact_io.TAG_MINT, artifact_io.mint_block(interp, stage=j))
+        artifact_io.append_block(tmp, *block)
     artifact_io.save_reduced_model(tmp, rm)
     os.replace(tmp, path)
     return path
@@ -408,28 +461,28 @@ def _trajectory_error(basis, traj_red, traj_full):
     return float(np.linalg.norm(basis.lift(traj_red) - ref) / np.linalg.norm(ref))
 
 
-def run_online_point(cfg, model, snaps, traj_full, strategy, k, m):
+def run_online_point(cfg, model, snaps, traj_full, strategy, k, m, ctx=None):
     """Integrate one persisted reduced model and evaluate its metrics.
 
-    Returns a dict of metric values; raises MissingArtifactError when the
-    offline artifact is absent and NewtonConvergenceError when the reduced
-    run fails.
+    ctx, the ModelContext of model and snaps, shares the held-out truth
+    between calls.  Returns a dict of metric values; raises
+    MissingArtifactError when the offline artifact is absent and
+    NewtonConvergenceError when the reduced run fails.
     """
     path = rom_artifact_path(cfg, model.config_hash, strategy, k, m)
     if not path.exists():
         raise MissingArtifactError(
             f"expected offline artifact {path}; run the offline command first"
         )
+    if ctx is None:
+        ctx = ModelContext(cfg, model, snaps, traj_full)
     blocks = artifact_io.read_blocks(path)
     rm = artifact_io.load_reduced_model(path, model, blocks=blocks)
-    mi = None
-    if strategy in ("smdeim", "mdeim-reference"):
-        mi = artifact_io.load_interpolant(path, stage=0, blocks=blocks)
+    interp = None
+    if strategy in M_DEPENDENT:
+        tag = artifact_io.TAG_DEIM if strategy == "deim" else artifact_io.TAG_MINT
+        interp = artifact_io.load_interpolant(path, stage=0, blocks=blocks, tag=tag)
     del blocks
-    s0 = snaps[0]
-    fn_interp = None
-    if strategy == "deim":
-        fn_interp = deim_interpolant(thin_svd(s0.nonlinear).u, rm.meta["m"])
     with instrumentation.online_section():
         traj_red, stats = rom_solve(rm, model.default_n_t)
 
@@ -437,35 +490,27 @@ def run_online_point(cfg, model, snaps, traj_full, strategy, k, m):
     traj_err = _trajectory_error(basis, traj_red, traj_full)
 
     op0 = model.stages[0].op
-    probe_ids = _heldout_ids(s0.n_cols, cfg.heldout_stride)
     red_errs = []
     jac_errs = []
     sv_errs = []
-    for count, i in enumerate(probe_ids):
-        xt_p = basis.project(s0.states[:, i])
-        x_p = basis.lift(xt_p)
-        jac_true = op0.jacobian(x_p)
-        red_true = basis.u.T @ (jac_true @ basis.u)
-        red_approx = rm.stages[0].jacobian.evaluate(xt_p, x_p)
-        red_errs.append(
-            float(np.linalg.norm(red_approx - red_true) / np.linalg.norm(red_true))
-        )
-        if mi is not None:
-            approx = sample_and_approximate(mi, op0, x_p)
-            num = scipy.sparse.linalg.norm(approx - jac_true)
-        elif fn_interp is not None:
-            rows = op0.sample_nl_rows(x_p, fn_interp.indexes)
-            approx = _deim_jacobian_operator(op0.linear, fn_interp.projector, rows)
+    for count, probe in enumerate(ctx.probes(basis)):
+        red_approx = rm.stages[0].jacobian.evaluate(probe.xt, probe.x)
+        red_errs.append(float(np.linalg.norm(red_approx - probe.red) / probe.red_norm))
+        if interp is None:
+            continue
+        if strategy == "deim":
+            rows = op0.sample_nl_rows(probe.x, interp.indexes)
+            approx = _deim_jacobian_operator(op0.linear, interp.projector, rows)
             num = _deim_frobenius_distance(
-                op0.linear, fn_interp.projector, rows, jac_true
+                op0.linear, interp.projector, rows, probe.jac
             )
         else:
-            continue
-        jac_errs.append(float(num / scipy.sparse.linalg.norm(jac_true)))
+            approx = sample_and_approximate(interp, op0, probe.x)
+            num = scipy.sparse.linalg.norm(approx - probe.jac)
+        jac_errs.append(float(num / probe.jac_norm))
         if count < cfg.sv_probes:
-            sv_true = leading_singular_value(jac_true)
             sv_app = leading_singular_value(approx)
-            sv_errs.append(abs(sv_app - sv_true) / sv_true)
+            sv_errs.append(abs(sv_app - probe.sv1) / probe.sv1)
 
     return {
         "jac_frob_err": float(np.mean(jac_errs)) if jac_errs else None,
@@ -497,27 +542,42 @@ def unit_list(cfg):
     return units
 
 
-def _unit_worker(cfg, params, strategy, k, m, build, online):
+# A pool worker's model contexts, one model's at a time.  The pool's
+# initializer gives each worker an empty table, and the pool lives inside
+# one _run_grid call, so no context outlives the command.
+_worker_contexts = None
+
+
+def _new_worker_table():
+    global _worker_contexts
+    _worker_contexts = {}
+
+
+def _unit_worker(cfg, params, strategy, k, m, build, online, ctx=None):
     """Build and/or run one grid unit; returns a metrics dict (never raises
-    for expected per-point failures)."""
-    model = build_model(cfg, params)
-    if build:
-        snaps, traj_full, _, _ = ensure_snapshots(cfg, model)
-    else:
-        snaps, traj_full, _, _ = load_snapshot_artifacts(cfg, model)
+    for expected per-point failures).  Without ctx, as in a pool worker,
+    the worker's context for params is used, opened on first use."""
+    if ctx is None:
+        key = _params_key(params)
+        if key not in _worker_contexts:
+            _worker_contexts.clear()
+            _worker_contexts[key] = ModelContext.open(cfg, params, simulate=build)
+        ctx = _worker_contexts[key]
+    model, snaps = ctx.model, ctx.snaps
     try:
         if build:
-            build_rom_artifact(cfg, model, snaps, strategy, k, m)
+            build_rom_artifact(cfg, model, snaps, strategy, k, m, ctx=ctx)
         if not online:
             return {"status": "ok"}
-        return run_online_point(cfg, model, snaps, traj_full, strategy, k, m)
+        return run_online_point(cfg, model, snaps, ctx.traj, strategy, k, m, ctx=ctx)
     except _BUILD_ERRORS as exc:
         return {"status": f"failed:{type(exc).__name__}"}
     except NewtonConvergenceError as exc:
         return {"status": f"failed:newton step {exc.step} stage {exc.stage}"}
 
 
-def _full_row(cfg, model, seed, mean_iters, seconds):
+def _full_row(model, mean_iters, seconds):
+    """A model's full-model row, seed unset; unit rows copy its identity."""
     return ResultRow(
         model=model.model_id,
         config_hash=model.config_hash,
@@ -526,7 +586,7 @@ def _full_row(cfg, model, seed, mean_iters, seconds):
         k=None,
         m=None,
         gamma=None,
-        seed=seed,
+        seed=None,
         n_t=model.default_n_t,
         dt=model.dt,
         mean_newton_iters=mean_iters,
@@ -535,105 +595,82 @@ def _full_row(cfg, model, seed, mean_iters, seconds):
     )
 
 
-def _rom_row(cfg, info, strategy, k, m, seed, result):
-    row = ResultRow(
-        model=info["model_id"],
-        config_hash=info["config_hash"],
-        strategy=strategy,
-        n=info["n"],
-        k=k,
-        m=m,
-        gamma=cfg.gamma,
-        seed=seed,
-        n_t=info["n_t"],
-        dt=info["dt"],
-        full_mean_newton_iters=info["full_mean_iters"],
-        status=result.get("status", "ok"),
-    )
-    for name in ("jac_frob_err", "red_jac_frob_err", "sv1_err", "traj_l2_err",
-                 "mean_newton_iters", "offline_seconds", "online_seconds"):
-        setattr(row, name, result.get(name))
-    return row
+def _rom_row(cfg, full, strategy, k, m, seed, result):
+    metrics = {
+        name: result.get(name)
+        for name in ("jac_frob_err", "red_jac_frob_err", "sv1_err", "traj_l2_err",
+                     "mean_newton_iters", "offline_seconds", "online_seconds")
+    }
+    return replace(full, strategy=strategy, k=k, m=m, gamma=cfg.gamma, seed=seed,
+                   status=result.get("status", "ok"), **metrics)
 
 
-def _run_grid(cfg, jobs, build, online, require_snapshots=False):
-    """Shared engine for offline/online/sweep.
+def _add_new(rows, keys, row):
+    if row.key() not in keys:
+        keys.add(row.key())
+        rows.append(row)
 
-    Returns the list of new ResultRows in deterministic grid order.  With
-    build=True, full-model rows are produced too (snapshot collection is
-    part of offline work); with online=True, metric rows are produced for
-    every pending unit.
+
+def _run_grid(cfg, jobs, simulate=False, build=False, online=False):
+    """Shared engine of the commands.
+
+    Works through the models one at a time: opens the model's context
+    (simulate=True runs the full solve when its snapshots are absent and
+    adds the full-model rows), runs its pending units (build=True builds
+    their artifacts, online=True evaluates them; in the pool when jobs > 1,
+    where each worker opens its own context), writes its Jacobian spectrum
+    (build=True) and drops the context.  Returns the new ResultRows in
+    deterministic grid order, full-model rows first.
     """
     keys = existing_keys(csv_path(cfg))
-    rows = []
-    infos = {}
-    for params in model_param_combos(cfg):
-        model = build_model(cfg, params)
-        if require_snapshots:
-            _, _, mean_iters, seconds = load_snapshot_artifacts(cfg, model)
-        else:
-            _, _, mean_iters, seconds = ensure_snapshots(cfg, model)
-        infos[_params_key(params)] = {
-            "model_id": model.model_id,
-            "config_hash": model.config_hash,
-            "n": model.n,
-            "n_t": model.default_n_t,
-            "dt": model.dt,
-            "full_mean_iters": mean_iters,
-            "full_seconds": seconds,
-        }
-        if build:
-            for seed in cfg.seeds:
-                row = _full_row(cfg, model, seed, mean_iters, seconds)
-                if row.key() not in keys:
-                    keys.add(row.key())
-                    rows.append(row)
-
+    rows, fulls, results = [], {}, {}
     units = unit_list(cfg)
-    pending = []
-    for idx, (params, strategy, k, m) in enumerate(units):
-        info = infos[_params_key(params)]
-        wanted = [
-            row_key(info["model_id"], info["config_hash"], strategy, k, m, seed)
-            for seed in cfg.seeds
-        ]
-        if online:
-            if any(w not in keys for w in wanted):
-                pending.append(idx)
-        elif build:
-            # build-only pass: skip units that already failed or have rows
-            path_exists = rom_artifact_path(
-                cfg, info["config_hash"], strategy, k, m
-            ).exists()
-            if not path_exists and any(w not in keys for w in wanted):
-                pending.append(idx)
-
-    results = {}
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {}
-            for idx in pending:
-                params, strategy, k, m = units[idx]
-                futures[pool.submit(_unit_worker, cfg, params, strategy, k, m,
-                                    build, online)] = idx
-            for fut in as_completed(futures):
-                results[futures[fut]] = fut.result()
-    else:
-        for idx in pending:
-            params, strategy, k, m = units[idx]
-            results[idx] = _unit_worker(cfg, params, strategy, k, m, build, online)
+    parallel = jobs > 1
+    pool_cm = (
+        ProcessPoolExecutor(max_workers=jobs, initializer=_new_worker_table)
+        if parallel else contextlib.nullcontext()
+    )
+    with pool_cm as pool:
+        for params in model_param_combos(cfg):
+            ctx = ModelContext.open(cfg, params, simulate)
+            full = fulls[_params_key(params)] = _full_row(
+                ctx.model, ctx.mean_iters, ctx.seconds
+            )
+            if simulate:
+                for seed in cfg.seeds:
+                    _add_new(rows, keys, replace(full, seed=seed))
+            for idx, (unit_params, strategy, k, m) in enumerate(units):
+                if unit_params != params or not (build or online) or all(
+                    row_key(full.model, full.config_hash, strategy, k, m, seed) in keys
+                    for seed in cfg.seeds
+                ):
+                    continue
+                if not online and rom_artifact_path(
+                    cfg, full.config_hash, strategy, k, m
+                ).exists():
+                    continue  # build-only pass: the artifact is there already
+                if parallel:
+                    results[idx] = pool.submit(
+                        _unit_worker, cfg, params, strategy, k, m, build, online
+                    )
+                else:
+                    results[idx] = _unit_worker(
+                        cfg, params, strategy, k, m, build, online, ctx
+                    )
+            if build:
+                _write_spectrum(cfg, ctx)
+            del ctx
+        if parallel:
+            results = {idx: fut.result() for idx, fut in results.items()}
 
     for idx in sorted(results):
         params, strategy, k, m = units[idx]
-        info = infos[_params_key(params)]
         result = results[idx]
         if not online and result.get("status", "ok") == "ok":
             continue  # successful build-only units produce no rows
+        full = fulls[_params_key(params)]
         for seed in cfg.seeds:
-            row = _rom_row(cfg, info, strategy, k, m, seed, result)
-            if row.key() not in keys:
-                keys.add(row.key())
-                rows.append(row)
+            _add_new(rows, keys, _rom_row(cfg, full, strategy, k, m, seed, result))
     return rows
 
 
@@ -644,43 +681,28 @@ def _params_key(params):
 # -- commands -------------------------------------------------------------
 
 
-def cmd_simulate(cfg, jobs=1):
+def _command(cfg, jobs, plot=False, **grid):
     timestamp = _now()
-    keys = existing_keys(csv_path(cfg))
-    rows = []
-    for params in model_param_combos(cfg):
-        model = build_model(cfg, params)
-        _, _, mean_iters, seconds = ensure_snapshots(cfg, model)
-        for seed in cfg.seeds:
-            row = _full_row(cfg, model, seed, mean_iters, seconds)
-            if row.key() not in keys:
-                keys.add(row.key())
-                rows.append(row)
-    append_rows(csv_path(cfg), rows, timestamp)
+    append_rows(csv_path(cfg), _run_grid(cfg, jobs, **grid), timestamp)
+    if plot:
+        write_plotdata(cfg)
     return 0
+
+
+def cmd_simulate(cfg, jobs=1):
+    return _command(cfg, jobs, simulate=True)
 
 
 def cmd_offline(cfg, jobs=1):
-    timestamp = _now()
-    rows = _run_grid(cfg, jobs, build=True, online=False)
-    append_rows(csv_path(cfg), rows, timestamp)
-    return 0
+    return _command(cfg, jobs, simulate=True, build=True)
 
 
 def cmd_online(cfg, jobs=1):
-    timestamp = _now()
-    rows = _run_grid(cfg, jobs, build=False, online=True, require_snapshots=True)
-    append_rows(csv_path(cfg), rows, timestamp)
-    write_plotdata(cfg)
-    return 0
+    return _command(cfg, jobs, plot=True, online=True)
 
 
 def cmd_sweep(cfg, jobs=1):
-    timestamp = _now()
-    rows = _run_grid(cfg, jobs, build=True, online=True)
-    append_rows(csv_path(cfg), rows, timestamp)
-    write_plotdata(cfg)
-    return 0
+    return _command(cfg, jobs, plot=True, simulate=True, build=True, online=True)
 
 
 # -- plot series ----------------------------------------------------------
@@ -704,36 +726,29 @@ def _read_rows(path):
     return rows
 
 
+def _write_tsv(path, head, pairs):
+    lines = ["\t".join(head)] + [f"{a}\t{b}" for a, b in pairs]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_plotdata(cfg):
     """Regenerate TSV series (metric vs sweep axis) from results.csv."""
-    rows = _read_rows(csv_path(cfg))
     pd_dir = Path(cfg.out_dir) / "plotdata"
     pd_dir.mkdir(parents=True, exist_ok=True)
-
-    for metric in ("jac_frob_err", "red_jac_frob_err", "sv1_err",
-                   "mean_newton_iters"):
-        groups = {}
-        for r in rows:
-            if r["strategy"] == "full" or not r["m"] or not r[metric]:
-                continue
-            if r["status"] != "ok":
-                continue
-            key = (r["model"], r["strategy"], r["k"])
-            groups.setdefault(key, {})[int(r["m"])] = r[metric]
-        for (mdl, strat, k), series in sorted(groups.items()):
-            path = pd_dir / f"{mdl}-{strat}-k{k}-{metric}-vs-m.tsv"
-            lines = [f"m\t{metric}"]
-            lines += [f"{m}\t{series[m]}" for m in sorted(series)]
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    groups = {}
-    for r in rows:
-        if r["strategy"] == "full" or not r["traj_l2_err"] or r["status"] != "ok":
+    series = {}
+    for r in _read_rows(csv_path(cfg)):
+        if r["strategy"] == "full" or r["status"] != "ok":
             continue
-        key = (r["model"], r["strategy"], r["m"] or "none")
-        groups.setdefault(key, {})[int(r["k"])] = r["traj_l2_err"]
-    for (mdl, strat, mtag), series in sorted(groups.items()):
-        path = pd_dir / f"{mdl}-{strat}-m{mtag}-traj_l2_err-vs-k.tsv"
-        lines = ["k\ttraj_l2_err"]
-        lines += [f"{k}\t{series[k]}" for k in sorted(series)]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for metric in ("jac_frob_err", "red_jac_frob_err", "sv1_err",
+                       "mean_newton_iters"):
+            if r["m"] and r[metric]:
+                name = f"{r['model']}-{r['strategy']}-k{r['k']}-{metric}-vs-m.tsv"
+                series.setdefault((name, "m", metric), {})[int(r["m"])] = r[metric]
+        if r["traj_l2_err"]:
+            mtag = r["m"] or "none"
+            name = f"{r['model']}-{r['strategy']}-m{mtag}-traj_l2_err-vs-k.tsv"
+            series.setdefault((name, "k", "traj_l2_err"), {})[int(r["k"])] = (
+                r["traj_l2_err"]
+            )
+    for (name, axis, metric), points in series.items():
+        _write_tsv(pd_dir / name, (axis, metric), sorted(points.items()))

@@ -22,10 +22,6 @@ def bump(name, amount=1):
     _COUNTERS[name] += amount
 
 
-def value(name):
-    return _COUNTERS[name]
-
-
 def snapshot():
     return dict(_COUNTERS)
 

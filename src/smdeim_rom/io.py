@@ -9,7 +9,9 @@ floats are 64-bit; matrices are stored column-major.
 Block tags:
 
 * "PODB" - a basis (spectrum, mean, retained modes).
-* "DEIM" - an interpolant (indexes as u64, basis/projector as f64 blocks).
+* "DEIM" - an interpolant (indexes as u64, basis/projector as f64 blocks);
+  at top level, one per stage of a deim reduced model, prefixed by its
+  stage index.
 * "MINT" - a matrix interpolant (mode tag, pattern, nested DEIM payload,
   sample coordinates, training spectrum), prefixed by its stage index.
 * "REDM" - a reduced model (basis plus per-stage cores and the strategy
@@ -20,6 +22,7 @@ Block tags:
 
 import io as _io
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -226,10 +229,12 @@ def _read_file(path):
     return snap, blocks
 
 
-def load_snapshots(path):
-    """Read the snapshot body of an artifact file."""
-    snap, _ = _read_file(path)
-    return snap
+def load_snapshots(path, with_blocks=False):
+    """Read the snapshot body of an artifact file.  with_blocks=True
+    returns (body, blocks), blocks as read_blocks gives them, from the same
+    single read."""
+    snap, blocks = _read_file(path)
+    return (snap, blocks) if with_blocks else snap
 
 
 def append_block(path, tag, payload):
@@ -294,8 +299,10 @@ def parse_pod_block(payload):
     )
 
 
-def deim_block(interp):
+def deim_block(interp, stage=None):
     f = _io.BytesIO()
+    if stage is not None:
+        _put_u64(f, stage)
     _put_u64(f, interp.d)
     _put_u64(f, interp.m)
     _put_u64_block(f, interp.indexes)
@@ -543,25 +550,33 @@ def load_pod_basis(path):
     return parse_pod_block(_last_block(path, TAG_POD))
 
 
-def load_interpolant(path, stage=0, blocks=None):
-    """The matrix interpolant of one stage.  blocks, the file's
-    read_blocks(path) result when the caller already holds it, saves
-    reading the file again."""
+def load_interpolant(path, stage=0, blocks=None, tag=TAG_MINT):
+    """The interpolant of one stage: the MatrixInterpolant of a MINT block,
+    or with tag=TAG_DEIM the DeimInterpolant of a stage DEIM block.  blocks,
+    the file's read_blocks(path) result when the caller already holds it,
+    saves reading the file again."""
     found = []
-    for tag, payload in read_blocks(path) if blocks is None else blocks:
-        if tag == TAG_MINT:
-            got_stage, mi = parse_mint_block(payload)
+    for got_tag, payload in read_blocks(path) if blocks is None else blocks:
+        if got_tag == tag:
+            got_stage = struct.unpack_from("<Q", payload)[0]
             if got_stage == stage:
-                return mi
+                if tag == TAG_MINT:
+                    return parse_mint_block(payload)[1]
+                # the projector in the column-major layout deim_interpolant
+                # builds, so BLAS products with it round as on the built one
+                interp = parse_deim_block(payload[8:])
+                return replace(interp, projector=np.asfortranarray(interp.projector))
             found.append(got_stage)
     raise FormatError(
-        f"no matrix-interpolant block for stage {stage} in {path}"
+        f"no {tag!r} block for stage {stage} in {path}"
         + (f" (stages present: {sorted(found)})" if found else "")
     )
 
 
-def load_trajectory(path):
-    return parse_traj_block(_last_block(path, TAG_TRAJ))
+def load_trajectory(path, blocks=None):
+    """(trajectory, mean_iters, solve_seconds); blocks as in
+    load_interpolant."""
+    return parse_traj_block(_last_block(path, TAG_TRAJ, blocks))
 
 
 def save_reduced_model(path, rm):

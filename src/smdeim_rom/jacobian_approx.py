@@ -32,6 +32,7 @@ __all__ = [
     "MemoryGuardError",
     "RankError",
     "MatrixInterpolant",
+    "check_rank",
     "guard_limit",
     "build_smdeim",
     "build_mdeim_reference",
@@ -87,7 +88,9 @@ class MatrixInterpolant:
         return self.pattern.n
 
 
-def _check_rank(svd, m, what):
+def check_rank(svd, m, what):
+    """Raise RankError when m exceeds the numerical rank of a factored
+    snapshot matrix; what names the matrix."""
     if m > svd.rank:
         raise RankError(
             f"m={m} exceeds the numerical rank {svd.rank} of the {what} "
@@ -95,10 +98,14 @@ def _check_rank(svd, m, what):
         )
 
 
-def build_smdeim(snap, m):
-    """Interpolant over the gathered pattern coordinates (the fast route)."""
-    svd = thin_svd(snap.jacobian)
-    _check_rank(svd, m, "gathered")
+def build_smdeim(snap, m, svd=None):
+    """Interpolant over the gathered pattern coordinates (the fast route).
+
+    svd, when given, is thin_svd(snap.jacobian), already computed.
+    """
+    if svd is None:
+        svd = thin_svd(snap.jacobian)
+    check_rank(svd, m, "gathered")
     interp = deim_interpolant(svd.u, m)
     return MatrixInterpolant(
         mode="sparse",
@@ -128,7 +135,7 @@ def build_mdeim_reference(snap, m, guard_n=None):
     full[snap.pattern.linear, :] = snap.jacobian
     svd = thin_svd(full, overwrite_a=True)
     del full
-    _check_rank(svd, m, "vectorized")
+    check_rank(svd, m, "vectorized")
     interp = deim_interpolant(svd.u, m)
     lin = interp.indexes.astype(np.int64)
     return MatrixInterpolant(

@@ -7,7 +7,7 @@ cap.  Centering is off by default; when on, the column mean is removed before
 factoring and kept for lifting reduced states back to full space.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,6 +44,12 @@ class PodBasis:
         if reduced.ndim == 1:
             return self.mean + self.u @ reduced
         return self.mean[:, None] + self.u @ reduced
+
+    def truncate(self, k):
+        """The basis of the leading min(k, self.k) modes: what pod_basis
+        returns with k_max=k for the same snapshots, bit for bit."""
+        k = min(int(k), self.k)
+        return replace(self, u=np.ascontiguousarray(self.u[:, :k]), k=k)
 
     def project(self, full):
         """Map full states to reduced coordinates."""

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import instrumentation
-from .jacobian_approx import RankError, build_mdeim_reference, build_smdeim
+from .jacobian_approx import build_mdeim_reference, build_smdeim, check_rank
 from .deim import deim_interpolant
 from .linalg import solve_dense, thin_svd
 from .pod import PodBasis
@@ -324,8 +324,10 @@ def reduce_model(
     snapshots: per-stage SnapshotSet list (as produced by full_solve),
     required by the deim/smdeim/mdeim-reference strategies.  m is the number
     of interpolation modes for those strategies.  prebuilt optionally maps a
-    stage index to an already constructed MatrixInterpolant, letting callers
-    reuse an expensive build; entries must match the requested strategy mode.
+    stage index to an already constructed interpolant, letting callers reuse
+    an expensive build: a DeimInterpolant of the nonlinear-term snapshots for
+    deim, a MatrixInterpolant of the requested mode for smdeim and
+    mdeim-reference.
     The offline wall time (tensor projection plus interpolant training) is
     recorded on the result.
     """
@@ -340,6 +342,7 @@ def reduce_model(
         if len(snapshots) != len(model.stages):
             raise ValueError("need one snapshot set per stage")
     u = basis.u
+    prebuilt = prebuilt or {}
     t_start = time.perf_counter()
     cores = {}
     for stage in model.stages:
@@ -358,18 +361,16 @@ def reduce_model(
         elif strategy == "directional-derivative":
             jac = DirectionalDerivativeJacobian(stage.op, u, h=h)
         elif strategy == "deim":
-            snap = snapshots[s_idx]
-            svd = thin_svd(snap.nonlinear)
-            if m > svd.rank:
-                raise RankError(
-                    f"m={m} exceeds the numerical rank {svd.rank} of the "
-                    "nonlinear-term snapshots"
-                )
-            fn_interp = deim_interpolant(svd.u, m)
+            if s_idx in prebuilt:
+                fn_interp = prebuilt[s_idx]
+            else:
+                svd = thin_svd(snapshots[s_idx].nonlinear)
+                check_rank(svd, m, "nonlinear-term")
+                fn_interp = deim_interpolant(svd.u, m)
             lin_reduced = u.T @ (stage.op.linear @ u)
             jac = DeimFunctionJacobian(stage.op, basis, fn_interp, lin_reduced)
         else:
-            if prebuilt is not None and s_idx in prebuilt:
+            if s_idx in prebuilt:
                 mi = prebuilt[s_idx]
             elif strategy == "smdeim":
                 mi = build_smdeim(snapshots[s_idx], m)

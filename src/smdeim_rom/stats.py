@@ -56,10 +56,6 @@ class NewtonStats:
             return 0.0
         return float(np.mean(self.iterations))
 
-    @property
-    def total_solves(self):
-        return len(self.iterations)
-
 
 def integrate(x0, n_t, stages, tol, cap, continue_on_failure=False):
     """Advance x0 over n_t time points, solving each step's stages in order.

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from smdeim_rom import instrumentation
 from smdeim_rom import io as artifact_io
 from smdeim_rom.bench import runner
 from smdeim_rom.bench.cli import main
@@ -27,8 +28,14 @@ from smdeim_rom.bench.config import (
 )
 from smdeim_rom.bench.runner import CSV_COLUMNS, unit_list
 from smdeim_rom.deim import deim_interpolant
-from smdeim_rom.jacobian_approx import deim_function_jacobian, sample_and_approximate
+from smdeim_rom.jacobian_approx import (
+    RankError,
+    build_smdeim,
+    deim_function_jacobian,
+    sample_and_approximate,
+)
 from smdeim_rom.linalg import thin_svd
+from smdeim_rom.pod import pod_basis
 
 TINY = """
 # tiny grid for driver tests
@@ -244,6 +251,203 @@ def test_parallel_jobs_match_sequential(tmp_path):
     assert masked(read_rows(out_a / "results.csv")) == masked(
         read_rows(out_b / "results.csv")
     )
+    # two models, each unit sharing its model's factorizations: the split
+    # commands with --jobs 2 give the sequential rows and plot series
+    seq, par = tmp_path / "cseq", tmp_path / "cpar"
+    for out, jobs in ((seq, "1"), (par, "2")):
+        path = tmp_path / f"{out.name}.cfg"
+        path.write_text(CONTRACT.format(out=out), encoding="utf-8")
+        for cmd in ("simulate", "offline", "online"):
+            assert main([cmd, "--config", str(path), "--jobs", jobs]) == 0
+    rows = read_rows(seq / "results.csv")
+    assert len(rows) == 2 * (1 + 2 * 2 * 2 + 2)
+    assert all(r["status"] == "ok" for r in rows)
+    assert masked(rows) == masked(read_rows(par / "results.csv"))
+    names = sorted(p.name for p in (seq / "plotdata").iterdir())
+    assert names == sorted(p.name for p in (par / "plotdata").iterdir())
+    for name in names:
+        assert (seq / "plotdata" / name).read_bytes() == (
+            par / "plotdata" / name
+        ).read_bytes()
+
+
+# -- one model context per command ----------------------------------------
+
+CONTRACT = """
+model = burgers
+burgers.n = 31, 41
+burgers.n_t = 21
+burgers.t_final = 1.0
+pod.gamma = 1.0
+rom.k = 4, 6
+rom.m = 6, 8
+rom.strategy = deim, smdeim, tensorial
+run.out = {out}
+"""
+
+
+class CommandCounts:
+    """Model builds, SVDs, DEIM selections and snapshot-file reads made
+    while the wrapped commands run."""
+
+    def __init__(self, monkeypatch):
+        self.builds = 0
+        self.snapshot_reads = []
+        build_model = runner.build_model
+
+        def counted_build(*args, **kwargs):
+            self.builds += 1
+            return build_model(*args, **kwargs)
+
+        def counted_reader(read):
+            def wrapper(path, *args, **kwargs):
+                if path.name.startswith("snap-"):
+                    self.snapshot_reads.append(path.name)
+                return read(path, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(runner, "build_model", counted_build)
+        for name in ("load_snapshots", "read_blocks"):
+            monkeypatch.setattr(
+                artifact_io, name, counted_reader(getattr(artifact_io, name))
+            )
+
+    def run(self, cmd, cfg_path, jobs="1"):
+        self.builds = 0
+        self.snapshot_reads = []
+        before = instrumentation.snapshot()
+        assert main([cmd, "--config", str(cfg_path), "--jobs", jobs]) == 0
+        after = instrumentation.snapshot()
+        return {
+            "builds": self.builds,
+            "svds": after["thin_svd_calls"] - before["thin_svd_calls"],
+            "selections": after["deim_select_calls"] - before["deim_select_calls"],
+            "snapshot_reads": sorted(self.snapshot_reads),
+        }
+
+
+def contract_config(tmp_path, name):
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(CONTRACT.format(out=tmp_path / name), encoding="utf-8")
+    return path
+
+
+def test_offline_builds_each_model_once_and_factors_each_matrix_once(
+    tmp_path, monkeypatch
+):
+    counts = CommandCounts(monkeypatch)
+    cfg_path = contract_config(tmp_path, "out")
+    assert counts.run("simulate", cfg_path)["svds"] == 0
+    offline = counts.run("offline", cfg_path)
+    # per Burgers model (one stage): the state, Jacobian and nonlinear-term
+    # snapshot matrices, each factored once; one selection per stage, m and
+    # sampled strategy, shared by both k
+    assert offline["builds"] == 2
+    assert offline["svds"] == 2 * 3
+    assert offline["selections"] == 2 * 2 * 2
+    assert offline["snapshot_reads"] == sorted(
+        p.name for p in (tmp_path / "out" / "artifacts").glob("snap-*")
+    )
+    spectra = sorted(p.name for p in (tmp_path / "out" / "plotdata").iterdir())
+    assert spectra == [
+        "burgers-n31-jacobian-singulars-s0.tsv",
+        "burgers-n41-jacobian-singulars-s0.tsv",
+    ]
+
+
+def test_online_factors_nothing_and_reads_each_snapshot_file_once(
+    tmp_path, monkeypatch
+):
+    counts = CommandCounts(monkeypatch)
+    cfg_path = contract_config(tmp_path, "out")
+    counts.run("simulate", cfg_path)
+    counts.run("offline", cfg_path)
+    online = counts.run("online", cfg_path)
+    assert online["builds"] == 2
+    assert online["svds"] == 0
+    assert online["selections"] == 0
+    assert len(online["snapshot_reads"]) == 2
+    assert len(set(online["snapshot_reads"])) == 2
+
+
+def test_repeated_passes_in_one_process_repeat_their_counts(tmp_path, monkeypatch):
+    # a cache kept across commands would make the second pass cheaper
+    counts = CommandCounts(monkeypatch)
+    passes = []
+    for name in ("first", "second"):
+        cfg_path = contract_config(tmp_path, name)
+        passes.append([
+            counts.run(cmd, cfg_path) for cmd in ("simulate", "offline", "online")
+        ])
+    assert passes[0] == passes[1]
+    assert passes[1][1]["svds"] == 2 * 3
+    assert masked(read_rows(tmp_path / "first" / "results.csv")) == masked(
+        read_rows(tmp_path / "second" / "results.csv")
+    )
+
+
+def _same_interp(a, b):
+    # the projector's memory layout too: BLAS products round by it
+    return (
+        np.array_equal(a.indexes, b.indexes)
+        and np.array_equal(a.basis, b.basis)
+        and np.array_equal(a.projector, b.projector)
+        and a.projector.flags.f_contiguous == b.projector.flags.f_contiguous
+        and a.inv_norm == b.inv_norm
+    )
+
+
+def test_shared_products_equal_direct_calls_bit_for_bit(tmp_path):
+    cfg = parse_config_text(CONTRACT.format(out=tmp_path / "out"))
+    runner.cmd_simulate(cfg)
+    ctx = runner.ModelContext.open(cfg, {"n": 31}, simulate=False)
+    snap = ctx.snaps[0]
+    for k in (4, 6, 100):
+        got = ctx.basis(k)
+        want = pod_basis(snap.states, gamma=1.0, k_max=k)
+        assert got.k == want.k
+        assert got.u.flags.c_contiguous
+        for field in ("u", "singulars", "mean"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+    for m in (6, 8):
+        got = ctx.interpolant("smdeim", 0, m)
+        want = build_smdeim(snap, m)
+        assert _same_interp(got.interp, want.interp)
+        assert np.array_equal(got.sample_rows, want.sample_rows)
+        assert np.array_equal(got.sample_cols, want.sample_cols)
+        assert np.array_equal(got.singulars, want.singulars)
+        assert _same_interp(
+            ctx.interpolant("deim", 0, m),
+            deim_interpolant(thin_svd(snap.nonlinear).u, m),
+        )
+    with pytest.raises(RankError):
+        ctx.interpolant("deim", 0, snap.n_cols + 1)
+
+
+def test_deim_artifact_holds_one_deim_block_per_stage(tmp_path, swe_run):
+    cfg = ExperimentConfig(model="swe", out_dir=str(tmp_path))
+    model, snaps, traj = swe_run.model, swe_run.snaps, swe_run.trajectory
+    runner.artifact_dir(cfg).mkdir(parents=True)
+    path = runner.build_rom_artifact(cfg, model, snaps, "deim", 25, 30)
+    blocks = artifact_io.read_blocks(path)
+    for j, snap in enumerate(snaps):
+        got = artifact_io.load_interpolant(
+            path, stage=j, blocks=blocks, tag=artifact_io.TAG_DEIM
+        )
+        assert _same_interp(got, deim_interpolant(thin_svd(snap.nonlinear).u, 30))
+    assert [t for t, _ in blocks].count(artifact_io.TAG_DEIM) == len(snaps)
+    # an artifact written before the deim interpolant was stored
+    old = path.with_name("old-" + path.name)
+    body = artifact_io.load_snapshots(path)
+    artifact_io.save_snapshots(old, body)
+    for tag, payload in blocks:
+        if tag != artifact_io.TAG_DEIM:
+            artifact_io.append_block(old, tag, payload)
+    del blocks
+    old.replace(path)
+    with pytest.raises(artifact_io.FormatError, match="'DEIM' block for stage 0"):
+        runner.run_online_point(cfg, model, snaps, traj, "deim", 25, 30)
 
 
 def test_online_without_offline_fails_with_exit_3(tmp_path, capsys):

@@ -9,6 +9,8 @@ cases.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smdeim_rom.deim import (
     DependentColumnsError,
@@ -158,3 +160,40 @@ def test_inv_norm_matches_selected_block(rng):
     block = v[interp.indexes, :]
     oracle = 1.0 / np.linalg.svd(block, compute_uv=False)[-1]
     assert abs(interp.inv_norm - oracle) <= 1e-10 * oracle
+
+
+# -- properties over random orthonormal bases (derandomized, see conftest) --
+
+
+@st.composite
+def orthonormal_bases(draw):
+    d = draw(st.integers(1, 40))
+    m = draw(st.integers(1, d))
+    seed = draw(st.integers(0, 2**32 - 1))
+    raw = np.random.default_rng(seed).standard_normal((d, m))
+    return thin_svd(raw).u
+
+
+@given(v=orthonormal_bases(), seed=st.integers(0, 2**32 - 1))
+def test_property_interpolant_is_exact_at_selected_rows(v, seed):
+    interp = deim_interpolant(v)
+    f = np.random.default_rng(seed).standard_normal(v.shape[0])
+    approx = interp.apply(f[interp.indexes])
+    tol = 1e-12 * interp.inv_norm * v.shape[1] * np.linalg.norm(f)
+    assert np.max(np.abs(approx[interp.indexes] - f[interp.indexes])) <= tol
+
+
+@given(v=orthonormal_bases())
+def test_property_stability_factor_is_at_least_one(v):
+    # P^T V is a row block of a matrix with orthonormal columns, so its
+    # singular values are at most 1
+    assert deim_interpolant(v).inv_norm >= 1.0 - 1e-12
+
+
+@given(v=orthonormal_bases())
+def test_property_selection_of_a_prefix_is_a_prefix(v):
+    full = deim_indexes(v)
+    for m in range(1, v.shape[1] + 1):
+        assert np.array_equal(deim_indexes(v[:, :m]), full[:m])
+        # deim_interpolant selects on a contiguous copy of the prefix
+        assert np.array_equal(deim_interpolant(v, m).indexes, full[:m])

@@ -361,7 +361,7 @@ def test_record_iterates_counts_match_iterations(burgers_rom_parts):
     rm = reduce_model(model, basis, "smdeim", snapshots=snaps, m=10)
     traj, stats = rom_solve(rm, 10, record_iterates=True)
     iterates = stats.meta["iterates"]
-    assert len(iterates) == stats.total_solves == 9
+    assert len(iterates) == len(stats.iterations) == 9
     for per_solve, iters in zip(iterates, stats.iterations):
         assert len(per_solve) == iters
         assert all(p.shape == (basis.k,) for p in per_solve)
