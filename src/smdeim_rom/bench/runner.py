@@ -58,7 +58,7 @@ from ..models import burgers as burgers_model
 from ..models import full_solve
 from ..models import swe as swe_model
 from ..pod import pod_basis
-from ..rom import reduce_model, rom_solve
+from ..rom import reduce_model, rom_solve, stage_cores
 from ..stats import NewtonConvergenceError
 
 __all__ = [
@@ -283,9 +283,10 @@ class ModelContext:
 
     It holds the built model, its snapshots and full-order trajectory, and
     computes on first use, once each: the SVD of each snapshot matrix, the
-    deim and smdeim interpolants of each (stage, m), and the held-out truth
-    of each basis.  _run_grid holds one context at a time and a pool worker
-    its own, so nothing in it outlives the command.
+    tensor cores of each k, the deim and smdeim interpolants of each
+    (stage, m), and the held-out truth of each basis.  _run_grid holds one
+    context at a time and a pool worker its own, so nothing in it outlives
+    the command.
     """
 
     def __init__(self, cfg, model, snaps, traj=None, mean_iters=None, seconds=None):
@@ -324,6 +325,13 @@ class ModelContext:
             difference_quotients=cfg.difference_quotients,
         ))
         return full.truncate(k)
+
+    def cores(self, k):
+        """The stage tensor cores of the basis for k, shared by every
+        strategy."""
+        return self._once(
+            ("cores", k), lambda: stage_cores(self.model, self.basis(k))
+        )
 
     def interpolant(self, strategy, stage, m):
         """A stage's deim or smdeim interpolant for m modes."""
@@ -400,6 +408,7 @@ def build_rom_artifact(cfg, model, snaps, strategy, k, m, ctx=None):
         newton_tol=cfg.newton_tol,
         newton_cap=cfg.newton_cap,
         prebuilt=prebuilt,
+        cores=ctx.cores(k),
     )
     rm.offline_seconds = time.perf_counter() - t0
     tmp = path.with_name(path.name + ".tmp")

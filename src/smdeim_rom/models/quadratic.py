@@ -19,6 +19,16 @@ The structural pattern is fixed once from the operator graphs (not from
 values at some state), so entries that happen to vanish numerically at a
 given state are still stored and the pattern never changes along a
 trajectory.
+
+Full-space evaluation works on the support rows of each pair: the rows
+where both G_t and H_t have entries.  On any other row (G_t x)(.)(H_t x)
+is an exact zero for finite x, so only the support rows of the factors are
+stored, stacked as one CSR, and one sparse product with it serves `rhs`,
+`nonlinear_term` and `jacobian_values` for a state vector and for a block
+of states alike.  Each pair's product is added in place on its support
+rows, in pair order, which gives the bits of the per-pair loop over all
+rows.  In the shallow water operators every support is one third of the
+rows; in Burgers it is every row.
 """
 
 import numpy as np
@@ -175,12 +185,14 @@ class QuadraticOperator:
             self.pairs.append((g, h))
         self.n = n
 
+        # support rows of each pair: where both G_t and H_t have entries
+        supports = [
+            (np.diff(g.indptr) > 0) & (np.diff(h.indptr) > 0) for g, h in self.pairs
+        ]
         nl_lin = []
-        for g, h in self.pairs:
-            g_rows = np.diff(g.indptr) > 0
-            h_rows = np.diff(h.indptr) > 0
-            nl_lin.append(_structural_linear_indexes(h, row_mask=g_rows))
-            nl_lin.append(_structural_linear_indexes(g, row_mask=h_rows))
+        for (g, h), mask in zip(self.pairs, supports):
+            nl_lin.append(_structural_linear_indexes(h, row_mask=mask))
+            nl_lin.append(_structural_linear_indexes(g, row_mask=mask))
         nl_union = (
             np.unique(np.concatenate(nl_lin)) if nl_lin else np.empty(0, np.int64)
         )
@@ -190,14 +202,29 @@ class QuadraticOperator:
         )
         self.nl_pattern = SparsityPattern(n=n, rows=nl_union % n, cols=nl_union // n)
 
-        # the factors stacked by rows as [G_1; H_1; G_2; ...], so one sparse
-        # product gives every factor product; each row keeps its entries in
-        # the factor's own storage order, so the products are bit-identical
-        # to the separate ones
-        if self.pairs:
-            self._factors = scipy.sparse.vstack(
-                [m for pair in self.pairs for m in pair], format="csr"
+        # the support rows of the factors stacked as [G_1[S_1]; H_1[S_1];
+        # G_2[S_2]; ...], S_t the support of pair t, so one sparse product
+        # gives every factor product on its support; each row keeps its
+        # entries in the factor's own storage order, so the products are
+        # bit-identical to the separate full ones.  _support[t] holds S_t (a
+        # slice when contiguous) and the slices of G_t S_t and H_t S_t in the
+        # stacked product.
+        self._support = []
+        blocks = []
+        offset = 0
+        for (g, h), mask in zip(self.pairs, supports):
+            rows = np.flatnonzero(mask)
+            size = rows.size
+            if size and rows[-1] - rows[0] == size - 1:
+                rows = slice(int(rows[0]), int(rows[-1]) + 1)
+            self._support.append(
+                (rows, slice(offset, offset + size),
+                 slice(offset + size, offset + 2 * size))
             )
+            blocks += [g[rows], h[rows]]
+            offset += 2 * size
+        if blocks:
+            self._factors = scipy.sparse.vstack(blocks, format="csr")
         else:
             self._factors = scipy.sparse.csr_matrix((0, n), dtype=np.float64)
         self._values_map = self._jacobian_values_map()
@@ -221,18 +248,14 @@ class QuadraticOperator:
     # -- full-space evaluation -------------------------------------------
 
     def _plus_products(self, out, x):
-        # out + (G_1 x)(.)(H_1 x) + (G_2 x)(.)(H_2 x) + ..., added left to right.
-        # A state vector takes one product with the stacked factors.  A block
-        # takes one product per factor, so each (n, c) product is still in
-        # cache when it is multiplied: the stacked (2T n, c) product made
-        # directional-derivative solves (c = 26) 16% slower on SWE 41x31.
-        if x.ndim == 1:
-            prods = (self._factors @ x).reshape(2 * len(self.pairs), self.n)
-            products = zip(prods[0::2], prods[1::2])
-        else:
-            products = ((g @ x, h @ x) for g, h in self.pairs)
-        for gx, hx in products:
-            out = out + gx * hx
+        # out += (G_1 x)(.)(H_1 x), then pair 2, ..., each on its support rows
+        # only, for a state vector or an (n, c) block; out is the caller's own
+        # array.  Off the support a product is +-0.0, and out never holds
+        # -0.0 (sparse products start their sums from +0.0), so adding it
+        # there would change no bit.
+        prods = self._factors @ x
+        for rows, g_rows, h_rows in self._support:
+            out[rows] += prods[g_rows] * prods[h_rows]
         return out
 
     def rhs(self, x):
@@ -253,36 +276,45 @@ class QuadraticOperator:
         return self._values_map @ np.concatenate((ones, self._factors @ x))
 
     def _jacobian_values_map(self):
-        # (r, 1 + 2 T n) CSR M with jacobian_values(x) = M @ [1; G_1 x; H_1 x;
-        # G_2 x; ...]: row p holds L[a, b] against the 1, then for each pair
-        # H_t[a, b] against (G_t x)[a] and G_t[a, b] against (H_t x)[a],
-        # (a, b) being coordinate p.  A CSR row is summed from zero in
-        # column order, which is the order of the terms of
+        # CSR M with jacobian_values(x) = M @ [1; _factors @ x]: row p holds
+        # L[a, b] against the 1, then for each pair H_t[a, b] against
+        # (G_t x)[a] and G_t[a, b] against (H_t x)[a], (a, b) being
+        # coordinate p and a a support row of pair t.  A CSR row is summed
+        # from zero in column order, which is the order of the terms of
         # J = L + sum_t diag(G_t x) H_t + diag(H_t x) G_t; the terms left out
-        # are zeros for finite x.  A factor entry in a row where its partner
-        # is empty always multiplies zero and may lie off the pattern, so it
-        # is left out too.
+        # are zeros for finite x.  A factor entry off its pair's support
+        # multiplies an exact zero, so it is left out even where L or another
+        # pair puts its coordinate on the pattern.
         coo = self.linear.tocoo()
         rows = [self.pattern.positions_of(coo.row, coo.col)]
         cols = [np.zeros(coo.nnz, dtype=np.int64)]
         vals = [coo.data]
-        for s, factor in enumerate(m for g, h in self.pairs for m in (h, g)):
-            coo = factor.tocoo()
-            pos = self.pattern.positions_of(coo.row, coo.col)
-            keep = pos >= 0
-            rows.append(pos[keep])
-            cols.append(1 + s * self.n + coo.row[keep].astype(np.int64))
-            vals.append(coo.data[keep])
+        all_rows = np.arange(self.n)
+        for (g, h), (support, g_rows, h_rows) in zip(self.pairs, self._support):
+            for factor, partner in ((h, g_rows), (g, h_rows)):
+                coo = factor[support].tocoo()
+                a = all_rows[support][coo.row]
+                rows.append(self.pattern.positions_of(a, coo.col))
+                cols.append(1 + partner.start + coo.row.astype(np.int64))
+                vals.append(coo.data)
         return _as_sorted_csr(
             scipy.sparse.csr_matrix(
                 (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(self.pattern.r, 1 + 2 * len(self.pairs) * self.n),
+                shape=(self.pattern.r, 1 + self._factors.shape[0]),
             )
         )
 
-    def jacobian(self, x):
-        """Assembled sparse Jacobian with the fixed structural pattern."""
+    def jacobian(self, x, out=None):
+        """Assembled sparse Jacobian with the fixed structural pattern.
+
+        out, a matrix an earlier call returned, receives the values at x in
+        place and is returned, so a caller evaluating many states builds
+        one CSR.
+        """
         vals = self.jacobian_values(x)[self._csr_perm]
+        if out is not None:
+            out.data[:] = vals
+            return out
         return scipy.sparse.csr_matrix(
             (vals, self._csr_indices.copy(), self._csr_indptr.copy()),
             shape=(self.n, self.n),

@@ -49,6 +49,7 @@ __all__ = [
     "ReducedStage",
     "ReducedModel",
     "build_tensor_core",
+    "stage_cores",
     "reduce_model",
     "reduced_jacobian",
     "rom_solve",
@@ -116,6 +117,21 @@ def build_tensor_core(op, basis):
     return TensorCore(const=const, lin=lin, quad=quad)
 
 
+def stage_cores(model, basis):
+    """(core, explicit core or None) of each stage, one TensorCore per
+    distinct operator."""
+    built = {}
+
+    def core(op):
+        if op is None:
+            return None
+        if id(op) not in built:
+            built[id(op)] = build_tensor_core(op, basis)
+        return built[id(op)]
+
+    return [(core(stage.op), core(stage.explicit)) for stage in model.stages]
+
+
 class TensorialJacobian:
     needs_lift = False
 
@@ -127,14 +143,19 @@ class TensorialJacobian:
 
 
 class DirectProjectionJacobian:
+    """U^T J(x) U; the first evaluation builds the CSR of J and later ones
+    refill its values."""
+
     needs_lift = True
 
     def __init__(self, op, u):
         self.op = op
         self.u = u
+        self._jac = None
 
     def evaluate(self, xt, x_full):
-        return self.u.T @ (self.op.jacobian(x_full) @ self.u)
+        self._jac = self.op.jacobian(x_full, out=self._jac)
+        return self.u.T @ (self._jac @ self.u)
 
 
 class DirectionalDerivativeJacobian:
@@ -146,14 +167,17 @@ class DirectionalDerivativeJacobian:
         self.op = op
         self.u = u
         self.h = float(h)
+        self._hu = self.h * u
 
     def evaluate(self, xt, x_full):
         # one matrix rhs over the base state and the k shifted states
         states = np.empty((self.u.shape[0], self.u.shape[1] + 1))
         states[:, 0] = x_full
-        states[:, 1:] = x_full[:, None] + self.h * self.u
+        np.add(x_full[:, None], self._hu, out=states[:, 1:])
         f = self.op.rhs(states)
-        return self.u.T @ ((f[:, 1:] - f[:, :1]) / self.h)
+        diff = f[:, 1:] - f[:, :1]
+        diff /= self.h
+        return self.u.T @ diff
 
 
 class _SampleMesh:
@@ -318,6 +342,7 @@ def reduce_model(
     newton_tol=1e-10,
     newton_cap=50,
     prebuilt=None,
+    cores=None,
 ):
     """Build a ReducedModel for one Jacobian strategy.
 
@@ -327,7 +352,8 @@ def reduce_model(
     stage index to an already constructed interpolant, letting callers reuse
     an expensive build: a DeimInterpolant of the nonlinear-term snapshots for
     deim, a MatrixInterpolant of the requested mode for smdeim and
-    mdeim-reference.
+    mdeim-reference.  cores optionally gives `stage_cores(model, basis)`,
+    so callers reducing one basis for several strategies project once.
     The offline wall time (tensor projection plus interpolant training) is
     recorded on the result.
     """
@@ -344,16 +370,12 @@ def reduce_model(
     u = basis.u
     prebuilt = prebuilt or {}
     t_start = time.perf_counter()
-    cores = {}
-    for stage in model.stages:
-        if id(stage.op) not in cores:
-            cores[id(stage.op)] = build_tensor_core(stage.op, basis)
-        if stage.explicit is not None and id(stage.explicit) not in cores:
-            cores[id(stage.explicit)] = build_tensor_core(stage.explicit, basis)
+    if cores is None:
+        cores = stage_cores(model, basis)
 
     stages = []
     for s_idx, stage in enumerate(model.stages):
-        core = cores[id(stage.op)]
+        core, explicit_core = cores[s_idx]
         if strategy == "tensorial":
             jac = TensorialJacobian(core)
         elif strategy == "direct-projection":
@@ -382,9 +404,7 @@ def reduce_model(
                 name=stage.name,
                 fraction=stage.fraction,
                 core=core,
-                explicit_core=(
-                    cores[id(stage.explicit)] if stage.explicit is not None else None
-                ),
+                explicit_core=explicit_core,
                 jacobian=jac,
             )
         )

@@ -15,6 +15,7 @@ import pytest
 
 from smdeim_rom import instrumentation
 from smdeim_rom import io as artifact_io
+from smdeim_rom import rom
 from smdeim_rom.bench import runner
 from smdeim_rom.bench.cli import main
 from smdeim_rom.bench.config import (
@@ -287,17 +288,23 @@ run.out = {out}
 
 
 class CommandCounts:
-    """Model builds, SVDs, DEIM selections and snapshot-file reads made
-    while the wrapped commands run."""
+    """Model builds, tensor-core builds, SVDs, DEIM selections and
+    snapshot-file reads made while the wrapped commands run."""
 
     def __init__(self, monkeypatch):
         self.builds = 0
+        self.cores = 0
         self.snapshot_reads = []
         build_model = runner.build_model
+        build_tensor_core = rom.build_tensor_core
 
         def counted_build(*args, **kwargs):
             self.builds += 1
             return build_model(*args, **kwargs)
+
+        def counted_core(*args, **kwargs):
+            self.cores += 1
+            return build_tensor_core(*args, **kwargs)
 
         def counted_reader(read):
             def wrapper(path, *args, **kwargs):
@@ -308,6 +315,7 @@ class CommandCounts:
             return wrapper
 
         monkeypatch.setattr(runner, "build_model", counted_build)
+        monkeypatch.setattr(rom, "build_tensor_core", counted_core)
         for name in ("load_snapshots", "read_blocks"):
             monkeypatch.setattr(
                 artifact_io, name, counted_reader(getattr(artifact_io, name))
@@ -315,12 +323,14 @@ class CommandCounts:
 
     def run(self, cmd, cfg_path, jobs="1"):
         self.builds = 0
+        self.cores = 0
         self.snapshot_reads = []
         before = instrumentation.snapshot()
         assert main([cmd, "--config", str(cfg_path), "--jobs", jobs]) == 0
         after = instrumentation.snapshot()
         return {
             "builds": self.builds,
+            "cores": self.cores,
             "svds": after["thin_svd_calls"] - before["thin_svd_calls"],
             "selections": after["deim_select_calls"] - before["deim_select_calls"],
             "snapshot_reads": sorted(self.snapshot_reads),
@@ -344,6 +354,9 @@ def test_offline_builds_each_model_once_and_factors_each_matrix_once(
     # snapshot matrices, each factored once; one selection per stage, m and
     # sampled strategy, shared by both k
     assert offline["builds"] == 2
+    # one tensor core per (model, k) and operator, shared by the three
+    # strategies; a Burgers model has one operator
+    assert offline["cores"] == 2 * 2
     assert offline["svds"] == 2 * 3
     assert offline["selections"] == 2 * 2 * 2
     assert offline["snapshot_reads"] == sorted(
@@ -365,6 +378,7 @@ def test_online_factors_nothing_and_reads_each_snapshot_file_once(
     counts.run("offline", cfg_path)
     online = counts.run("online", cfg_path)
     assert online["builds"] == 2
+    assert online["cores"] == 0
     assert online["svds"] == 0
     assert online["selections"] == 0
     assert len(online["snapshot_reads"]) == 2

@@ -250,6 +250,40 @@ def test_directional_derivative_batch_equals_column_loop(burgers_rom_parts):
         assert np.array_equal(got, basis.u.T @ diffs)
 
 
+def test_directional_derivative_batch_equals_column_loop_swe(swe_run, swe_basis):
+    # SWE 21x15: every pair lives on a third of the rows, so the block rhs
+    # runs on the compressed support rows
+    h = 0.01
+    rm = reduce_model(swe_run.model, swe_basis, "directional-derivative", h=h)
+    u = swe_basis.u
+    for stage, snap, jac in zip(
+        swe_run.model.stages, swe_run.snaps, (st.jacobian for st in rm.stages)
+    ):
+        for col in (0, 45):
+            x_full = swe_basis.lift(swe_basis.project(snap.states[:, col]))
+            f0 = stage.op.rhs(x_full)
+            diffs = np.empty((swe_run.model.n, swe_basis.k))
+            for j in range(swe_basis.k):
+                diffs[:, j] = (stage.op.rhs(x_full + h * u[:, j]) - f0) / h
+            assert np.array_equal(jac.evaluate(None, x_full), u.T @ diffs)
+
+
+@pytest.mark.parametrize("case", ["burgers", "swe"])
+def test_direct_projection_refills_one_jacobian(case, burgers_rom_parts, swe_run,
+                                                swe_basis):
+    # consecutive evaluations reuse one CSR; each must see its own state
+    if case == "burgers":
+        model, _, snaps, basis = burgers_rom_parts
+    else:
+        model, snaps, basis = swe_run.model, swe_run.snaps, swe_basis
+    rm = reduce_model(model, basis, "direct-projection")
+    op, jac = model.stages[0].op, rm.stages[0].jacobian
+    for col in (3, snaps[0].n_cols - 1, 3):
+        x = basis.lift(basis.project(snaps[0].states[:, col]))
+        want = basis.u.T @ (op.jacobian(x) @ basis.u)
+        assert np.array_equal(jac.evaluate(None, x), want)
+
+
 def test_smdeim_strategy_matches_sampled_matrix_projection(rng, burgers_rom_parts):
     model, _, snaps, basis = burgers_rom_parts
     m = 10
