@@ -357,15 +357,21 @@ class ModelContext:
         )
 
 
+def _spectrum_paths(cfg, model):
+    pd_dir = Path(cfg.out_dir) / "plotdata"
+    return [
+        pd_dir / f"{model.model_id}-jacobian-singulars-s{j}.tsv"
+        for j in range(len(model.stages))
+    ]
+
+
 def _write_spectrum(cfg, ctx):
     """Singular values of each stage's gathered Jacobian snapshots (one TSV
     per stage, written when absent), from the SVD smdeim trains on."""
-    pd_dir = Path(cfg.out_dir) / "plotdata"
-    pd_dir.mkdir(parents=True, exist_ok=True)
-    for j in range(len(ctx.snaps)):
-        path = pd_dir / f"{ctx.model.model_id}-jacobian-singulars-s{j}.tsv"
+    for j, path in enumerate(_spectrum_paths(cfg, ctx.model)):
         if path.exists():
             continue
+        path.parent.mkdir(parents=True, exist_ok=True)
         singulars = ctx.svd("jacobian", j).singulars
         _write_tsv(path, ("mode", "singular_value"),
                    [(i + 1, _fmt(float(s))) for i, s in enumerate(singulars)])
@@ -562,16 +568,21 @@ def _new_worker_table():
     _worker_contexts = {}
 
 
+def _worker_context(cfg, params, simulate):
+    """The pool worker's context for params, opened on first use."""
+    key = _params_key(params)
+    if key not in _worker_contexts:
+        _worker_contexts.clear()
+        _worker_contexts[key] = ModelContext.open(cfg, params, simulate)
+    return _worker_contexts[key]
+
+
 def _unit_worker(cfg, params, strategy, k, m, build, online, ctx=None):
     """Build and/or run one grid unit; returns a metrics dict (never raises
     for expected per-point failures).  Without ctx, as in a pool worker,
-    the worker's context for params is used, opened on first use."""
+    the worker's context for params is used."""
     if ctx is None:
-        key = _params_key(params)
-        if key not in _worker_contexts:
-            _worker_contexts.clear()
-            _worker_contexts[key] = ModelContext.open(cfg, params, simulate=build)
-        ctx = _worker_contexts[key]
+        ctx = _worker_context(cfg, params, simulate=build)
     model, snaps = ctx.model, ctx.snaps
     try:
         if build:
@@ -583,6 +594,23 @@ def _unit_worker(cfg, params, strategy, k, m, build, online, ctx=None):
         return {"status": f"failed:{type(exc).__name__}"}
     except NewtonConvergenceError as exc:
         return {"status": f"failed:newton step {exc.step} stage {exc.stage}"}
+
+
+def _spectrum_worker(cfg, params):
+    _write_spectrum(cfg, _worker_context(cfg, params, simulate=True))
+
+
+def _full_record(cfg, params, simulate):
+    """(model, full-model mean Newton iterations, solve seconds) for the
+    parent of a pool: only stage 0's file is read when the snapshots exist,
+    and nothing is factored; simulate as in load_snapshot_artifacts."""
+    model = build_model(cfg, params)
+    paths = snap_paths(cfg, model)
+    if all(p.exists() for p in paths):
+        _, mean_iters, seconds = artifact_io.load_trajectory(paths[0])
+    else:
+        _, _, mean_iters, seconds = load_snapshot_artifacts(cfg, model, simulate)
+    return model, mean_iters, seconds
 
 
 def _full_row(model, mean_iters, seconds):
@@ -623,16 +651,18 @@ def _add_new(rows, keys, row):
 def _run_grid(cfg, jobs, simulate=False, build=False, online=False):
     """Shared engine of the commands.
 
-    Works through the models one at a time: opens the model's context
-    (simulate=True runs the full solve when its snapshots are absent and
-    adds the full-model rows), runs its pending units (build=True builds
-    their artifacts, online=True evaluates them; in the pool when jobs > 1,
-    where each worker opens its own context), writes its Jacobian spectrum
-    (build=True) and drops the context.  Returns the new ResultRows in
-    deterministic grid order, full-model rows first.
+    Works through the models one at a time (simulate=True runs the full
+    solve when a model's snapshots are absent and adds the full-model
+    rows), runs its pending units (build=True builds their artifacts,
+    online=True evaluates them) and writes its absent Jacobian spectra
+    (build=True).  With jobs == 1 every unit and the spectra share one
+    ModelContext, dropped before the next model.  With jobs > 1 they run
+    in the pool, where each worker opens its own context, and this process
+    only reads each model's full-solve record.  Returns the new ResultRows
+    in deterministic grid order, full-model rows first.
     """
     keys = existing_keys(csv_path(cfg))
-    rows, fulls, results = [], {}, {}
+    rows, fulls, results, spectra = [], {}, {}, []
     units = unit_list(cfg)
     parallel = jobs > 1
     pool_cm = (
@@ -641,10 +671,13 @@ def _run_grid(cfg, jobs, simulate=False, build=False, online=False):
     )
     with pool_cm as pool:
         for params in model_param_combos(cfg):
-            ctx = ModelContext.open(cfg, params, simulate)
-            full = fulls[_params_key(params)] = _full_row(
-                ctx.model, ctx.mean_iters, ctx.seconds
-            )
+            if parallel:
+                ctx = None
+                model, mean_iters, seconds = _full_record(cfg, params, simulate)
+            else:
+                ctx = ModelContext.open(cfg, params, simulate)
+                model, mean_iters, seconds = ctx.model, ctx.mean_iters, ctx.seconds
+            full = fulls[_params_key(params)] = _full_row(model, mean_iters, seconds)
             if simulate:
                 for seed in cfg.seeds:
                     _add_new(rows, keys, replace(full, seed=seed))
@@ -666,11 +699,16 @@ def _run_grid(cfg, jobs, simulate=False, build=False, online=False):
                     results[idx] = _unit_worker(
                         cfg, params, strategy, k, m, build, online, ctx
                     )
-            if build:
-                _write_spectrum(cfg, ctx)
+            if build and not all(p.exists() for p in _spectrum_paths(cfg, model)):
+                if parallel:
+                    spectra.append(pool.submit(_spectrum_worker, cfg, params))
+                else:
+                    _write_spectrum(cfg, ctx)
             del ctx
         if parallel:
             results = {idx: fut.result() for idx, fut in results.items()}
+            for fut in spectra:
+                fut.result()
 
     for idx in sorted(results):
         params, strategy, k, m = units[idx]

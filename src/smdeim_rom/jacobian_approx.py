@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse
 
 from .deim import DeimInterpolant, deim_interpolant
-from .linalg import thin_svd
+from .linalg import SvdConvergenceError, thin_svd
 from .snapshots import SparsityPattern, scatter
 
 __all__ = [
@@ -117,24 +117,47 @@ def build_smdeim(snap, m, svd=None):
     )
 
 
+def _check_guard(n, guard_n, nbytes, route):
+    """Refuse a vectorized route whose dimension exceeds the guard; the
+    error names the bytes of n^2-row arrays the route would hold."""
+    limit = guard_limit(guard_n)
+    if n > limit:
+        raise MemoryGuardError(
+            f"dimension {n} exceeds the vectorized-route guard {limit}: "
+            f"{route} would hold {nbytes} bytes ({nbytes / 2**20:.1f} MiB) "
+            "of n^2-row arrays; raise SMDEIM_GUARD_N or pass guard_n to override"
+        )
+
+
+def _vectorized(snap, order):
+    """The (n^2, n_s) snapshot matrix: gathered values, zeros off the
+    pattern, in the given memory order."""
+    n = snap.pattern.n
+    full = np.zeros((n * n, snap.n_cols), dtype=np.float64, order=order)
+    full[snap.pattern.linear, :] = snap.jacobian
+    return full
+
+
 def build_mdeim_reference(snap, m, guard_n=None):
     """Interpolant built from explicitly vectorized n^2-row snapshots.
 
     Reference/oracle route: memory and cost scale with n^2, so dimensions
     above the guard (default 512, env SMDEIM_GUARD_N or guard_n to override)
-    are refused.
+    are refused.  The padded matrix is built in Fortran order, so gesdd
+    factors it in place: the route holds two n^2 x n_s arrays at its peak,
+    the padded matrix and its left singular vectors, 2 * 8 n^2 n_s bytes.
     """
     n = snap.pattern.n
-    limit = guard_limit(guard_n)
-    if n > limit:
-        raise MemoryGuardError(
-            f"dimension {n} exceeds the vectorized-route guard {limit}; "
-            "raise SMDEIM_GUARD_N or pass guard_n to override"
-        )
-    full = np.zeros((n * n, snap.n_cols), dtype=np.float64)
-    full[snap.pattern.linear, :] = snap.jacobian
-    svd = thin_svd(full, overwrite_a=True)
-    del full
+    _check_guard(n, guard_n, 2 * 8 * n * n * snap.n_cols, "build_mdeim_reference")
+    try:
+        svd = thin_svd(_vectorized(snap, "F"), overwrite_a=True)
+    except SvdConvergenceError:
+        svd = None
+    if svd is None:
+        # gesdd consumed the matrix before failing.  Retry, once the failure
+        # has released it, on a fresh C-ordered one: the wrapper copies that,
+        # so gesvd gets it intact if gesdd fails again.
+        svd = thin_svd(_vectorized(snap, "C"))
     check_rank(svd, m, "vectorized")
     interp = deim_interpolant(svd.u, m)
     lin = interp.indexes.astype(np.int64)
@@ -177,16 +200,14 @@ def verify_lemma2(snap, guard_n=None):
 
     Returns a Lemma2Report with the max relative reconstruction residual
     (Frobenius) and the worst deviation of the padded columns from
-    orthonormality.  Materializes the n^2-row matrix, hence guarded.
+    orthonormality.  Materializes the n^2-row matrix, hence guarded: it
+    holds the padded snapshots, the padded left factor and the
+    reconstruction, 8 n^2 (2 n_s + min(r, n_s)) bytes.
     """
     n = snap.pattern.n
-    limit = guard_limit(guard_n)
-    if n > limit:
-        raise MemoryGuardError(
-            f"dimension {n} exceeds the vectorized-route guard {limit}"
-        )
-    full = np.zeros((n * n, snap.n_cols), dtype=np.float64)
-    full[snap.pattern.linear, :] = snap.jacobian
+    k = min(snap.pattern.r, snap.n_cols)
+    _check_guard(n, guard_n, 8 * n * n * (2 * snap.n_cols + k), "verify_lemma2")
+    full = _vectorized(snap, "C")
     svd = thin_svd(snap.jacobian)
     padded = np.zeros((n * n, svd.u.shape[1]), dtype=np.float64)
     padded[snap.pattern.linear, :] = svd.u
@@ -194,7 +215,8 @@ def verify_lemma2(snap, guard_n=None):
     denom = float(np.linalg.norm(full))
     if denom == 0.0:
         raise ValueError("vectorized snapshot matrix is zero")
-    residual = float(np.linalg.norm(full - recon)) / denom
+    recon -= full
+    residual = float(np.linalg.norm(recon)) / denom
     gram = padded.T @ padded
     ortho = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
     return Lemma2Report(reconstruction_residual=residual, orthonormality_deviation=ortho)

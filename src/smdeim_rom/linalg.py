@@ -39,6 +39,9 @@ __all__ = [
 # genuine entry.
 _SIGN_TOL = 1e-12
 
+# Rows of u searched at a time for each column's leading entry.
+_SIGN_BLOCK_ROWS = 64
+
 # Seed of the Lanczos starting vector in leading_singular_value.
 _LANCZOS_SEED = 20140101
 
@@ -105,16 +108,23 @@ class SvdResult:
 def _apply_sign_convention(u, w):
     # First entry of each left vector whose magnitude clears a relative
     # threshold is made nonnegative; the paired right vector flips with it so
-    # the product is unchanged.
-    absu = np.abs(u)
-    colmax = absu.max(axis=0)
-    mask = absu > _SIGN_TOL * colmax[None, :]
-    first = mask.argmax(axis=0)
-    lead = u[first, np.arange(u.shape[1])]
-    flip = lead < 0.0
-    if np.any(flip):
-        u[:, flip] *= -1.0
-        w[:, flip] *= -1.0
+    # the product is unchanged.  The entry is searched for in blocks of rows,
+    # stopping once every column has one, and flagged columns are negated in
+    # place, so no temporary the size of u is made.
+    k = u.shape[1]
+    cut = _SIGN_TOL * np.maximum(u.max(axis=0), -u.min(axis=0))
+    first = np.zeros(k, dtype=np.intp)
+    todo = np.arange(k)
+    for a in range(0, u.shape[0], _SIGN_BLOCK_ROWS):
+        if todo.size == 0:
+            break
+        hit = np.abs(u[a:a + _SIGN_BLOCK_ROWS, todo]) > cut[todo]
+        found = hit.any(axis=0)
+        first[todo[found]] = a + hit[:, found].argmax(axis=0)
+        todo = todo[~found]
+    for j in np.flatnonzero(u[first, np.arange(k)] < 0.0):
+        u[:, j] *= -1.0
+        w[:, j] *= -1.0
     return u, w
 
 
@@ -126,7 +136,9 @@ def thin_svd(a, overwrite_a=False):
     a : (m, s) array_like
         Matrix to factor; converted to float64.
     overwrite_a : bool
-        Allow the driver to destroy `a`, halving peak memory for tall inputs.
+        Let gesdd factor `a` in place.  This saves a copy of `a` only when
+        `a` is a Fortran-ordered float64 array; any other input is first
+        copied to one by the LAPACK wrapper and is left intact.
 
     Returns
     -------
@@ -137,25 +149,33 @@ def thin_svd(a, overwrite_a=False):
     Raises
     ------
     SvdConvergenceError
-        If neither LAPACK driver converges; the message names the block shape.
+        If neither LAPACK driver converges; the message names the block
+        shape.  When gesdd fails on an input it was allowed to overwrite
+        in place, the input is destroyed, so no gesvd retry is made and
+        the message says so: retry on a fresh copy.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"thin_svd expects a matrix, got ndim={a.ndim}")
     instrumentation.bump("thin_svd_calls")
+    shape = f"{a.shape[0]}x{a.shape[1]} block (columns 0..{a.shape[1] - 1})"
     try:
         u, s, vt = scipy.linalg.svd(
             a, full_matrices=False, overwrite_a=overwrite_a, lapack_driver="gesdd"
         )
-    except np.linalg.LinAlgError:
+    except np.linalg.LinAlgError as exc:
+        if overwrite_a and a.flags.f_contiguous:
+            raise SvdConvergenceError(
+                f"gesdd failed to converge on a {shape} and consumed it in "
+                "place; no gesvd retry on the overwritten input"
+            ) from exc
         try:
             u, s, vt = scipy.linalg.svd(
                 a, full_matrices=False, overwrite_a=False, lapack_driver="gesvd"
             )
         except np.linalg.LinAlgError as exc:
             raise SvdConvergenceError(
-                f"SVD failed to converge on a {a.shape[0]}x{a.shape[1]} block "
-                f"(columns 0..{a.shape[1] - 1})"
+                f"SVD failed to converge on a {shape}"
             ) from exc
     u, w = _apply_sign_convention(u, vt.T.copy())
     return SvdResult(u=u, singulars=s, w=w)

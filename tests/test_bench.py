@@ -244,7 +244,7 @@ def test_split_pipeline_matches_sweep(tmp_path):
     )
 
 
-def test_parallel_jobs_match_sequential(tmp_path):
+def test_parallel_jobs_match_sequential(tmp_path, monkeypatch):
     cfg_a, out_a = write_config(tmp_path, name="seq.cfg", out=tmp_path / "seq")
     cfg_b, out_b = write_config(tmp_path, name="par.cfg", out=tmp_path / "par")
     assert main(["sweep", "--config", str(cfg_a)]) == 0
@@ -254,12 +254,26 @@ def test_parallel_jobs_match_sequential(tmp_path):
     )
     # two models, each unit sharing its model's factorizations: the split
     # commands with --jobs 2 give the sequential rows and plot series
+    counts = CommandCounts(monkeypatch)
     seq, par = tmp_path / "cseq", tmp_path / "cpar"
+    made = {}
     for out, jobs in ((seq, "1"), (par, "2")):
         path = tmp_path / f"{out.name}.cfg"
         path.write_text(CONTRACT.format(out=out), encoding="utf-8")
         for cmd in ("simulate", "offline", "online"):
-            assert main([cmd, "--config", str(path), "--jobs", jobs]) == 0
+            made[cmd, jobs] = counts.run(cmd, path, jobs)
+    # with a pool, this process factors nothing (the workers make every
+    # SVD, the spectra's too) and reads only each model's stage-0 file,
+    # for its full-solve record
+    assert made["offline", "1"]["svds"] == 2 * 3
+    stage0 = sorted(p.name for p in (par / "artifacts").glob("snap-*-s0.smdm"))
+    assert len(stage0) == 2
+    for cmd in ("simulate", "offline", "online"):
+        assert made[cmd, "2"]["svds"] == 0
+        assert made[cmd, "2"]["selections"] == 0
+        assert made[cmd, "2"]["cores"] == 0
+    assert made["offline", "2"]["snapshot_reads"] == stage0
+    assert made["online", "2"]["snapshot_reads"] == stage0
     rows = read_rows(seq / "results.csv")
     assert len(rows) == 2 * (1 + 2 * 2 * 2 + 2)
     assert all(r["status"] == "ok" for r in rows)

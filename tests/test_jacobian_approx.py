@@ -2,11 +2,14 @@
 reference route, rank/memory guards, and the padded-factorization identity.
 
 The guard-scale comparisons run on a small Burgers setup (n=31) where the
-n^2-row reference route is cheap.
+n^2-row reference route is cheap; its memory bounds on Burgers n=101.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from smdeim_rom.jacobian_approx import (
@@ -21,6 +24,7 @@ from smdeim_rom.jacobian_approx import (
     sample_and_approximate,
     verify_lemma2,
 )
+from smdeim_rom.deim import deim_interpolant
 from smdeim_rom.linalg import thin_svd
 from smdeim_rom.models import full_solve
 from smdeim_rom.models.burgers import build_burgers
@@ -145,6 +149,112 @@ def test_memory_guard_and_overrides(small_snap, monkeypatch):
     assert guard_limit() == big.n
     mi2 = build_mdeim_reference(big_snap, 1)
     assert np.array_equal(mi2.sample_rows, mi.sample_rows)
+
+
+def test_memory_guard_names_the_bytes_of_the_refused_route():
+    n, n_s, r = DEFAULT_GUARD + 1, 3, 2
+    pat = SparsityPattern(n=n, rows=np.array([0, 1]), cols=np.array([0, 1]))
+    snap = SnapshotSet(
+        model_id="toy", config_hash="", stage="s", dt=0.1, pattern=pat,
+        states=np.zeros((n, n_s)), nonlinear=np.zeros((n, n_s)),
+        jacobian=np.ones((r, n_s)),
+    )
+    prefix = f"dimension {n} exceeds the vectorized-route guard {DEFAULT_GUARD}"
+    # the padded matrix and its left singular vectors
+    with pytest.raises(MemoryGuardError, match=prefix) as err:
+        build_mdeim_reference(snap, 1, guard_n=DEFAULT_GUARD)
+    assert f" {2 * 8 * n * n * n_s} bytes" in str(err.value)
+    # the padded snapshots, the padded (n^2, min(r, n_s)) factor and the
+    # reconstruction
+    with pytest.raises(MemoryGuardError, match=prefix) as err:
+        verify_lemma2(snap, guard_n=DEFAULT_GUARD)
+    assert f" {8 * n * n * (2 * n_s + r)} bytes" in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def snap101():
+    _, _, sets = full_solve(build_burgers(n=101))
+    return sets[0]
+
+
+def test_mdeim_reference_holds_two_copies_of_the_padded_matrix(snap101):
+    # gesdd factors the Fortran-ordered padded matrix in place: the peak is
+    # that matrix and its left singular vectors, 2 * 8 n^2 n_s, plus small
+    # workspace
+    snap = snap101
+    padded_bytes = 8 * snap.pattern.n ** 2 * snap.n_cols
+    tracemalloc.start()
+    try:
+        mi = build_mdeim_reference(snap, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mi.m == 30
+    assert peak <= 2.25 * padded_bytes
+
+
+def test_verify_lemma2_holds_its_stated_arrays(snap101):
+    snap = snap101
+    n, n_s = snap.pattern.n, snap.n_cols
+    stated = 8 * n * n * (2 * n_s + min(snap.pattern.r, n_s))
+    tracemalloc.start()
+    try:
+        verify_lemma2(snap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * stated
+
+
+def test_verify_lemma2_report_equals_out_of_place_formula(small_snap):
+    _, snap = small_snap
+    n = snap.pattern.n
+    full = np.zeros((n * n, snap.n_cols))
+    full[snap.pattern.linear, :] = snap.jacobian
+    svd = thin_svd(snap.jacobian)
+    padded = np.zeros((n * n, svd.u.shape[1]))
+    padded[snap.pattern.linear, :] = svd.u
+    recon = padded @ (svd.singulars[:, None] * svd.w.T)
+    residual = float(np.linalg.norm(full - recon)) / float(np.linalg.norm(full))
+    report = verify_lemma2(snap)
+    assert report.reconstruction_residual == residual
+    gram = padded.T @ padded
+    assert report.orthonormality_deviation == float(
+        np.max(np.abs(gram - np.eye(gram.shape[0])))
+    )
+
+
+def test_mdeim_reference_retries_on_a_fresh_matrix_after_gesdd_consumed_it(
+    small_snap, monkeypatch
+):
+    # gesdd writes over the padded matrix, then fails: gesvd must factor an
+    # intact copy, giving the interpolant of the gesvd factors
+    _, snap = small_snap
+    n, m = snap.pattern.n, 8
+    pristine = np.zeros((n * n, snap.n_cols))
+    pristine[snap.pattern.linear, :] = snap.jacobian
+    svd = scipy.linalg.svd
+    calls = []
+
+    def fake(a, *args, overwrite_a=False, lapack_driver="gesdd", **kwargs):
+        calls.append((lapack_driver, overwrite_a, a.flags.f_contiguous))
+        if lapack_driver == "gesdd":
+            if overwrite_a and a.flags.f_contiguous:
+                a[...] = np.nan
+            raise np.linalg.LinAlgError("SVD did not converge")
+        assert np.array_equal(a, pristine)
+        return svd(a, *args, overwrite_a=overwrite_a,
+                   lapack_driver=lapack_driver, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "svd", fake)
+    expect = deim_interpolant(thin_svd(pristine.copy()).u, m)
+    calls.clear()
+    got = build_mdeim_reference(snap, m)
+    assert calls == [("gesdd", True, True), ("gesdd", False, False),
+                     ("gesvd", False, False)]
+    assert np.array_equal(got.interp.indexes, expect.indexes)
+    assert np.array_equal(got.interp.basis, expect.basis)
+    assert np.array_equal(got.interp.projector, expect.projector)
 
 
 def test_vectorized_coordinates_decode_column_major(small_snap):

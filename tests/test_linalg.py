@@ -4,12 +4,17 @@ failure modes.
 
 Every expected value is either recomputed from the inputs inside the test
 (multiply-back residuals, orthonormality) or is an analytically known
-solution of a hand-built system.
+solution of a hand-built system.  The sign convention is checked bit for
+bit against its whole-matrix formula, kept here as the oracle.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smdeim_rom.bench.runner import _deim_jacobian_operator
 from smdeim_rom.deim import deim_interpolant
@@ -18,8 +23,10 @@ from smdeim_rom.jacobian_approx import (
     deim_function_jacobian,
     sample_and_approximate,
 )
+from smdeim_rom import linalg
 from smdeim_rom.linalg import (
     SingularMatrixError,
+    SvdConvergenceError,
     SvdResult,
     leading_singular_value,
     solve_dense,
@@ -96,6 +103,126 @@ def test_rank_of_zero_matrix_is_zero():
 def test_thin_svd_rejects_non_matrix():
     with pytest.raises(ValueError):
         thin_svd(np.zeros(4))
+
+
+def sign_formula(u, w):
+    """The sign convention on whole matrices: |u|, a full-size mask and
+    fancy-indexed flips."""
+    absu = np.abs(u)
+    colmax = absu.max(axis=0)
+    mask = absu > linalg._SIGN_TOL * colmax[None, :]
+    first = mask.argmax(axis=0)
+    lead = u[first, np.arange(u.shape[1])]
+    flip = lead < 0.0
+    if np.any(flip):
+        u[:, flip] *= -1.0
+        w[:, flip] *= -1.0
+    return u, w
+
+
+BLOCK = linalg._SIGN_BLOCK_ROWS
+COLUMN_KINDS = ("dense", "late", "zero", "nan", "inf", "threshold")
+
+
+def _column(kind, rows, rng):
+    col = rng.standard_normal(rows)
+    lead = int(rng.integers(rows))
+    if kind == "late":
+        # round-off fill far below the threshold ahead of the leading entry
+        col[:lead] = 1e-17 * rng.standard_normal(lead)
+    elif kind == "zero":
+        col = np.where(rng.random(rows) < 0.5, -0.0, 0.0)
+    elif kind == "nan":
+        col[lead] = np.nan
+    elif kind == "inf":
+        col[lead] = rng.choice([-np.inf, np.inf])
+    elif kind == "threshold":
+        # entries exactly at the threshold do not clear it
+        top = float(np.abs(col).max())
+        col[lead:] = rng.uniform(-top, top, rows - lead)
+        col[lead] = rng.choice([-top, top])
+        col[:lead] = rng.choice([-1.0, 1.0], lead) * (linalg._SIGN_TOL * top)
+    if kind in ("dense", "late", "threshold") and rng.random() < 0.5:
+        col[lead] = -abs(col[lead])  # a negative leading entry
+    return col
+
+
+@st.composite
+def sign_inputs(draw):
+    rows = draw(
+        st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK + 7])
+        | st.integers(1, 4 * BLOCK)
+    )
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = draw(st.sampled_from("CF"))
+    u = np.empty((rows, len(kinds)), order=order)
+    for j, kind in enumerate(kinds):
+        u[:, j] = _column(kind, rows, rng)
+    w = rng.standard_normal((int(rng.integers(1, 9)), len(kinds)))
+    return u, w
+
+
+@given(sign_inputs())
+def test_property_sign_convention_equals_whole_matrix_formula(inputs):
+    u, w = inputs
+    expect_u, expect_w = sign_formula(u.copy(), w.copy())
+    got_u, got_w = linalg._apply_sign_convention(u, w)
+    # in place, bit for bit: NaN payloads and the signs of zeros included
+    assert got_u is u and got_w is w
+    assert got_u.tobytes() == expect_u.tobytes()
+    assert got_w.tobytes() == expect_w.tobytes()
+
+
+def test_thin_svd_overwrite_holds_input_and_u_only(rng):
+    # Fortran-ordered float64 input is factored in place: the peak is the
+    # input, u and gesdd's small workspace, with no copy of the input and
+    # no u-sized temporary in the sign convention
+    tracemalloc.start()
+    try:
+        a = np.asfortranarray(rng.standard_normal((40000, 50)))
+        tracemalloc.reset_peak()
+        res = thin_svd(a, overwrite_a=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (a.nbytes + res.u.nbytes)
+
+
+def _failing_gesdd(monkeypatch):
+    """Make gesdd write over an input it may overwrite, then fail, as
+    LAPACK can; returns the list of matrices handed to gesvd."""
+    svd = scipy.linalg.svd
+    gesvd_inputs = []
+
+    def fake(a, *args, overwrite_a=False, lapack_driver="gesdd", **kwargs):
+        if lapack_driver == "gesdd":
+            if overwrite_a and a.flags.f_contiguous:
+                a[...] = np.nan
+            raise np.linalg.LinAlgError("SVD did not converge")
+        gesvd_inputs.append(a.copy())
+        return svd(a, *args, overwrite_a=overwrite_a,
+                   lapack_driver=lapack_driver, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "svd", fake)
+    return gesvd_inputs
+
+
+def test_thin_svd_consumed_input_is_not_refactored(rng, monkeypatch):
+    a = rng.standard_normal((30, 6))
+    s = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")[1]
+    gesvd_inputs = _failing_gesdd(monkeypatch)
+    # a C-ordered input is copied by the wrapper, so gesvd gets it intact
+    res = thin_svd(a.copy(), overwrite_a=True)
+    assert len(gesvd_inputs) == 1 and np.array_equal(gesvd_inputs[0], a)
+    assert np.array_equal(res.singulars, s)
+    # a Fortran-ordered one is destroyed: no retry on it
+    with pytest.raises(SvdConvergenceError, match="consumed it in place"):
+        thin_svd(np.asfortranarray(a), overwrite_a=True)
+    assert len(gesvd_inputs) == 1
+    # without overwrite_a the input stays intact and gesvd factors it
+    thin_svd(np.asfortranarray(a))
+    assert len(gesvd_inputs) == 2 and np.array_equal(gesvd_inputs[1], a)
 
 
 def test_solve_dense_known_system():
