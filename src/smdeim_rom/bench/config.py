@@ -8,7 +8,7 @@ or duplicate keys are rejected by name so typos surface immediately.
 import hashlib
 from dataclasses import dataclass, replace
 
-from ..rom import STRATEGIES
+from ..rom import M_DEPENDENT, STRATEGIES
 
 __all__ = [
     "ConfigError",
@@ -168,7 +168,7 @@ def validate_config(cfg):
         raise ConfigError("key 'rom.strategy': list must not be empty")
     if not cfg.k_list or any(k < 1 for k in cfg.k_list):
         raise ConfigError("key 'rom.k': needs at least one positive entry")
-    needs_m = any(s in ("deim", "smdeim", "mdeim-reference") for s in cfg.strategies)
+    needs_m = any(s in M_DEPENDENT for s in cfg.strategies)
     if needs_m and (not cfg.m_list or any(m < 1 for m in cfg.m_list)):
         raise ConfigError("key 'rom.m': needs at least one positive entry")
     if not 0.0 < cfg.gamma <= 1.0:

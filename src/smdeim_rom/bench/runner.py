@@ -58,7 +58,7 @@ from ..models import burgers as burgers_model
 from ..models import full_solve
 from ..models import swe as swe_model
 from ..pod import pod_basis
-from ..rom import reduce_model, rom_solve, stage_cores
+from ..rom import M_DEPENDENT, reduce_model, rom_solve, stage_cores
 from ..stats import NewtonConvergenceError
 
 __all__ = [
@@ -99,9 +99,6 @@ CSV_COLUMNS = (
     "status",
     "timestamp",
 )
-
-# strategies whose offline build consumes the interpolation mode count
-M_DEPENDENT = ("deim", "smdeim", "mdeim-reference")
 
 _BUILD_ERRORS = (
     MemoryGuardError,
@@ -419,7 +416,6 @@ def build_rom_artifact(cfg, model, snaps, strategy, k, m, ctx=None):
     rm.offline_seconds = time.perf_counter() - t0
     tmp = path.with_name(path.name + ".tmp")
     artifact_io.save_snapshots(tmp, _header_snapshot(snaps[0]))
-    artifact_io.save_pod_basis(tmp, basis)
     for j, interp in prebuilt.items():
         if strategy == "deim":
             block = (artifact_io.TAG_DEIM, artifact_io.deim_block(interp, stage=j))

@@ -41,12 +41,3 @@ def online_section():
                 f"{name} changed inside an online section "
                 f"({before[name]} -> {_COUNTERS[name]})"
             )
-
-
-@contextmanager
-def flop_meter(name):
-    """Yield a dict whose 'flops' entry is filled with the counter delta."""
-    out = {"flops": 0}
-    before = _COUNTERS[name]
-    yield out
-    out["flops"] = _COUNTERS[name] - before

@@ -9,8 +9,9 @@ provides, generically and exactly:
 
 * the sparse Jacobian  J(x) = L + sum_t [diag(G_t x) H_t + diag(H_t x) G_t],
 * O(stencil) evaluation of Jacobian entries without assembling J, through
-  sampling plans precomputed for a fixed coordinate list that read the
-  state only on their sample mesh,
+  sampling plans: `jacobian_values` restricted offline to a fixed
+  coordinate list, whose sample mesh is the state entries that the
+  referenced factor rows read,
 * a time-invariant structural sparsity pattern,
 * the ingredients for exact reduced-space precomputation of the projected
   residual and Jacobian.
@@ -29,6 +30,10 @@ of states alike.  Each pair's product is added in place on its support
 rows, in pair order, which gives the bits of the per-pair loop over all
 rows.  In the shallow water operators every support is one third of the
 rows; in Burgers it is every row.
+
+`jacobian_values` is one map M applied to [1; factor products], and a
+sampling plan keeps only the rows of M and of the stacked factors that its
+coordinates need, so sampled and assembled entries come from one formula.
 """
 
 import numpy as np
@@ -37,7 +42,7 @@ import scipy.sparse
 from .. import instrumentation
 from ..snapshots import SparsityPattern
 
-__all__ = ["QuadraticOperator", "SamplingPlan"]
+__all__ = ["PaddedRows", "QuadraticOperator", "SamplingPlan"]
 
 
 def _as_sorted_csr(mat):
@@ -78,77 +83,86 @@ def _reject_outside(n, rows, cols=None):
         raise ValueError(f"sample {what} at position {q} lies outside [0, {n})")
 
 
-def _row_stencils(mat, rows):
-    # (width, len(rows)) column indexes and values of the given rows of a
-    # sorted CSR matrix in storage order, and the mask of real entries;
-    # padded slots hold the value 0
-    starts = mat.indptr[rows].astype(np.int64)
-    counts = mat.indptr[rows + 1] - starts
-    offs = np.arange(int(counts.max(initial=0)), dtype=np.int64)[:, None]
-    valid = offs < counts
-    if mat.nnz == 0:
-        return np.zeros(valid.shape, np.int64), np.zeros(valid.shape), valid
-    pos = np.minimum(starts + np.where(valid, offs, 0), mat.nnz - 1)
-    idx = mat.indices[pos].astype(np.int64)
-    return idx, np.where(valid, mat.data[pos], 0.0), valid
+# the constant the linear column of the values map multiplies
+_ONE = np.ones(1)
 
 
-def _stored(stencil, slot, cols):
-    # value stored at each coordinate (row slot, col), 0.0 where none is;
-    # a sorted CSR row stores a column at most once
-    idx, val, _ = stencil
-    return np.where(idx[:, slot] == cols, val[:, slot], 0.0).sum(axis=0)
+def _row_entries(indptr, rows, keep=True):
+    # indptr and storage positions of the entries of the given CSR rows, in
+    # order; a row where keep is False comes out empty
+    starts = indptr[rows].astype(np.int64)
+    counts = np.where(keep, indptr[rows + 1] - starts, 0)
+    out = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    pos = np.arange(out[-1], dtype=np.int64) + np.repeat(starts - out[:-1], counts)
+    return out, pos
+
+
+class PaddedRows:
+    """The rows of a CSR matrix as a (width, rows) layout, for products
+    vectorized over the rows.
+
+    Slot w of row i holds the row's w-th stored entry in storage order; the
+    slots past a row's end hold the value 0 and read index 0.  An entry's
+    value may be a vector (data of shape (nnz, c)).  `dot(x)` sums
+    val[w, i] * x[idx[w, i]] over w from zero, looping over the width: the
+    order in which a CSR product sums a row, so it gives the same bits.
+    """
+
+    def __init__(self, indptr, indices, data):
+        counts = np.diff(indptr)
+        offs = np.arange(int(counts.max(initial=0)), dtype=np.int64)[:, None]
+        # a padded slot takes the entry one past the last: an appended 0
+        pos = np.where(offs < counts, indptr[:-1] + offs, indptr[-1])
+        data = np.asarray(data, dtype=np.float64)
+        self.val = np.concatenate((data, np.zeros((1,) + data.shape[1:])))[pos]
+        trailing = (1,) * (data.ndim - 1)
+        self.idx = np.append(indices, 0)[pos].reshape(pos.shape + trailing)
+
+    def dot(self, x):
+        prod = self.val * x[self.idx]
+        out = np.zeros(prod.shape[1:], dtype=np.float64)
+        for term in prod:
+            out += term
+        return out
 
 
 class SamplingPlan:
-    """Precomputed gathers that evaluate Jacobian entries at fixed coordinates.
+    """`jacobian_values` restricted to m fixed coordinates.
 
-    Built offline by `QuadraticOperator.sampling_plan`.  For the m
-    coordinates (rows[q], cols[q]) it stores L[a, b] (zeros when the linear
-    part is left out), G_t[a, b] and H_t[a, b], and the stencils of the
-    distinct sampled rows of every G_t and H_t, padded to a common width,
-    with values in CSR storage order and column indexes remapped into the
-    sample mesh: the sorted union of the columns those stencils read.
+    Built offline by `QuadraticOperator.sampling_plan` and `nl_row_plan`.
+    `jacobian_values(x)` is M @ [1; F x], M the operator's values map and F
+    its stacked factor rows.  The plan keeps the rows of M at the pattern
+    positions of its coordinates (an empty row for a coordinate off the
+    pattern, and without the linear column when the linear part is left
+    out), the rows of F those rows reference, and the sample mesh: the
+    sorted state entries those factor rows read.
 
-    `apply(x[mesh])` then costs a few gathers and multiply-adds over the m
-    samples, independent of n.  Each row product is accumulated left to
-    right from zero, the CSR matvec order, and the terms are added in the
-    order of `jacobian_values`, so sampled entries equal assembled ones bit
-    for bit.  `flops` is the accounted cost of one application: m times the
-    operator's fixed per-entry charge.
+    `apply(x[mesh])` computes the same two products on these rows, each row
+    summed from zero in storage order, so sampled entries equal assembled
+    ones bit for bit and its cost does not depend on n.  `flops` is the
+    accounted cost of one application: m times the operator's fixed
+    per-entry charge.
     """
 
     def __init__(self, op, rows, cols, linear=True):
         self.rows = rows
         self.cols = cols
-        distinct, self.slot = np.unique(rows, return_inverse=True)
-        if linear:
-            self.base = _stored(_row_stencils(op.linear, distinct), self.slot, cols)
-        else:
-            self.base = np.zeros(rows.size, dtype=np.float64)
-        # one row product per factor, in the order G_1, H_1, G_2, ...; the
-        # G_t product multiplies H_t[a, b] and the H_t product G_t[a, b]
-        stencils = []
-        self.coef = np.empty((2 * len(op.pairs), rows.size), dtype=np.float64)
-        for t, (g, h) in enumerate(op.pairs):
-            g_st = _row_stencils(g, distinct)
-            h_st = _row_stencils(h, distinct)
-            stencils += [g_st, h_st]
-            self.coef[2 * t] = _stored(h_st, self.slot, cols)
-            self.coef[2 * t + 1] = _stored(g_st, self.slot, cols)
-        width = max((st[0].shape[0] for st in stencils), default=0)
-        shape = (width, len(stencils), distinct.size)
-        cols_read = np.zeros(shape, dtype=np.int64)
-        self.val = np.zeros(shape, dtype=np.float64)
-        used = np.zeros(shape, dtype=bool)
-        for s, (idx, val, valid) in enumerate(stencils):
-            w = idx.shape[0]
-            cols_read[:w, s], self.val[:w, s], used[:w, s] = idx, val, valid
-        self.mesh = np.unique(cols_read[used])
-        # padded slots may name a column off the mesh; any mesh position
-        # serves, since their value is 0
-        self.idx = np.minimum(
-            np.searchsorted(self.mesh, cols_read), max(self.mesh.size - 1, 0)
+        values = op._values_map
+        pos = op.pattern.positions_of(rows, cols)
+        indptr, ent = _row_entries(values.indptr, pos, pos >= 0)
+        if not linear:
+            # column 0 holds the linear part
+            kept = values.indices[ent] > 0
+            indptr = np.concatenate(([0], np.cumsum(kept)))[indptr]
+            ent = ent[kept]
+        # referenced factor rows, renumbered after the constant 1 at 0
+        used, local = np.unique(np.append(values.indices[ent], 0), return_inverse=True)
+        self._value_rows = PaddedRows(indptr, local[:-1], values.data[ent])
+        f_indptr, f_ent = _row_entries(op._factors.indptr, used[1:] - 1)
+        read = op._factors.indices[f_ent]
+        self.mesh = np.unique(read)
+        self._factor_rows = PaddedRows(
+            f_indptr, np.searchsorted(self.mesh, read), op._factors.data[f_ent]
         )
         self.flops = rows.size * op._sample_charge
 
@@ -158,14 +172,8 @@ class SamplingPlan:
 
     def apply(self, x_mesh):
         """Jacobian values at the plan's coordinates from x restricted to mesh."""
-        prod = self.val * x_mesh[self.idx]
-        dots = np.zeros(prod.shape[1:], dtype=np.float64)
-        for w in range(prod.shape[0]):
-            dots += prod[w]
-        out = self.base.copy()
-        for term in dots[:, self.slot] * self.coef:
-            out += term
-        return out
+        products = self._factor_rows.dot(x_mesh)
+        return self._value_rows.dot(np.concatenate((_ONE, products)))
 
 
 class QuadraticOperator:
@@ -344,13 +352,8 @@ class QuadraticOperator:
         """
         row_ids = np.asarray(row_ids, dtype=np.int64).ravel()
         _reject_outside(self.n, row_ids)
-        starts = self._nl_indptr[row_ids].astype(np.int64)
-        counts = self._nl_indptr[row_ids + 1] - starts
-        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        pos = np.arange(indptr[-1], dtype=np.int64) + np.repeat(
-            starts - indptr[:-1], counts
-        )
-        rows = np.repeat(row_ids, counts)
+        indptr, pos = _row_entries(self._nl_indptr, row_ids)
+        rows = np.repeat(row_ids, np.diff(indptr))
         cols = self._nl_indices[pos].astype(np.int64)
         return SamplingPlan(self, rows, cols, linear=False), indptr
 
@@ -404,11 +407,6 @@ class QuadraticOperator:
         With mean=None (or zero) this is just the projected linear part; a
         nonzero mean adds the quadratic derivative frozen at the mean.
         """
-        out = u.T @ (self.linear @ u)
-        if mean is not None and np.any(mean):
-            for g, h in self.pairs:
-                gm = g @ mean
-                hm = h @ mean
-                out += u.T @ (gm[:, None] * (h @ u))
-                out += u.T @ (hm[:, None] * (g @ u))
-        return out
+        if mean is None:
+            mean = np.zeros(self.n, dtype=np.float64)
+        return u.T @ (self.jacobian(mean) @ u)

@@ -40,11 +40,13 @@ from . import instrumentation
 from .jacobian_approx import build_mdeim_reference, build_smdeim, check_rank
 from .deim import deim_interpolant
 from .linalg import solve_dense, thin_svd
+from .models.quadratic import PaddedRows
 from .pod import PodBasis
 from .stats import integrate
 
 __all__ = [
     "STRATEGIES",
+    "M_DEPENDENT",
     "TensorCore",
     "ReducedStage",
     "ReducedModel",
@@ -63,6 +65,10 @@ STRATEGIES = (
     "smdeim",
     "mdeim-reference",
 )
+
+# strategies whose offline build consumes snapshot sets and the
+# interpolation mode count m
+M_DEPENDENT = ("deim", "smdeim", "mdeim-reference")
 
 
 @dataclass(frozen=True)
@@ -224,22 +230,17 @@ class DeimFunctionJacobian:
         self.lin_reduced = lin_reduced
         self.plan, indptr = op.nl_row_plan(indexes)
         self.sample_mesh = _SampleMesh(basis, self.plan.mesh)
-        # (rows @ u) of the sampled CSR rows, as a padded (width, m) layout:
-        # entry w of row i is plan value take[w, i] (index m reads a 0) and
-        # multiplies the basis row u_taken[w, i]
-        counts = np.diff(indptr)
-        offs = np.arange(int(counts.max(initial=0)))[:, None]
-        self._take = np.where(offs < counts, indptr[:-1] + offs, self.plan.m)
-        mesh_cols = np.append(np.searchsorted(self.plan.mesh, self.plan.cols), 0)
-        self._u_taken = self.sample_mesh.u[mesh_cols[self._take]]
+        # (sampled rows) @ U summed row by row: entry q of the sampled CSR
+        # rows multiplies the value plan.apply gives at q by the basis row
+        # of its column
+        mesh_cols = np.searchsorted(self.plan.mesh, self.plan.cols)
+        self._rows = PaddedRows(
+            indptr, np.arange(self.plan.m), self.sample_mesh.u[mesh_cols]
+        )
 
     def evaluate(self, xt, x_full=None):
-        vals = np.append(self.plan.apply(self.sample_mesh.lift(xt, x_full)), 0.0)
-        terms = vals[self._take][:, :, None] * self._u_taken
-        rows_u = np.zeros(terms.shape[1:])
-        # summed in CSR order, as a sparse-times-dense product would
-        for term in terms:
-            rows_u += term
+        vals = self.plan.apply(self.sample_mesh.lift(xt, x_full))
+        rows_u = self._rows.dot(vals)
         return self.lin_reduced + self.left @ rows_u
 
 
@@ -359,8 +360,7 @@ def reduce_model(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
-    needs_data = strategy in ("deim", "smdeim", "mdeim-reference")
-    if needs_data:
+    if strategy in M_DEPENDENT:
         if snapshots is None:
             raise ValueError(f"strategy {strategy!r} requires snapshot sets")
         if m is None:

@@ -464,7 +464,11 @@ def test_deim_artifact_holds_one_deim_block_per_stage(tmp_path, swe_run):
             path, stage=j, blocks=blocks, tag=artifact_io.TAG_DEIM
         )
         assert _same_interp(got, deim_interpolant(thin_svd(snap.nonlinear).u, 30))
-    assert [t for t, _ in blocks].count(artifact_io.TAG_DEIM) == len(snaps)
+    # one interpolant per stage and the reduced model, which embeds its
+    # basis, so no standalone basis block
+    assert [t for t, _ in blocks] == [artifact_io.TAG_DEIM] * len(snaps) + [
+        artifact_io.TAG_REDM
+    ]
     # an artifact written before the deim interpolant was stored
     old = path.with_name("old-" + path.name)
     body = artifact_io.load_snapshots(path)

@@ -9,7 +9,8 @@ show.
 Oracles: `jacobian_values` (assembled entries at the pattern coordinates,
 0.0 elsewhere) and the assembled Jacobian of the operator with its linear
 part removed.  Every comparison is exact (np.array_equal): the plan adds the
-same products in the same order as the assembled route.
+same products in the same order as the assembled route.  `reduced_linear`
+is checked against its former per-pair formula, kept here.
 """
 
 import re
@@ -106,6 +107,47 @@ def test_sample_nl_rows_equals_assembled_nonlinear_rows(name, data, seed):
     assert np.array_equal(got.toarray(), want)
 
 
+@pytest.mark.parametrize("name", sorted(OPS))
+@given(data=st.data())
+def test_whole_row_plan_reads_its_columns_on_the_mesh(name, data):
+    # the deim strategy looks the sampled columns up in the mesh; a whole
+    # row reads both factor rows of every pair supported there, and those
+    # read exactly the row's columns
+    op = OPS[name]
+    row_ids = data.draw(st.lists(st.integers(0, op.n - 1), max_size=10))
+    plan, _ = op.nl_row_plan(row_ids)
+    assert np.isin(plan.cols, plan.mesh).all()
+    assert np.array_equal(plan.mesh, np.unique(plan.cols))
+
+
+def per_pair_reduced_linear(op, u, mean):
+    """U^T J(mean) U term by term: the projected linear part, then the two
+    derivative terms of each pair frozen at the mean."""
+    out = u.T @ (op.linear @ u)
+    if np.any(mean):
+        for g, h in op.pairs:
+            gm = g @ mean
+            hm = h @ mean
+            out += u.T @ (gm[:, None] * (h @ u))
+            out += u.T @ (hm[:, None] * (g @ u))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6))
+def test_reduced_linear_equals_the_per_pair_formula(name, seed, k):
+    op = OPS[name]
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((op.n, k))
+    zero = np.zeros(op.n)
+    assert np.array_equal(op.reduced_linear(u), per_pair_reduced_linear(op, u, zero))
+    assert np.array_equal(op.reduced_linear(u, zero), op.reduced_linear(u))
+    mean = rng.standard_normal(op.n)
+    want = per_pair_reduced_linear(op, u, mean)
+    got = op.reduced_linear(u, mean)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
+
+
 @given(rows=st.lists(st.integers(1, 197), min_size=1, max_size=30))
 def test_sample_mesh_size_does_not_grow_with_n(rows):
     # interior rows of the smaller grid are interior rows of the larger one
@@ -119,8 +161,11 @@ def test_sample_mesh_size_does_not_grow_with_n(rows):
 def test_mesh_holds_exactly_the_columns_read():
     op = OPS["burgers"]
     plan = op.sampling_plan([0, 5, 5, 28], [0, 4, 6, 27])
-    # stencils of rows 0, 5 and 28; the end rows have one neighbour each
-    assert plan.mesh.tolist() == [0, 1, 4, 5, 6, 27, 28]
+    # Burgers has the single pair (G, H) = (-I, Ax), and the entry at (a, b)
+    # reads row a of G where H[a, b] is stored and row a of H where G[a, b]
+    # is: (0, 0) reads H row 0, which reads column 1; (5, 4) and (5, 6) read
+    # G row 5, column 5; (28, 27) reads G row 28, column 28
+    assert plan.mesh.tolist() == [1, 5, 28]
     assert plan.m == 4
     assert plan.flops == 4 * op._sample_charge
 
