@@ -598,8 +598,9 @@ def _spectrum_worker(cfg, params):
 
 def _full_record(cfg, params, simulate):
     """(model, full-model mean Newton iterations, solve seconds) for the
-    parent of a pool: only stage 0's file is read when the snapshots exist,
-    and nothing is factored; simulate as in load_snapshot_artifacts."""
+    parent of a pool: only the TRAJ block of stage 0's file is read when the
+    snapshots exist, and nothing is factored; simulate as in
+    load_snapshot_artifacts."""
     model = build_model(cfg, params)
     paths = snap_paths(cfg, model)
     if all(p.exists() for p in paths):

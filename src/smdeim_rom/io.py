@@ -1,45 +1,46 @@
 """Binary persistence for snapshots, bases, interpolants and reduced models.
 
-One file format serves all artifacts: a snapshot body (magic "SMDM",
-format version, model identity, dimensions, pattern coordinates, and the
-three value blocks) followed by zero or more tagged blocks, each framed as
-a 4-byte ASCII tag plus a u64 payload length.  Everything is little-endian;
-floats are 64-bit; matrices are stored column-major.
+One file format serves all artifacts: a snapshot body (magic "SMDM", u32
+format version, then the _BODY fields) followed by zero or more tagged
+blocks, each framed as a 4-byte ASCII tag plus a u64 payload length.
+Everything is little-endian.
 
-Block tags:
+Every layout is a field list, declared once below: a tuple of (name, kind)
+fields that _pack writes in order and _Cursor.fields reads back.  A kind is
 
-* "PODB" - a basis (spectrum, mean, retained modes).
-* "DEIM" - an interpolant (indexes as u64, basis/projector as f64 blocks);
-  at top level, one per stage of a deim reduced model, prefixed by its
-  stage index.
-* "MINT" - a matrix interpolant (mode tag, pattern, nested DEIM payload,
-  sample coordinates, training spectrum), prefixed by its stage index.
-* "REDM" - a reduced model (basis plus per-stage cores and the strategy
-  payload); loading rebinds it to a freshly built full model after checking
-  the stored model identity.
-* "TRAJ" - a full-order trajectory with its mean Newton iteration count.
+* a scalar, "u32", "u64", "i64" or "f64";
+* "str", a u32 byte count and the UTF-8 bytes;
+* a nested field list, a u64 byte count and its payload;
+* an array, ("f8" | "u8", *dims), of float64 or uint64 values stored
+  column-major.  A dimension is an int, the name of an earlier field of the
+  same list or of an enclosing one (the reader's scope), or a tuple of
+  those, their product.
+
+The writer takes each dimension field from the shapes of the arrays that
+name it, and the reader returns every field but those (u8 arrays as int64),
+so both handle the same mapping of names to values.
+
+Block tags: "PODB" a basis (_POD); "DEIM" an interpolant (_DEIM), at top
+level one per stage of a deim reduced model (_STAGE_DEIM); "MINT" a matrix
+interpolant (_MINT); "TRAJ" a full-order trajectory with its mean Newton
+iteration count (_TRAJ); "REDM" a reduced model: _REDM, then per stage
+_STAGE, the explicit core (_CORE) when its flag is set, the Jacobian kind
+(_KIND) and that kind's _PARTS.  Loading a reduced model rebinds it to a
+freshly built full model after checking the stored model identity.
 """
 
 import io as _io
+import math
+import os
 import struct
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
 from .deim import DeimInterpolant
 from .jacobian_approx import MatrixInterpolant
 from .pod import PodBasis
-from .rom import (
-    DeimFunctionJacobian,
-    DirectProjectionJacobian,
-    DirectionalDerivativeJacobian,
-    MatrixInterpolantJacobian,
-    ReducedModel,
-    ReducedStage,
-    TensorCore,
-    TensorialJacobian,
-)
+from .rom import JACOBIANS, ReducedModel, ReducedStage, TensorCore
 from .snapshots import SnapshotSet, SparsityPattern
 
 __all__ = [
@@ -79,154 +80,228 @@ class FormatError(ValueError):
     """The file does not conform to the artifact format."""
 
 
-# -- raw writers --------------------------------------------------------
+# -- field lists ---------------------------------------------------------
+
+_BODY = (
+    ("ident", "str"),  # "model_id;config_hash;stage"
+    ("n", "u64"), ("n_cols", "u64"), ("r", "u64"), ("dt", "f64"),
+    ("coords", ("u8", 2, "r")),  # row and column of each pattern entry
+    ("states", ("f8", "n", "n_cols")), ("nonlinear", ("f8", "n", "n_cols")),
+    ("jacobian", ("f8", "r", "n_cols")),
+)
+
+_POD = (
+    ("n", "u64"), ("k", "u64"), ("n_sing", "u64"),
+    ("gamma", "f64"), ("centered", "u32"),
+    ("mean", ("f8", "n")), ("u", ("f8", "n", "k")), ("singulars", ("f8", "n_sing")),
+)
+
+_DEIM = (
+    ("d", "u64"), ("m", "u64"),
+    ("indexes", ("u8", "m")),
+    ("basis", ("f8", "d", "m")), ("projector", ("f8", "d", "m")),
+    ("inv_norm", "f64"),
+)
+
+_STAGE_DEIM = (("stage", "u64"), *_DEIM)
+
+_MINT = (
+    ("stage", "u64"), ("mode", "str"), ("n", "u64"), ("r", "u64"),
+    ("coords", ("u8", 2, "r")),
+    ("interp", _DEIM),
+    ("m", "u64"), ("sample_rows", ("u8", "m")), ("sample_cols", ("u8", "m")),
+    ("n_sing", "u64"), ("singulars", ("f8", "n_sing")),
+)
+
+_TRAJ = (
+    ("n", "u64"), ("n_t", "u64"), ("mean_iters", "f64"), ("solve_seconds", "f64"),
+    ("trajectory", ("f8", "n", "n_t")),
+)
+
+_REDM = (
+    ("model_id", "str"), ("config_hash", "str"), ("strategy", "str"),
+    ("dt", "f64"), ("k", "u64"), ("newton_tol", "f64"), ("newton_cap", "u64"),
+    ("offline_seconds", "f64"), ("m", "i64"), ("h", "f64"),  # m = -1: none
+    ("basis", _POD),
+    ("initial_reduced", ("f8", "k")),
+    ("n_stages", "u64"),
+)
+
+# the stage lists below take the dimension k from the enclosing _REDM
+_CORE = (
+    ("const", ("f8", "k")), ("lin", ("f8", "k", "k")), ("quad", ("f8", "k", "k", "k")),
+)
+
+_STAGE = (("name", "str"), ("fraction", "f64"), *_CORE, ("explicit", "u32"))
+
+_KIND = (("kind", "str"),)
+
+# the fields of each Jacobian kind, as its parts() gives them
+_PARTS = {
+    "tensorial": (),
+    "direct-projection": (),
+    "directional-derivative": (("h", "f64"),),
+    "deim": (
+        ("m", "u64"), ("indexes", ("u8", "m")),
+        ("left", ("f8", "k", "m")), ("lin_reduced", ("f8", "k", "k")),
+    ),
+    "matrix": (
+        ("m", "u64"), ("reducer", ("f8", ("k", "k"), "m")),
+        ("sample_rows", ("u8", "m")), ("sample_cols", ("u8", "m")),
+    ),
+}
 
 
-def _put_u32(f, v):
-    f.write(struct.pack("<I", int(v)))
+# -- the codec -----------------------------------------------------------
+
+_SCALARS = {
+    kind: struct.Struct(fmt)
+    for kind, fmt in (("u32", "<I"), ("u64", "<Q"), ("i64", "<q"), ("f64", "<d"))
+}
+_ARRAYS = {"f8": "<f8", "u8": "<u8"}
 
 
-def _put_u64(f, v):
-    f.write(struct.pack("<Q", int(v)))
+def _extent(dim, scope):
+    if isinstance(dim, str):
+        return scope[dim]
+    return math.prod(_extent(d, scope) for d in dim) if isinstance(dim, tuple) else dim
 
 
-def _put_i64(f, v):
-    f.write(struct.pack("<q", int(v)))
+def _pack(fields, values, out):
+    """Write values, a mapping from field name to value, to the binary
+    stream out as the field list fields."""
+    dims = {}
+    for name, kind in fields:
+        if kind[0] in _ARRAYS:
+            for dim, size in zip(kind[1:], np.shape(values[name]), strict=True):
+                if dims.setdefault(dim, size) != size:
+                    raise ValueError(f"{name}: {dim} is {size}, elsewhere {dims[dim]}")
+    for name, kind in fields:
+        value = dims[name] if name in dims else values[name]
+        if kind == "str":
+            raw = value.encode("utf-8")
+            out.write(_SCALARS["u32"].pack(len(raw)) + raw)
+        elif isinstance(kind, str):
+            cast = float if kind == "f64" else int
+            out.write(_SCALARS[kind].pack(cast(value)))
+        elif kind[0] in _ARRAYS:
+            out.write(np.asarray(value, dtype=_ARRAYS[kind[0]]).tobytes(order="F"))
+        else:
+            nested = _io.BytesIO()
+            _pack(kind, value, nested)
+            out.write(_SCALARS["u64"].pack(nested.tell()))
+            out.write(nested.getbuffer())
 
 
-def _put_f64(f, v):
-    f.write(struct.pack("<d", float(v)))
-
-
-def _put_str(f, s):
-    raw = s.encode("utf-8")
-    _put_u32(f, len(raw))
-    f.write(raw)
-
-
-def _put_f64_block(f, a):
-    f.write(np.asarray(a, dtype="<f8").tobytes(order="F"))
-
-
-def _put_u64_block(f, a):
-    f.write(np.ascontiguousarray(a, dtype="<u8").tobytes())
+def _encode(fields, values):
+    out = _io.BytesIO()
+    _pack(fields, values, out)
+    return out.getvalue()
 
 
 class _Cursor:
-    """Sequential reader over an in-memory buffer."""
+    """Sequential reader over a buffer; size defaults to its length."""
 
-    def __init__(self, buf, off=0):
+    def __init__(self, buf, size=None):
         self.buf = buf
-        self.off = off
+        self.size = len(buf) if size is None else size
+        self.off = 0
 
-    @property
-    def remaining(self):
-        return len(self.buf) - self.off
-
-    def take(self, nbytes):
-        if self.off + nbytes > len(self.buf):
+    def skip(self, nbytes):
+        """Move past nbytes; returns the offset they start at."""
+        have = self.size - self.off
+        if nbytes > have:
             raise FormatError(
                 f"truncated data: wanted {nbytes} bytes at offset {self.off}, "
-                f"have {len(self.buf) - self.off}"
+                f"have {have}"
             )
-        piece = self.buf[self.off : self.off + nbytes]
         self.off += nbytes
-        return piece
+        return self.off - nbytes
 
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
+    def take(self, nbytes):
+        start = self.skip(nbytes)
+        return self.buf[start : self.off]
 
-    def u64(self):
-        return struct.unpack("<Q", self.take(8))[0]
+    def scalar(self, kind):
+        return _SCALARS[kind].unpack(self.take(_SCALARS[kind].size))[0]
 
-    def i64(self):
-        return struct.unpack("<q", self.take(8))[0]
+    def fields(self, fields, scope=None, arrays=True):
+        """Read the field list fields, as _pack wrote it, into a mapping from
+        field name to value, dimension fields left out.  scope maps the
+        fields of an enclosing list to their values.  arrays=False moves
+        past the arrays without reading them."""
+        scope = dict(scope or {})
+        dims = set()
+        for name, kind in fields:
+            if kind == "str":
+                scope[name] = bytes(self.take(self.scalar("u32"))).decode("utf-8")
+            elif isinstance(kind, str):
+                scope[name] = self.scalar(kind)
+            elif kind[0] in _ARRAYS:
+                dims.update(kind[1:])
+                shape = [_extent(dim, scope) for dim in kind[1:]]
+                nbytes = 8 * math.prod(shape)
+                if arrays:
+                    a = np.frombuffer(self.take(nbytes), dtype=_ARRAYS[kind[0]])
+                    a = a.reshape(shape, order="F")
+                    scope[name] = a.astype(np.int64) if kind[0] == "u8" else a.copy()
+                else:
+                    self.skip(nbytes)
+            else:
+                scope[name] = _Cursor(self.take(self.scalar("u64"))).fields(kind)
+        return {f: scope[f] for f, _ in fields if f in scope and f not in dims}
 
-    def f64(self):
-        return struct.unpack("<d", self.take(8))[0]
 
-    def text(self):
-        return bytes(self.take(self.u32())).decode("utf-8")
+class _FileCursor(_Cursor):
+    """A _Cursor whose buffer is an open binary file of size bytes; it reads
+    only what it takes."""
 
-    def f64_block(self, shape):
-        count = 1
-        for dim in shape:
-            count *= int(dim)
-        raw = self.take(8 * count)
-        return np.frombuffer(raw, dtype="<f8").reshape(shape, order="F").copy()
-
-    def u64_block(self, count):
-        raw = self.take(8 * int(count))
-        return np.frombuffer(raw, dtype="<u8").astype(np.int64)
+    def take(self, nbytes):
+        self.buf.seek(self.skip(nbytes))
+        return self.buf.read(nbytes)
 
 
-# -- snapshot body -------------------------------------------------------
+# -- snapshot body and block framing -------------------------------------
 
 
 def save_snapshots(path, snap):
     """Write one snapshot set to path as a fresh artifact file (no blocks)."""
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        _put_u32(f, FORMAT_VERSION)
-        _put_str(f, f"{snap.model_id};{snap.config_hash};{snap.stage}")
-        _put_u64(f, snap.n)
-        _put_u64(f, snap.n_cols)
-        _put_u64(f, snap.pattern.r)
-        _put_f64(f, snap.dt)
-        coords = np.empty((snap.pattern.r, 2), dtype="<u8")
-        coords[:, 0] = snap.pattern.rows
-        coords[:, 1] = snap.pattern.cols
-        f.write(coords.tobytes(order="C"))
-        _put_f64_block(f, snap.states)
-        _put_f64_block(f, snap.nonlinear)
-        _put_f64_block(f, snap.jacobian)
+        f.write(MAGIC + _SCALARS["u32"].pack(FORMAT_VERSION))
+        ident = f"{snap.model_id};{snap.config_hash};{snap.stage}"
+        coords = np.stack((snap.pattern.rows, snap.pattern.cols))
+        _pack(_BODY, {**vars(snap), "ident": ident, "coords": coords}, f)
 
 
-def _read_body(cur):
+def _read_body(cur, arrays=True):
     if bytes(cur.take(4)) != MAGIC:
         raise FormatError("bad magic; not an artifact file")
-    version = cur.u32()
+    version = cur.scalar("u32")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}")
-    ident = cur.text()
-    parts = ident.split(";")
-    model_id = parts[0]
-    config_hash = parts[1] if len(parts) > 1 else ""
-    stage = parts[2] if len(parts) > 2 else ""
-    n = cur.u64()
-    n_cols = cur.u64()
-    r = cur.u64()
-    dt = cur.f64()
-    coords = cur.u64_block(2 * r).reshape(r, 2)
-    pattern = SparsityPattern(n=int(n), rows=coords[:, 0], cols=coords[:, 1])
-    states = cur.f64_block((n, n_cols))
-    nonlinear = cur.f64_block((n, n_cols))
-    jacobian = cur.f64_block((r, n_cols))
-    return SnapshotSet(
-        model_id=model_id,
-        config_hash=config_hash,
-        stage=stage,
-        dt=dt,
-        pattern=pattern,
-        states=states,
-        nonlinear=nonlinear,
-        jacobian=jacobian,
-        meta={},
-    )
+    body = cur.fields(_BODY, arrays=arrays)
+    if arrays:
+        ident = (body.pop("ident").split(";") + ["", ""])[:3]
+        rows, cols = body.pop("coords")
+        pattern = SparsityPattern(n=body["states"].shape[0], rows=rows, cols=cols)
+        return SnapshotSet(*ident, pattern=pattern, **body)
+
+
+def _frames(cur):
+    """(tag, payload offset, payload length) of each block after the body;
+    the cursor moves past each payload."""
+    while cur.off < cur.size:
+        tag = bytes(cur.take(4)).decode("ascii")
+        length = cur.scalar("u64")
+        yield tag, cur.skip(length), length
 
 
 def _read_file(path):
-    buf = memoryview(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        buf = memoryview(f.read())
     cur = _Cursor(buf)
     snap = _read_body(cur)
-    blocks = []
-    while cur.remaining:
-        if cur.remaining < 12:
-            raise FormatError(f"truncated block frame at offset {cur.off}")
-        tag = bytes(cur.take(4)).decode("ascii")
-        length = cur.u64()
-        blocks.append((tag, cur.take(length)))
-    return snap, blocks
+    return snap, [(tag, buf[off : off + n]) for tag, off, n in _frames(cur)]
 
 
 def load_snapshots(path, with_blocks=False):
@@ -243,8 +318,7 @@ def append_block(path, tag, payload):
     if len(raw) != 4:
         raise ValueError(f"tag must be 4 ASCII characters, got {tag!r}")
     with open(path, "ab") as f:
-        f.write(raw)
-        _put_u64(f, len(payload))
+        f.write(raw + _SCALARS["u64"].pack(len(payload)))
         f.write(payload)
 
 
@@ -253,14 +327,21 @@ def read_blocks(path):
 
     Payloads are read-only memoryviews into one buffer holding the file.
     """
-    _, blocks = _read_file(path)
-    return blocks
+    return _read_file(path)[1]
 
 
 def _last_block(path, tag, blocks=None):
+    """The payload of the last tag block: from blocks when given, else read
+    alone from the file, past a body whose size its header gives."""
     if blocks is None:
-        blocks = read_blocks(path)
-    payloads = [p for t, p in blocks if t == tag]
+        with open(path, "rb") as f:
+            cur = _FileCursor(f, os.fstat(f.fileno()).st_size)
+            _read_body(cur, arrays=False)
+            spans = [(off, n) for got, off, n in _frames(cur) if got == tag]
+            if spans:
+                cur.off, n = spans[-1]
+                blocks = [(tag, cur.take(n))]
+    payloads = [p for t, p in blocks or () if t == tag]
     if not payloads:
         raise FormatError(f"no {tag!r} block in {path}")
     return payloads[-1]
@@ -270,273 +351,105 @@ def _last_block(path, tag, blocks=None):
 
 
 def pod_block(basis):
-    f = _io.BytesIO()
-    n, k = basis.u.shape
-    _put_u64(f, n)
-    _put_u64(f, k)
-    _put_u64(f, basis.singulars.size)
-    _put_f64(f, basis.gamma)
-    _put_u32(f, 1 if basis.centered else 0)
-    _put_f64_block(f, basis.mean)
-    _put_f64_block(f, basis.u)
-    _put_f64_block(f, basis.singulars)
-    return f.getvalue()
+    return _encode(_POD, vars(basis))
+
+
+def _pod_basis(fields):
+    centered = bool(fields["centered"])
+    return PodBasis(**{**fields, "centered": centered}, k=fields["u"].shape[1])
 
 
 def parse_pod_block(payload):
-    cur = _Cursor(payload)
-    n = cur.u64()
-    k = cur.u64()
-    n_sing = cur.u64()
-    gamma = cur.f64()
-    centered = bool(cur.u32())
-    mean = cur.f64_block((n,))
-    u = cur.f64_block((n, k))
-    singulars = cur.f64_block((n_sing,))
-    return PodBasis(
-        u=u, singulars=singulars, k=int(k), gamma=gamma,
-        centered=centered, mean=mean,
-    )
+    return _pod_basis(_Cursor(payload).fields(_POD))
 
 
 def deim_block(interp, stage=None):
-    f = _io.BytesIO()
-    if stage is not None:
-        _put_u64(f, stage)
-    _put_u64(f, interp.d)
-    _put_u64(f, interp.m)
-    _put_u64_block(f, interp.indexes)
-    _put_f64_block(f, interp.basis)
-    _put_f64_block(f, interp.projector)
-    _put_f64(f, interp.inv_norm)
-    return f.getvalue()
+    fields = _DEIM if stage is None else _STAGE_DEIM
+    return _encode(fields, {**vars(interp), "stage": stage})
 
 
 def parse_deim_block(payload):
-    cur = _Cursor(payload)
-    d = cur.u64()
-    m = cur.u64()
-    indexes = cur.u64_block(m)
-    basis = cur.f64_block((d, m))
-    projector = cur.f64_block((d, m))
-    inv_norm = cur.f64()
-    return DeimInterpolant(
-        basis=basis, indexes=indexes, projector=projector, inv_norm=inv_norm
-    )
+    return DeimInterpolant(**_Cursor(payload).fields(_DEIM))
 
 
 def mint_block(mi, stage=0):
-    f = _io.BytesIO()
-    _put_u64(f, stage)
-    _put_str(f, mi.mode)
-    _put_u64(f, mi.pattern.n)
-    _put_u64(f, mi.pattern.r)
-    coords = np.empty((mi.pattern.r, 2), dtype="<u8")
-    coords[:, 0] = mi.pattern.rows
-    coords[:, 1] = mi.pattern.cols
-    f.write(coords.tobytes(order="C"))
-    nested = deim_block(mi.interp)
-    _put_u64(f, len(nested))
-    f.write(nested)
-    _put_u64(f, mi.m)
-    _put_u64_block(f, mi.sample_rows)
-    _put_u64_block(f, mi.sample_cols)
-    _put_u64(f, mi.singulars.size)
-    _put_f64_block(f, mi.singulars)
-    return f.getvalue()
+    coords = np.stack((mi.pattern.rows, mi.pattern.cols))
+    return _encode(_MINT, {**vars(mi), "stage": stage, "n": mi.pattern.n,
+                           "coords": coords, "interp": vars(mi.interp)})
 
 
 def parse_mint_block(payload):
     """Returns (stage, MatrixInterpolant)."""
-    cur = _Cursor(payload)
-    stage = int(cur.u64())
-    mode = cur.text()
-    n = cur.u64()
-    r = cur.u64()
-    coords = cur.u64_block(2 * r).reshape(r, 2)
-    pattern = SparsityPattern(n=int(n), rows=coords[:, 0], cols=coords[:, 1])
-    interp = parse_deim_block(cur.take(cur.u64()))
-    m = cur.u64()
-    sample_rows = cur.u64_block(m)
-    sample_cols = cur.u64_block(m)
-    n_sing = cur.u64()
-    singulars = cur.f64_block((n_sing,))
-    return stage, MatrixInterpolant(
-        mode=mode,
-        pattern=pattern,
-        interp=interp,
-        sample_rows=sample_rows,
-        sample_cols=sample_cols,
-        singulars=singulars,
-    )
-
-
-def _put_core(f, core):
-    _put_f64_block(f, core.const)
-    _put_f64_block(f, core.lin)
-    _put_f64_block(f, core.quad)
-
-
-def _take_core(cur, k):
-    const = cur.f64_block((k,))
-    lin = cur.f64_block((k, k))
-    quad = cur.f64_block((k, k, k))
-    return TensorCore(const=const, lin=lin, quad=quad)
+    mi = _Cursor(payload).fields(_MINT)
+    stage, n, (rows, cols) = (mi.pop(f) for f in ("stage", "n", "coords"))
+    pattern = SparsityPattern(n=n, rows=rows, cols=cols)
+    interp = DeimInterpolant(**mi.pop("interp"))
+    return stage, MatrixInterpolant(pattern=pattern, interp=interp, **mi)
 
 
 def redm_block(rm):
-    f = _io.BytesIO()
-    _put_str(f, rm.model_id)
-    _put_str(f, rm.config_hash)
-    _put_str(f, rm.strategy)
-    _put_f64(f, rm.dt)
-    k = rm.k
-    _put_u64(f, k)
-    _put_f64(f, rm.newton_tol)
-    _put_u64(f, rm.newton_cap)
-    _put_f64(f, rm.offline_seconds)
-    m_meta = rm.meta.get("m")
-    _put_i64(f, -1 if m_meta is None else m_meta)
-    _put_f64(f, rm.meta.get("h", 0.01))
-    pod = pod_block(rm.basis)
-    _put_u64(f, len(pod))
-    f.write(pod)
-    _put_f64_block(f, rm.initial_reduced)
-    _put_u64(f, len(rm.stages))
+    out = _io.BytesIO()
+    m = rm.meta.get("m")
+    head = {"m": -1 if m is None else m, "h": rm.meta.get("h", 0.01),
+            "basis": vars(rm.basis), "n_stages": len(rm.stages)}
+    _pack(_REDM, {**vars(rm), **head}, out)
     for st in rm.stages:
-        _put_str(f, st.name)
-        _put_f64(f, st.fraction)
-        _put_core(f, st.core)
-        _put_u32(f, 1 if st.explicit_core is not None else 0)
-        if st.explicit_core is not None:
-            _put_core(f, st.explicit_core)
-        jac = st.jacobian
-        if isinstance(jac, TensorialJacobian):
-            _put_str(f, "tensorial")
-        elif isinstance(jac, DirectProjectionJacobian):
-            _put_str(f, "direct-projection")
-        elif isinstance(jac, DirectionalDerivativeJacobian):
-            _put_str(f, "directional-derivative")
-            _put_f64(f, jac.h)
-        elif isinstance(jac, DeimFunctionJacobian):
-            _put_str(f, "deim")
-            m = jac.indexes.size
-            _put_u64(f, m)
-            _put_u64_block(f, jac.indexes)
-            _put_f64_block(f, jac.left)
-            _put_f64_block(f, jac.lin_reduced)
-        elif isinstance(jac, MatrixInterpolantJacobian):
-            _put_str(f, "matrix")
-            m = jac.reducer.shape[1]
-            _put_u64(f, m)
-            _put_f64_block(f, jac.reducer)
-            _put_u64_block(f, jac.sample_rows)
-            _put_u64_block(f, jac.sample_cols)
-        else:
-            raise TypeError(f"cannot persist jacobian strategy {type(jac).__name__}")
-    return f.getvalue()
+        explicit = st.explicit_core
+        _pack(_STAGE, {**vars(st.core), "name": st.name, "fraction": st.fraction,
+                       "explicit": explicit is not None}, out)
+        if explicit is not None:
+            _pack(_CORE, vars(explicit), out)
+        _pack(_KIND, {"kind": st.jacobian.kind}, out)
+        _pack(_PARTS[st.jacobian.kind], st.jacobian.parts(), out)
+    return out.getvalue()
+
+
+def _core(fields):
+    return TensorCore(*(fields.pop(name) for name, _ in _CORE))
 
 
 def _parse_redm(payload, model):
     cur = _Cursor(payload)
-    model_id = cur.text()
-    config_hash = cur.text()
-    strategy = cur.text()
-    dt = cur.f64()
-    k = int(cur.u64())
-    newton_tol = cur.f64()
-    newton_cap = int(cur.u64())
-    offline_seconds = cur.f64()
-    m_meta = cur.i64()
-    h_meta = cur.f64()
-    basis = parse_pod_block(cur.take(cur.u64()))
-    initial_reduced = cur.f64_block((k,))
-    n_stages = int(cur.u64())
-    if model.model_id != model_id or model.config_hash != config_hash:
+    rm = cur.fields(_REDM)
+    if model.model_id != rm["model_id"] or model.config_hash != rm["config_hash"]:
         raise FormatError(
-            f"artifact was built for {model_id};{config_hash}, the supplied "
-            f"model is {model.model_id};{model.config_hash}"
+            f"artifact was built for {rm['model_id']};{rm['config_hash']}, the "
+            f"supplied model is {model.model_id};{model.config_hash}"
         )
+    n_stages = rm.pop("n_stages")
     if len(model.stages) != n_stages:
         raise FormatError(
             f"artifact stores {n_stages} stages, model has {len(model.stages)}"
         )
+    rm["basis"] = basis = _pod_basis(rm["basis"])
+    scope = {"k": rm["initial_reduced"].size}
     stages = []
-    for j in range(n_stages):
-        name = cur.text()
-        fraction = cur.f64()
-        core = _take_core(cur, k)
-        explicit = _take_core(cur, k) if cur.u32() else None
-        kind = cur.text()
-        op = model.stages[j].op
-        if kind == "tensorial":
-            jac = TensorialJacobian(core)
-        elif kind == "direct-projection":
-            jac = DirectProjectionJacobian(op, basis.u)
-        elif kind == "directional-derivative":
-            jac = DirectionalDerivativeJacobian(op, basis.u, h=cur.f64())
-        elif kind == "deim":
-            m = cur.u64()
-            indexes = cur.u64_block(m)
-            left = cur.f64_block((k, m))
-            lin_reduced = cur.f64_block((k, k))
-            jac = DeimFunctionJacobian.from_parts(
-                op, basis, indexes, left, lin_reduced
-            )
-        elif kind == "matrix":
-            m = cur.u64()
-            reducer = cur.f64_block((k * k, m))
-            sample_rows = cur.u64_block(m)
-            sample_cols = cur.u64_block(m)
-            jac = MatrixInterpolantJacobian.from_parts(
-                op, basis, reducer, sample_rows, sample_cols
-            )
-        else:
+    for stage in model.stages:
+        st = cur.fields(_STAGE, scope)
+        core = _core(st)
+        explicit = _core(cur.fields(_CORE, scope)) if st.pop("explicit") else None
+        kind = cur.fields(_KIND)["kind"]
+        if kind not in _PARTS:
             raise FormatError(f"unknown jacobian payload kind {kind!r}")
+        parts = cur.fields(_PARTS[kind], scope)
+        jac = JACOBIANS[kind].from_parts(stage.op, basis, core, **parts)
         stages.append(
-            ReducedStage(
-                name=name,
-                fraction=fraction,
-                core=core,
-                explicit_core=explicit,
-                jacobian=jac,
-            )
+            ReducedStage(**st, core=core, explicit_core=explicit, jacobian=jac)
         )
-    return ReducedModel(
-        model_id=model_id,
-        config_hash=config_hash,
-        strategy=strategy,
-        basis=basis,
-        dt=dt,
-        stages=stages,
-        initial_reduced=initial_reduced,
-        newton_tol=newton_tol,
-        newton_cap=newton_cap,
-        offline_seconds=offline_seconds,
-        meta={"m": None if m_meta < 0 else int(m_meta), "h": h_meta},
-    )
+    m = rm.pop("m")
+    meta = {"m": None if m < 0 else m, "h": rm.pop("h")}
+    return ReducedModel(**rm, stages=stages, meta=meta)
 
 
 def traj_block(trajectory, mean_iters, solve_seconds=0.0):
-    f = _io.BytesIO()
-    n, n_t = trajectory.shape
-    _put_u64(f, n)
-    _put_u64(f, n_t)
-    _put_f64(f, mean_iters)
-    _put_f64(f, solve_seconds)
-    _put_f64_block(f, trajectory)
-    return f.getvalue()
+    return _encode(_TRAJ, {"trajectory": trajectory, "mean_iters": mean_iters,
+                           "solve_seconds": solve_seconds})
 
 
 def parse_traj_block(payload):
     """Returns (trajectory, mean_iters, solve_seconds)."""
-    cur = _Cursor(payload)
-    n = cur.u64()
-    n_t = cur.u64()
-    mean_iters = cur.f64()
-    solve_seconds = cur.f64()
-    trajectory = cur.f64_block((n, n_t))
-    return trajectory, mean_iters, solve_seconds
+    traj = _Cursor(payload).fields(_TRAJ)
+    return traj["trajectory"], traj["mean_iters"], traj["solve_seconds"]
 
 
 # -- convenience wrappers -----------------------------------------------
@@ -558,13 +471,14 @@ def load_interpolant(path, stage=0, blocks=None, tag=TAG_MINT):
     found = []
     for got_tag, payload in read_blocks(path) if blocks is None else blocks:
         if got_tag == tag:
-            got_stage = struct.unpack_from("<Q", payload)[0]
+            cur = _Cursor(payload)
+            got_stage = cur.scalar("u64")  # both payloads start with it
             if got_stage == stage:
                 if tag == TAG_MINT:
                     return parse_mint_block(payload)[1]
                 # the projector in the column-major layout deim_interpolant
                 # builds, so BLAS products with it round as on the built one
-                interp = parse_deim_block(payload[8:])
+                interp = DeimInterpolant(**cur.fields(_DEIM))
                 return replace(interp, projector=np.asfortranarray(interp.projector))
             found.append(got_stage)
     raise FormatError(

@@ -28,6 +28,11 @@ each Newton evaluation.  deim, smdeim and mdeim-reference sample through a
 precomputed plan and lift only its sample mesh, the state entries the
 sampled Jacobian entries read, so their online work does not grow with n;
 tensorial lifts nothing.
+
+Each strategy class persists through three names: `kind`, which an artifact
+records; `parts()`, its offline products by name; and the classmethod
+`from_parts(op, basis, core, **parts)`, which rebuilds it on the stage
+operator op of a freshly built full model.  JACOBIANS maps kind to class.
 """
 
 import functools
@@ -47,6 +52,7 @@ from .stats import integrate
 __all__ = [
     "STRATEGIES",
     "M_DEPENDENT",
+    "JACOBIANS",
     "TensorCore",
     "ReducedStage",
     "ReducedModel",
@@ -139,10 +145,18 @@ def stage_cores(model, basis):
 
 
 class TensorialJacobian:
+    kind = "tensorial"
     needs_lift = False
 
     def __init__(self, core):
         self.core = core
+
+    def parts(self):
+        return {}
+
+    @classmethod
+    def from_parts(cls, op, basis, core):
+        return cls(core)
 
     def evaluate(self, xt, x_full=None):
         return self.core.jacobian(xt)
@@ -152,12 +166,20 @@ class DirectProjectionJacobian:
     """U^T J(x) U; the first evaluation builds the CSR of J and later ones
     refill its values."""
 
+    kind = "direct-projection"
     needs_lift = True
 
     def __init__(self, op, u):
         self.op = op
         self.u = u
         self._jac = None
+
+    def parts(self):
+        return {}
+
+    @classmethod
+    def from_parts(cls, op, basis, core):
+        return cls(op, basis.u)
 
     def evaluate(self, xt, x_full):
         self._jac = self.op.jacobian(x_full, out=self._jac)
@@ -167,6 +189,7 @@ class DirectProjectionJacobian:
 class DirectionalDerivativeJacobian:
     """Forward difference (F(x + h u_j) - F(x)) / h, projected."""
 
+    kind = "directional-derivative"
     needs_lift = True
 
     def __init__(self, op, u, h=0.01):
@@ -174,6 +197,13 @@ class DirectionalDerivativeJacobian:
         self.u = u
         self.h = float(h)
         self._hu = self.h * u
+
+    def parts(self):
+        return {"h": self.h}
+
+    @classmethod
+    def from_parts(cls, op, basis, core, h):
+        return cls(op, basis.u, h=h)
 
     def evaluate(self, xt, x_full):
         # one matrix rhs over the base state and the k shifted states
@@ -210,15 +240,19 @@ class DeimFunctionJacobian:
     interpolant; the linear part is projected exactly offline.  Only the
     sample mesh of the sampled rows is lifted."""
 
+    kind = "deim"
     needs_lift = False
 
     def __init__(self, op, basis, fn_interp, lin_reduced):
         self._setup(op, basis, fn_interp.indexes,
                     basis.u.T @ fn_interp.projector, lin_reduced)
 
+    def parts(self):
+        return {"indexes": self.indexes, "left": self.left,
+                "lin_reduced": self.lin_reduced}
+
     @classmethod
-    def from_parts(cls, op, basis, indexes, left, lin_reduced):
-        """Rebuild from persisted offline products."""
+    def from_parts(cls, op, basis, core, indexes, left, lin_reduced):
         obj = cls.__new__(cls)
         obj._setup(op, basis, indexes, left, lin_reduced)
         return obj
@@ -254,6 +288,7 @@ class MatrixInterpolantJacobian:
     precomputed sampling plan over a lift of the sample mesh alone.
     """
 
+    kind = "matrix"
     needs_lift = False
 
     def __init__(self, op, basis, mi):
@@ -275,9 +310,12 @@ class MatrixInterpolantJacobian:
                 reducer[:, i] = (u.T @ p_i @ u).ravel(order="F")
         self._setup(op, basis, reducer, mi.sample_rows, mi.sample_cols)
 
+    def parts(self):
+        return {"reducer": self.reducer, "sample_rows": self.sample_rows,
+                "sample_cols": self.sample_cols}
+
     @classmethod
-    def from_parts(cls, op, basis, reducer, sample_rows, sample_cols):
-        """Rebuild from persisted offline products."""
+    def from_parts(cls, op, basis, core, reducer, sample_rows, sample_cols):
         obj = cls.__new__(cls)
         obj._setup(op, basis, reducer, sample_rows, sample_cols)
         return obj
@@ -302,6 +340,14 @@ class MatrixInterpolantJacobian:
         instrumentation.bump("sample_flops", self.plan.flops)
         instrumentation.bump("reduced_jacobian_flops", 2 * self.reducer.size)
         return (self.reducer @ samples).reshape((self.k, self.k), order="F")
+
+
+JACOBIANS = {
+    cls.kind: cls
+    for cls in (TensorialJacobian, DirectProjectionJacobian,
+                DirectionalDerivativeJacobian, DeimFunctionJacobian,
+                MatrixInterpolantJacobian)
+}
 
 
 @dataclass

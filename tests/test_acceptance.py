@@ -364,19 +364,23 @@ def test_criterion_12_online_cost_independent_of_dimension(
         after = instrumentation.snapshot()
         fs, fr = (after[name] - before[name]
                   for name in ("sample_flops", "reduced_jacobian_flops"))
-        evals = sum(stats.iterations)
-        times = [stats.online_seconds / (model.default_n_t - 1)]
-        for _ in range(2):
-            _, st = rom_solve(rm, model.default_n_t)
-            times.append(st.online_seconds / (model.default_n_t - 1))
-        return fs, fr, evals, sorted(times)[1]
+        return rm, fs, fr, sum(stats.iterations)
 
+    def step_seconds(rm, n_t):
+        _, st = rom_solve(rm, n_t)
+        return st.online_seconds / (n_t - 1)
+
+    model2 = burgers201.model
     model5, snaps5 = burgers501
     basis5 = pod_basis(snaps5[0].states, gamma=1.0, k_max=25)
-    fs2, fr2, ev2, step2 = online_profile(
-        burgers201.model, burgers201.snaps, basis201
-    )
-    fs5, fr5, ev5, step5 = online_profile(model5, snaps5, basis5)
+    rm2, fs2, fr2, ev2 = online_profile(model2, burgers201.snaps, basis201)
+    rm5, fs5, fr5, ev5 = online_profile(model5, snaps5, basis5)
+    # the two sizes alternate, so a host stall slows both sides alike
+    times2, times5 = [], []
+    for _ in range(5):
+        times2.append(step_seconds(rm2, model2.default_n_t))
+        times5.append(step_seconds(rm5, model5.default_n_t))
+    step2, step5 = np.median(times2), np.median(times5)
     # exact per-evaluation equality, checked without assuming divisibility
     flops_equal = fs2 * ev5 == fs5 * ev2 and fr2 * ev5 == fr5 * ev2
     ratio = step5 / step2
@@ -387,7 +391,8 @@ def test_criterion_12_online_cost_independent_of_dimension(
         ok,
         f"per-eval flops n=201: {fs2 / ev2:.1f}+{fr2 / ev2:.1f}, "
         f"n=501: {fs5 / ev5:.1f}+{fr5 / ev5:.1f} (identical={flops_equal}); "
-        f"median per-step time ratio {ratio:.2f} (<= 2)",
+        f"per-step time ratio of the medians of 5 alternating solves "
+        f"{ratio:.2f} (<= 2)",
     )
 
 

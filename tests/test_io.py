@@ -9,15 +9,30 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smdeim_rom import io as artifact_io
-from smdeim_rom.deim import deim_interpolant
-from smdeim_rom.jacobian_approx import build_mdeim_reference, build_smdeim
+from smdeim_rom.deim import DeimInterpolant, deim_interpolant
+from smdeim_rom.jacobian_approx import (
+    MatrixInterpolant,
+    build_mdeim_reference,
+    build_smdeim,
+)
 from smdeim_rom.linalg import thin_svd
 from smdeim_rom.models import full_solve
 from smdeim_rom.models.burgers import build_burgers
-from smdeim_rom.pod import pod_basis
-from smdeim_rom.rom import reduce_model, rom_solve
+from smdeim_rom.models.swe import build_swe
+from smdeim_rom.pod import PodBasis, pod_basis
+from smdeim_rom.rom import (
+    JACOBIANS,
+    ReducedModel,
+    ReducedStage,
+    TensorCore,
+    reduce_model,
+    rom_solve,
+)
+from smdeim_rom.snapshots import SnapshotSet, SparsityPattern
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +251,310 @@ def test_missing_block_reports_tag(tmp_path, setup):
     with pytest.raises(artifact_io.FormatError) as err:
         artifact_io.load_trajectory(path)
     assert artifact_io.TAG_TRAJ in str(err.value)
+
+
+def _artifact_with_blocks(path, snap, *blocks):
+    artifact_io.save_snapshots(path, snap)
+    for tag, payload in blocks:
+        artifact_io.append_block(path, tag, payload)
+
+
+class _CountingFile:
+    """A file object that adds the size of every read to a list."""
+
+    def __init__(self, f, reads):
+        self.f = f
+        self.reads = reads
+
+    def read(self, *args):
+        data = self.f.read(*args)
+        self.reads.append(len(data))
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def test_load_trajectory_reads_only_its_block(tmp_path, setup, monkeypatch, rng):
+    _, _, snaps, _ = setup
+    path = tmp_path / "art.bin"
+    traj = rng.standard_normal((5, 9))
+    payload = artifact_io.traj_block(traj, 3.25, 0.125)
+    earlier = artifact_io.traj_block(traj + 1.0, 1.0)
+    _artifact_with_blocks(path, snaps[0], (artifact_io.TAG_TRAJ, earlier),
+                          ("AAAA", bytes(1 << 16)), (artifact_io.TAG_TRAJ, payload),
+                          ("BBBB", bytes(1 << 16)))
+    reads = []
+    monkeypatch.setattr(artifact_io, "open",
+                        lambda *a, **kw: _CountingFile(open(*a, **kw), reads),
+                        raising=False)
+    artifact_io.read_blocks(path)
+    assert sum(reads) == path.stat().st_size  # the counter sees whole reads
+    reads.clear()
+    back, mean_iters, seconds = artifact_io.load_trajectory(path)
+    assert np.array_equal(back, traj) and (mean_iters, seconds) == (3.25, 0.125)
+    assert sum(reads) < len(payload) + 1024
+
+
+def test_load_trajectory_rejects_truncated_frames(tmp_path, setup):
+    _, _, snaps, _ = setup
+    path = tmp_path / "art.bin"
+    payload = artifact_io.traj_block(np.ones((3, 4)), 2.0)
+    _artifact_with_blocks(path, snaps[0], (artifact_io.TAG_TRAJ, payload))
+    whole = path.read_bytes()
+    for cut in (len(payload) // 2, len(payload) + 6):  # in the payload, the frame
+        path.write_bytes(whole[:-cut])
+        with pytest.raises(artifact_io.FormatError) as err:
+            artifact_io.load_trajectory(path)
+        assert "truncated" in str(err.value)
+
+
+# -- FormatError paths of the REDM block ----------------------------------
+
+
+def test_reduced_model_unknown_jacobian_kind(setup):
+    model, _, snaps, basis = setup
+    rm = reduce_model(model, basis, "smdeim", snapshots=snaps, m=6)
+    payload = artifact_io.redm_block(rm)
+    kind = b"\x06\x00\x00\x00matrix"
+    assert payload.count(kind) == 1
+    bad = payload.replace(kind, b"\x06\x00\x00\x00matrox")
+    with pytest.raises(artifact_io.FormatError) as err:
+        artifact_io.load_reduced_model(None, model, blocks=[(artifact_io.TAG_REDM, bad)])
+    assert "matrox" in str(err.value)
+
+
+def test_reduced_model_stage_count_mismatch(swe_small):
+    model, basis = swe_small
+    rm = reduce_model(model, basis, "tensorial")
+    rm.stages = rm.stages[:1]
+    payload = artifact_io.redm_block(rm)
+    with pytest.raises(artifact_io.FormatError) as err:
+        artifact_io.load_reduced_model(None, model, blocks=[(artifact_io.TAG_REDM, payload)])
+    assert "1 stages, model has 2" in str(err.value)
+
+
+def test_reduced_model_cut_short_anywhere_is_a_format_error(swe_small):
+    # every prefix, including each one ending inside a stage core, the
+    # explicit core, the kind string or the strategy fields
+    model, basis = swe_small
+    for strategy in ("tensorial", "directional-derivative"):
+        rm = reduce_model(model, basis, strategy)
+        payload = artifact_io.redm_block(rm)
+        for cut in range(len(payload)):
+            with pytest.raises(artifact_io.FormatError):
+                artifact_io.load_reduced_model(
+                    None, model, blocks=[(artifact_io.TAG_REDM, payload[:cut])]
+                )
+
+
+# -- round-trip properties over random shapes -----------------------------
+
+_names = st.text(
+    st.characters(exclude_characters=";", exclude_categories=("Cs",)), max_size=6
+)
+_floats = st.floats(allow_nan=False)
+
+
+@pytest.fixture(scope="module")
+def swe_small():
+    """A two-stage model with explicit halves and a k=3 basis of it."""
+    model = build_swe(nx_points=5, ny_points=5)
+    _, _, snaps = full_solve(model, 6)
+    return model, pod_basis(snaps[0].states, gamma=1.0, k_max=3)
+
+
+def _random(seed):
+    return np.random.default_rng(seed)
+
+
+@st.composite
+def _patterns(draw, n):
+    coords = sorted(draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))))
+    rows = np.array([c[0] for c in coords], dtype=np.int64)
+    cols = np.array([c[1] for c in coords], dtype=np.int64)
+    return SparsityPattern(n=n, rows=rows, cols=cols)
+
+
+@st.composite
+def _deim_interpolants(draw):
+    d = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 4))
+    rng = _random(draw(st.integers(0, 2**32)))
+    return DeimInterpolant(
+        basis=rng.standard_normal((d, m)),
+        indexes=rng.integers(0, d, m),
+        projector=rng.standard_normal((d, m)),
+        inv_norm=draw(_floats),
+    )
+
+
+def _assert_fields_equal(back, orig):
+    for name, value in vars(orig).items():
+        got = getattr(back, name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(got, value), name
+        elif isinstance(value, DeimInterpolant):
+            _assert_fields_equal(got, value)
+        else:
+            assert got == value, name
+
+
+@given(n=st.integers(1, 5), n_cols=st.integers(0, 4), data=st.data())
+def test_snapshot_body_round_trips(tmp_path_factory, n, n_cols, data):
+    pattern = data.draw(_patterns(n))
+    rng = _random(data.draw(st.integers(0, 2**32)))
+    snap = SnapshotSet(
+        model_id=data.draw(_names),
+        config_hash=data.draw(_names),
+        stage=data.draw(_names),
+        dt=data.draw(_floats),
+        pattern=pattern,
+        states=rng.standard_normal((n, n_cols)),
+        nonlinear=rng.standard_normal((n, n_cols)),
+        jacobian=rng.standard_normal((pattern.r, n_cols)),
+    )
+    path = tmp_path_factory.getbasetemp() / "body.bin"
+    artifact_io.save_snapshots(path, snap)
+    raw = path.read_bytes()
+    back = artifact_io.load_snapshots(path)
+    _assert_fields_equal(back, snap)
+    artifact_io.save_snapshots(path, back)
+    assert path.read_bytes() == raw
+
+
+@given(n=st.integers(1, 6), data=st.data())
+def test_pod_block_round_trips(n, data):
+    k = data.draw(st.integers(1, n))
+    rng = _random(data.draw(st.integers(0, 2**32)))
+    basis = PodBasis(
+        u=rng.standard_normal((n, k)),
+        singulars=rng.standard_normal(data.draw(st.integers(0, 8))),
+        k=k,
+        gamma=data.draw(_floats),
+        centered=data.draw(st.booleans()),
+        mean=rng.standard_normal(n),
+    )
+    payload = artifact_io.pod_block(basis)
+    back = artifact_io.parse_pod_block(payload)
+    _assert_fields_equal(back, basis)
+    assert artifact_io.pod_block(back) == payload
+
+
+@given(interp=_deim_interpolants(), stage=st.none() | st.integers(0, 2**64 - 1))
+def test_deim_block_round_trips(interp, stage):
+    payload = artifact_io.deim_block(interp, stage=stage)
+    if stage is None:
+        back = artifact_io.parse_deim_block(payload)
+    else:
+        back = artifact_io.load_interpolant(
+            None, stage, blocks=[(artifact_io.TAG_DEIM, payload)], tag=artifact_io.TAG_DEIM
+        )
+    _assert_fields_equal(back, interp)
+    assert artifact_io.deim_block(back, stage=stage) == payload
+
+
+@given(mode=st.sampled_from(["sparse", "vectorized"]), n=st.integers(1, 5),
+       interp=_deim_interpolants(), stage=st.integers(0, 2**64 - 1), data=st.data())
+def test_mint_block_round_trips(mode, n, interp, stage, data):
+    rng = _random(data.draw(st.integers(0, 2**32)))
+    mi = MatrixInterpolant(
+        mode=mode,
+        pattern=data.draw(_patterns(n)),
+        interp=interp,
+        sample_rows=rng.integers(0, n, interp.m),
+        sample_cols=rng.integers(0, n, interp.m),
+        singulars=rng.standard_normal(data.draw(st.integers(0, 8))),
+    )
+    payload = artifact_io.mint_block(mi, stage=stage)
+    got_stage, back = artifact_io.parse_mint_block(payload)
+    assert got_stage == stage
+    _assert_fields_equal(back, mi)
+    assert artifact_io.mint_block(back, stage=stage) == payload
+
+
+@given(n=st.integers(1, 6), n_t=st.integers(0, 5), mean_iters=_floats,
+       seconds=_floats, seed=st.integers(0, 2**32))
+def test_traj_block_round_trips(n, n_t, mean_iters, seconds, seed):
+    traj = _random(seed).standard_normal((n, n_t))
+    payload = artifact_io.traj_block(traj, mean_iters, seconds)
+    back, back_iters, back_seconds = artifact_io.parse_traj_block(payload)
+    assert np.array_equal(back, traj)
+    assert (back_iters, back_seconds) == (mean_iters, seconds)
+    assert artifact_io.traj_block(back, back_iters, back_seconds) == payload
+
+
+def _random_core(rng, k):
+    return TensorCore(const=rng.standard_normal(k), lin=rng.standard_normal((k, k)),
+                      quad=rng.standard_normal((k, k, k)))
+
+
+def _random_parts(kind, rng, draw, n, k):
+    if kind == "directional-derivative":
+        return {"h": draw(st.floats(1e-6, 1.0))}
+    m = draw(st.integers(1, 4))
+    if kind == "deim":
+        return {"indexes": rng.integers(0, n, m), "left": rng.standard_normal((k, m)),
+                "lin_reduced": rng.standard_normal((k, k))}
+    if kind == "matrix":
+        return {"reducer": rng.standard_normal((k * k, m)),
+                "sample_rows": rng.integers(0, n, m),
+                "sample_cols": rng.integers(0, n, m)}
+    return {}
+
+
+@pytest.mark.parametrize("kind", sorted(JACOBIANS))
+@given(data=st.data())
+def test_reduced_model_block_round_trips(swe_small, kind, data):
+    model, _ = swe_small
+    n = model.n
+    k = data.draw(st.integers(1, 4))
+    rng = _random(data.draw(st.integers(0, 2**32)))
+    basis = PodBasis(u=rng.standard_normal((n, k)), singulars=rng.standard_normal(k),
+                     k=k, gamma=1.0, centered=data.draw(st.booleans()),
+                     mean=rng.standard_normal(n))
+    stages = []
+    for stage in model.stages:
+        core = _random_core(rng, k)
+        parts = _random_parts(kind, rng, data.draw, n, k)
+        stages.append(ReducedStage(
+            name=data.draw(_names),
+            fraction=data.draw(_floats),
+            core=core,
+            explicit_core=_random_core(rng, k) if data.draw(st.booleans()) else None,
+            jacobian=JACOBIANS[kind].from_parts(stage.op, basis, core, **parts),
+        ))
+    rm = ReducedModel(
+        model_id=model.model_id, config_hash=model.config_hash,
+        strategy=data.draw(_names), basis=basis, dt=data.draw(_floats),
+        stages=stages, initial_reduced=rng.standard_normal(k),
+        newton_tol=data.draw(_floats), newton_cap=data.draw(st.integers(0, 2**64 - 1)),
+        offline_seconds=data.draw(_floats),
+        meta={"m": data.draw(st.none() | st.integers(0, 2**63 - 1)), "h": data.draw(_floats)},
+    )
+    payload = artifact_io.redm_block(rm)
+    back = artifact_io.load_reduced_model(None, model, blocks=[(artifact_io.TAG_REDM, payload)])
+    for name in ("model_id", "config_hash", "strategy", "dt", "newton_tol",
+                 "newton_cap", "offline_seconds", "meta"):
+        assert getattr(back, name) == getattr(rm, name), name
+    assert np.array_equal(back.initial_reduced, rm.initial_reduced)
+    _assert_fields_equal(back.basis, rm.basis)
+    for got, st_orig in zip(back.stages, rm.stages, strict=True):
+        assert (got.name, got.fraction) == (st_orig.name, st_orig.fraction)
+        _assert_fields_equal(got.core, st_orig.core)
+        if st_orig.explicit_core is None:
+            assert got.explicit_core is None
+        else:
+            _assert_fields_equal(got.explicit_core, st_orig.explicit_core)
+        assert got.jacobian.kind == kind
+        orig_parts = st_orig.jacobian.parts()
+        assert got.jacobian.parts().keys() == orig_parts.keys()
+        for name, value in orig_parts.items():
+            assert np.array_equal(got.jacobian.parts()[name], value), name
+    assert artifact_io.redm_block(back) == payload
