@@ -21,9 +21,10 @@ functions of the configuration; the wall-clock columns (offline_seconds,
 online_seconds, timestamp) are the only ones expected to vary between runs.
 
 Each command trains once per model: it works through the models one at a
-time, and every grid unit of a model shares one ModelContext, which loads
-the model's snapshot files once and factors each snapshot matrix once.
-Nothing is kept from one command to the next.
+time, and every grid unit of a model run in one process shares one
+ModelContext, which reads the model's snapshot files once, when a unit
+first needs them, and factors each snapshot matrix once.  Nothing is kept
+from one command to the next.
 
 Metrics are evaluated on stage-0 quantities at held-out snapshot states
 (every stride-th column), each projected onto the basis subspace first so
@@ -34,7 +35,7 @@ import contextlib
 import functools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -229,34 +230,6 @@ def rom_artifact_path(cfg, config_hash, strategy, k, m):
     return artifact_dir(cfg) / f"rom-{config_hash}-{strategy}-k{k}-{mtag}.smdm"
 
 
-def load_snapshot_artifacts(cfg, model, simulate=False):
-    """A model's snapshot artifacts, each file read once: (snaps,
-    trajectory, full-model mean Newton iterations, full-model solve
-    seconds).  When a file is absent, simulate=True runs the full solve and
-    persists its snapshots and trajectory; otherwise MissingArtifactError
-    names the file."""
-    paths = snap_paths(cfg, model)
-    missing = [p for p in paths if not p.exists()]
-    if not missing:
-        snap0, blocks = artifact_io.load_snapshots(paths[0], with_blocks=True)
-        traj, mean_iters, seconds = artifact_io.load_trajectory(paths[0], blocks=blocks)
-        snaps = [snap0] + [artifact_io.load_snapshots(p) for p in paths[1:]]
-        return snaps, traj, mean_iters, seconds
-    if not simulate:
-        raise MissingArtifactError(
-            f"expected snapshot artifact {missing[0]}; run simulate or offline first"
-        )
-    artifact_dir(cfg).mkdir(parents=True, exist_ok=True)
-    traj, stats, snaps = full_solve(
-        model, newton_tol=cfg.newton_tol, newton_cap=cfg.newton_cap
-    )
-    for p, s in zip(paths, snaps):
-        artifact_io.save_snapshots(p, s)
-    artifact_io.append_block(paths[0], artifact_io.TAG_TRAJ, artifact_io.traj_block(
-        traj, stats.mean_iterations, stats.online_seconds))
-    return snaps, traj, stats.mean_iterations, stats.online_seconds
-
-
 class _Probe:
     """Held-out truth at one probe state x = lift(project(state)): the true
     stage-0 Jacobian J with ||J||_F, and U^T J U with its norm; sigma_1(J)
@@ -278,18 +251,19 @@ class _Probe:
 class ModelContext:
     """One model and what the grid units of one command share for it.
 
-    It holds the built model, its snapshots and full-order trajectory, and
-    computes on first use, once each: the SVD of each snapshot matrix, the
-    tensor cores of each k, the deim and smdeim interpolants of each
-    (stage, m), and the held-out truth of each basis.  _run_grid holds one
-    context at a time and a pool worker its own, so nothing in it outlives
-    the command.
+    It holds the built model and its full-order record, and reads or
+    computes on first use, once each: the snapshots, the SVD of each
+    snapshot matrix, the tensor cores of each k, the interpolants of each
+    (strategy, stage, m), and the held-out truth of each basis.  The
+    _contexts table holds one context at a time and is emptied with each
+    command, so nothing in it outlives the command.
     """
 
     def __init__(self, cfg, model, snaps, traj=None, mean_iters=None, seconds=None):
         self.cfg = cfg
         self.model = model
-        self.snaps = snaps
+        if snaps is not None:
+            self.snaps = snaps
         self.traj = traj
         self.mean_iters = mean_iters
         self.seconds = seconds
@@ -297,8 +271,35 @@ class ModelContext:
 
     @classmethod
     def open(cls, cfg, params, simulate):
+        """The context of one model, reading only the TRAJ block of stage
+        0's file.  When a snapshot file is absent, simulate=True runs the
+        full solve, persists it and keeps its snapshots; otherwise
+        MissingArtifactError names the file."""
         model = build_model(cfg, params)
-        return cls(cfg, model, *load_snapshot_artifacts(cfg, model, simulate))
+        paths = snap_paths(cfg, model)
+        missing = [p for p in paths if not p.exists()]
+        if not missing:
+            return cls(cfg, model, None, *artifact_io.load_trajectory(paths[0]))
+        if not simulate:
+            raise MissingArtifactError(
+                f"expected snapshot artifact {missing[0]}; run simulate or offline first"
+            )
+        artifact_dir(cfg).mkdir(parents=True, exist_ok=True)
+        traj, stats, snaps = full_solve(
+            model, newton_tol=cfg.newton_tol, newton_cap=cfg.newton_cap
+        )
+        for p, s in zip(paths, snaps):
+            artifact_io.save_snapshots(p, s)
+        record = (traj, stats.mean_iterations, stats.online_seconds)
+        artifact_io.append_block(paths[0], artifact_io.TAG_TRAJ,
+                                 artifact_io.traj_block(*record))
+        return cls(cfg, model, snaps, *record)
+
+    @functools.cached_property
+    def snaps(self):
+        """Every stage's snapshots, read once from the files when the
+        context was made without them."""
+        return [artifact_io.load_snapshots(p) for p in snap_paths(self.cfg, self.model)]
 
     def _once(self, key, build):
         if key not in self._memo:
@@ -331,12 +332,14 @@ class ModelContext:
         )
 
     def interpolant(self, strategy, stage, m):
-        """A stage's deim or smdeim interpolant for m modes."""
+        """A stage's interpolant of an M_DEPENDENT strategy for m modes."""
 
         def build():
+            snap = self.snaps[stage]
+            if strategy == "mdeim-reference":
+                return build_mdeim_reference(snap, m, guard_n=self.cfg.guard_n)
             if strategy == "smdeim":
-                svd = self.svd("jacobian", stage)
-                return build_smdeim(self.snaps[stage], m, svd=svd)
+                return build_smdeim(snap, m, svd=self.svd("jacobian", stage))
             svd = self.svd("nonlinear", stage)
             check_rank(svd, m, "nonlinear-term")
             return deim_interpolant(svd.u, m)
@@ -362,9 +365,11 @@ def _spectrum_paths(cfg, model):
     ]
 
 
-def _write_spectrum(cfg, ctx):
+def _write_spectrum(cfg, params):
     """Singular values of each stage's gathered Jacobian snapshots (one TSV
-    per stage, written when absent), from the SVD smdeim trains on."""
+    per stage, written when absent), from the SVD smdeim trains on, in this
+    process's context of the model."""
+    ctx = _context(cfg, params, simulate=True)
     for j, path in enumerate(_spectrum_paths(cfg, ctx.model)):
         if path.exists():
             continue
@@ -391,18 +396,11 @@ def build_rom_artifact(cfg, model, snaps, strategy, k, m, ctx=None):
     if ctx is None:
         ctx = ModelContext(cfg, model, snaps)
     t0 = time.perf_counter()
-    basis = ctx.basis(k)
-    prebuilt = {}
-    if strategy == "mdeim-reference":
-        prebuilt = {
-            j: build_mdeim_reference(s, m, guard_n=cfg.guard_n)
-            for j, s in enumerate(snaps)
-        }
-    elif strategy in M_DEPENDENT:
-        prebuilt = {j: ctx.interpolant(strategy, j, m) for j in range(len(snaps))}
+    stages = range(len(snaps)) if strategy in M_DEPENDENT else ()
+    prebuilt = {j: ctx.interpolant(strategy, j, m) for j in stages}
     rm = reduce_model(
         model,
-        basis,
+        ctx.basis(k),
         strategy,
         snapshots=snaps,
         m=m,
@@ -477,8 +475,9 @@ def run_online_point(cfg, model, snaps, traj_full, strategy, k, m, ctx=None):
 
     ctx, the ModelContext of model and snaps, shares the held-out truth
     between calls.  Returns a dict of metric values; raises
-    MissingArtifactError when the offline artifact is absent and
-    NewtonConvergenceError when the reduced run fails.
+    MissingArtifactError when the offline artifact is absent or was built
+    under other settings than cfg's, and NewtonConvergenceError when the
+    reduced run fails.
     """
     path = rom_artifact_path(cfg, model.config_hash, strategy, k, m)
     if not path.exists():
@@ -489,6 +488,18 @@ def run_online_point(cfg, model, snaps, traj_full, strategy, k, m, ctx=None):
         ctx = ModelContext(cfg, model, snaps, traj_full)
     blocks = artifact_io.read_blocks(path)
     rm = artifact_io.load_reduced_model(path, model, blocks=blocks)
+    for key, built, wanted in (
+        ("pod.gamma", rm.basis.gamma, cfg.gamma),
+        ("pod.centered", rm.basis.centered, cfg.centered),
+        ("rom.h", rm.meta["h"], cfg.h),
+        ("rom.newton_tol", rm.newton_tol, cfg.newton_tol),
+        ("rom.newton_cap", rm.newton_cap, cfg.newton_cap),
+    ):
+        if built != wanted:
+            raise MissingArtifactError(
+                f"offline artifact {path} was built with {key} = {built}, the "
+                f"config has {wanted}; run offline into a fresh run.out"
+            )
     interp = None
     if strategy in M_DEPENDENT:
         tag = artifact_io.TAG_DEIM if strategy == "deim" else artifact_io.TAG_MINT
@@ -553,32 +564,29 @@ def unit_list(cfg):
     return units
 
 
-# A pool worker's model contexts, one model's at a time.  The pool's
-# initializer gives each worker an empty table, and the pool lives inside
-# one _run_grid call, so no context outlives the command.
-_worker_contexts = None
+# The model contexts of this process, one model's at a time, through
+# _context.  Each command empties the table before and after it runs, and
+# the pool's initializer empties a worker's copy.
+_contexts = {}
 
 
-def _new_worker_table():
-    global _worker_contexts
-    _worker_contexts = {}
+def _drop_contexts():
+    _contexts.clear()
 
 
-def _worker_context(cfg, params, simulate):
-    """The pool worker's context for params, opened on first use."""
+def _context(cfg, params, simulate):
+    """This process's context for params, opened on first use."""
     key = _params_key(params)
-    if key not in _worker_contexts:
-        _worker_contexts.clear()
-        _worker_contexts[key] = ModelContext.open(cfg, params, simulate)
-    return _worker_contexts[key]
+    if key not in _contexts:
+        _contexts.clear()
+        _contexts[key] = ModelContext.open(cfg, params, simulate)
+    return _contexts[key]
 
 
-def _unit_worker(cfg, params, strategy, k, m, build, online, ctx=None):
+def _unit_worker(cfg, params, strategy, k, m, build, online):
     """Build and/or run one grid unit; returns a metrics dict (never raises
-    for expected per-point failures).  Without ctx, as in a pool worker,
-    the worker's context for params is used."""
-    if ctx is None:
-        ctx = _worker_context(cfg, params, simulate=build)
+    for expected per-point failures)."""
+    ctx = _context(cfg, params, simulate=build)
     model, snaps = ctx.model, ctx.snaps
     try:
         if build:
@@ -592,22 +600,11 @@ def _unit_worker(cfg, params, strategy, k, m, build, online, ctx=None):
         return {"status": f"failed:newton step {exc.step} stage {exc.stage}"}
 
 
-def _spectrum_worker(cfg, params):
-    _write_spectrum(cfg, _worker_context(cfg, params, simulate=True))
-
-
-def _full_record(cfg, params, simulate):
-    """(model, full-model mean Newton iterations, solve seconds) for the
-    parent of a pool: only the TRAJ block of stage 0's file is read when the
-    snapshots exist, and nothing is factored; simulate as in
-    load_snapshot_artifacts."""
-    model = build_model(cfg, params)
-    paths = snap_paths(cfg, model)
-    if all(p.exists() for p in paths):
-        _, mean_iters, seconds = artifact_io.load_trajectory(paths[0])
-    else:
-        _, _, mean_iters, seconds = load_snapshot_artifacts(cfg, model, simulate)
-    return model, mean_iters, seconds
+def _run_here(fn, *args):
+    """fn(*args) run in this process, as a finished Future."""
+    done = Future()
+    done.set_result(fn(*args))
+    return done
 
 
 def _full_row(model, mean_iters, seconds):
@@ -652,29 +649,24 @@ def _run_grid(cfg, jobs, simulate=False, build=False, online=False):
     solve when a model's snapshots are absent and adds the full-model
     rows), runs its pending units (build=True builds their artifacts,
     online=True evaluates them) and writes its absent Jacobian spectra
-    (build=True).  With jobs == 1 every unit and the spectra share one
-    ModelContext, dropped before the next model.  With jobs > 1 they run
-    in the pool, where each worker opens its own context, and this process
-    only reads each model's full-solve record.  Returns the new ResultRows
-    in deterministic grid order, full-model rows first.
+    (build=True).  Every unit and spectrum goes to submit, which runs it in
+    this process with jobs == 1 and in a pool of jobs workers otherwise;
+    wherever it runs, it takes that process's context of its model, which
+    reads the snapshots only when a unit needs them.  Returns the new
+    ResultRows in deterministic grid order, full-model rows first.
     """
     keys = existing_keys(csv_path(cfg))
     rows, fulls, results, spectra = [], {}, {}, []
     units = unit_list(cfg)
-    parallel = jobs > 1
-    pool_cm = (
-        ProcessPoolExecutor(max_workers=jobs, initializer=_new_worker_table)
-        if parallel else contextlib.nullcontext()
-    )
-    with pool_cm as pool:
+    with contextlib.ExitStack() as stack:
+        submit = _run_here if jobs == 1 else stack.enter_context(
+            ProcessPoolExecutor(max_workers=jobs, initializer=_drop_contexts)
+        ).submit
         for params in model_param_combos(cfg):
-            if parallel:
-                ctx = None
-                model, mean_iters, seconds = _full_record(cfg, params, simulate)
-            else:
-                ctx = ModelContext.open(cfg, params, simulate)
-                model, mean_iters, seconds = ctx.model, ctx.mean_iters, ctx.seconds
-            full = fulls[_params_key(params)] = _full_row(model, mean_iters, seconds)
+            ctx = _context(cfg, params, simulate)
+            full = fulls[_params_key(params)] = _full_row(
+                ctx.model, ctx.mean_iters, ctx.seconds
+            )
             if simulate:
                 for seed in cfg.seeds:
                     _add_new(rows, keys, replace(full, seed=seed))
@@ -688,24 +680,15 @@ def _run_grid(cfg, jobs, simulate=False, build=False, online=False):
                     cfg, full.config_hash, strategy, k, m
                 ).exists():
                     continue  # build-only pass: the artifact is there already
-                if parallel:
-                    results[idx] = pool.submit(
-                        _unit_worker, cfg, params, strategy, k, m, build, online
-                    )
-                else:
-                    results[idx] = _unit_worker(
-                        cfg, params, strategy, k, m, build, online, ctx
-                    )
-            if build and not all(p.exists() for p in _spectrum_paths(cfg, model)):
-                if parallel:
-                    spectra.append(pool.submit(_spectrum_worker, cfg, params))
-                else:
-                    _write_spectrum(cfg, ctx)
-            del ctx
-        if parallel:
-            results = {idx: fut.result() for idx, fut in results.items()}
-            for fut in spectra:
-                fut.result()
+                results[idx] = submit(
+                    _unit_worker, cfg, params, strategy, k, m, build, online
+                )
+            if build and not all(p.exists() for p in _spectrum_paths(cfg, ctx.model)):
+                spectra.append(submit(_write_spectrum, cfg, params))
+            del ctx  # so the table's is the only reference when it moves on
+        results = {idx: fut.result() for idx, fut in results.items()}
+        for fut in spectra:
+            fut.result()
 
     for idx in sorted(results):
         params, strategy, k, m = units[idx]
@@ -727,7 +710,12 @@ def _params_key(params):
 
 def _command(cfg, jobs, plot=False, **grid):
     timestamp = _now()
-    append_rows(csv_path(cfg), _run_grid(cfg, jobs, **grid), timestamp)
+    _drop_contexts()
+    try:
+        rows = _run_grid(cfg, jobs, **grid)
+    finally:
+        _drop_contexts()
+    append_rows(csv_path(cfg), rows, timestamp)
     if plot:
         write_plotdata(cfg)
     return 0

@@ -304,12 +304,9 @@ def _read_file(path):
     return snap, [(tag, buf[off : off + n]) for tag, off, n in _frames(cur)]
 
 
-def load_snapshots(path, with_blocks=False):
-    """Read the snapshot body of an artifact file.  with_blocks=True
-    returns (body, blocks), blocks as read_blocks gives them, from the same
-    single read."""
-    snap, blocks = _read_file(path)
-    return (snap, blocks) if with_blocks else snap
+def load_snapshots(path):
+    """Read the snapshot body of an artifact file."""
+    return _read_file(path)[0]
 
 
 def append_block(path, tag, payload):
@@ -487,10 +484,10 @@ def load_interpolant(path, stage=0, blocks=None, tag=TAG_MINT):
     )
 
 
-def load_trajectory(path, blocks=None):
-    """(trajectory, mean_iters, solve_seconds); blocks as in
-    load_interpolant."""
-    return parse_traj_block(_last_block(path, TAG_TRAJ, blocks))
+def load_trajectory(path):
+    """(trajectory, mean_iters, solve_seconds), read from the last TRAJ
+    block alone."""
+    return parse_traj_block(_last_block(path, TAG_TRAJ))
 
 
 def save_reduced_model(path, rm):

@@ -8,7 +8,10 @@ results CSV after masking the wall-clock columns (offline/online seconds and
 the timestamp), which are the only fields allowed to vary between runs.
 """
 
+import importlib.util
+import inspect
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,6 +416,43 @@ def test_repeated_passes_in_one_process_repeat_their_counts(tmp_path, monkeypatc
     )
 
 
+def test_no_context_outlives_a_command(tmp_path, monkeypatch):
+    cfg = parse_config_text(TINY.format(out=tmp_path / "out"))
+    runner.cmd_offline(cfg)
+    assert runner._contexts == {}
+    held = []
+
+    def failing(*args, **kwargs):
+        held.append(len(runner._contexts))
+        raise RuntimeError("unit failed")
+
+    monkeypatch.setattr(runner, "run_online_point", failing)
+    with pytest.raises(RuntimeError, match="unit failed"):
+        runner.cmd_online(cfg)
+    assert held == [1]
+    assert runner._contexts == {}
+
+
+def test_mdeim_reference_trains_once_per_stage_and_m(tmp_path, monkeypatch):
+    text = CONTRACT.format(out=tmp_path / "out")
+    text = text.replace("burgers.n = 31, 41", "burgers.n = 31").replace(
+        "deim, smdeim, tensorial", "mdeim-reference"
+    )
+    cfg = parse_config_text(text)
+    calls = []
+    build = runner.build_mdeim_reference
+
+    def counted(snap, m, **kwargs):
+        calls.append(m)
+        return build(snap, m, **kwargs)
+
+    monkeypatch.setattr(runner, "build_mdeim_reference", counted)
+    runner.cmd_offline(cfg)
+    # one Burgers stage, m = 6 and 8, each shared by k = 4 and 6
+    assert sorted(calls) == [6, 8]
+    assert len(list(runner.artifact_dir(cfg).glob("rom-*-mdeim-reference-*"))) == 4
+
+
 def _same_interp(a, b):
     # the projector's memory layout too: BLAS products round by it
     return (
@@ -485,6 +525,32 @@ def test_online_without_offline_fails_with_exit_3(tmp_path, capsys):
     assert main(["online", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
     assert "snapshot artifact" in err and "simulate" in err
+
+
+@pytest.mark.parametrize("key, built, wanted", [
+    ("pod.gamma", "1.0", "0.9"),
+    ("pod.centered", "False", "True"),
+    ("rom.h", "0.01", "0.02"),
+    ("rom.newton_tol", "1e-10", "1e-09"),
+    ("rom.newton_cap", "50", "40"),
+])
+def test_online_refuses_artifacts_built_under_other_settings(
+    tmp_path, capsys, key, built, wanted
+):
+    cfg_path, out = write_config(tmp_path)
+    assert main(["offline", "--config", str(cfg_path)]) == 0
+    text = cfg_path.read_text(encoding="utf-8")
+    if key == "pod.gamma":
+        text = text.replace("pod.gamma = 1.0", f"pod.gamma = {wanted}")
+    else:
+        text += f"{key} = {wanted}\n"
+    other = tmp_path / "other.cfg"
+    other.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["online", "--config", str(other)]) == 3
+    err = capsys.readouterr().err
+    assert f"{key} = {built}, the config has {wanted}" in err
+    assert all(r["strategy"] == "full" for r in read_rows(out / "results.csv"))
 
 
 def test_bad_config_exits_2(tmp_path, capsys):
@@ -570,8 +636,9 @@ run.out = {out}
 
 def dense_sv1_err(cfg, strategy, k, m):
     """sv1_err recomputed with dense n-by-n Jacobians and a full SVD."""
-    model = runner.build_model(cfg, {"nx": cfg.swe_nx[0], "ny": cfg.swe_ny[0]})
-    snap = runner.load_snapshot_artifacts(cfg, model)[0][0]
+    params = {"nx": cfg.swe_nx[0], "ny": cfg.swe_ny[0]}
+    ctx = runner.ModelContext.open(cfg, params, simulate=False)
+    model, snap = ctx.model, ctx.snaps[0]
     op = model.stages[0].op
     path = runner.rom_artifact_path(cfg, model.config_hash, strategy, k, m)
     basis = artifact_io.load_reduced_model(path, model).basis
@@ -649,3 +716,39 @@ def test_heldout_metrics_form_no_dense_square_matrix(
     assert result["status"] == "ok" and result["sv1_err"] is not None
     assert len(after_solve) == 1
     assert peak - after_solve[0] < 8 * model.n ** 2
+
+
+# -- the benchmark's hooks ------------------------------------------------
+
+# perfbench/tracing.py wraps runner names through runner.__dict__ and reads
+# the strategy from a positional argument, so these must hold for its
+# records (offline_s among them) to see the runner's calls.
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def test_benchmark_hooks_reach_the_runner(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, trace=True)  # KeyError names a lost hook
+        patched = {attr for owner, attr, _ in tracer._patches if owner is runner}
+    finally:
+        tracer.unpatch_all()
+    assert {"build_smdeim", "build_mdeim_reference", "build_rom_artifact",
+            "run_online_point"} <= patched
+    assert patched <= set(vars(runner))
+    for fn, index in ((runner.build_rom_artifact, 3), (runner.run_online_point, 4)):
+        assert list(inspect.signature(fn).parameters).index("strategy") == index
+    calls = []
+    build = runner.build_smdeim
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "build_smdeim", counted)
+    cfg = parse_config_text(TINY.format(out=tmp_path / "out"))
+    runner.cmd_offline(cfg)
+    assert calls == [6]
