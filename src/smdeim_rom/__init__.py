@@ -38,7 +38,6 @@ from .jacobian_approx import (
     approximate_matrix,
     build_mdeim_reference,
     build_smdeim,
-    deim_function_jacobian,
     guard_limit,
     sample_and_approximate,
     verify_lemma2,
@@ -55,7 +54,7 @@ from .linalg import (
 from .models import FullModel, ImplicitStage, QuadraticOperator, full_solve
 from .models.burgers import build_burgers
 from .models.swe import build_swe
-from .pod import PodBasis, energy_fraction, pod_basis
+from .pod import PodBasis, pod_basis
 from .rom import (
     STRATEGIES,
     ReducedModel,
@@ -71,7 +70,6 @@ from .snapshots import (
     SparsityPattern,
     build_pattern,
     gather,
-    pattern_union,
     scatter,
 )
 from .stats import NewtonConvergenceError, NewtonStats
@@ -92,7 +90,6 @@ __all__ = [
     "approximate_matrix",
     "build_mdeim_reference",
     "build_smdeim",
-    "deim_function_jacobian",
     "guard_limit",
     "sample_and_approximate",
     "verify_lemma2",
@@ -110,7 +107,6 @@ __all__ = [
     "build_burgers",
     "build_swe",
     "PodBasis",
-    "energy_fraction",
     "pod_basis",
     "STRATEGIES",
     "ReducedModel",
@@ -124,7 +120,6 @@ __all__ = [
     "SparsityPattern",
     "build_pattern",
     "gather",
-    "pattern_union",
     "scatter",
     "NewtonConvergenceError",
     "NewtonStats",

@@ -5,7 +5,6 @@ trailing, when preceded by whitespace); lists are comma-separated.  Unknown
 or duplicate keys are rejected by name so typos surface immediately.
 """
 
-import hashlib
 from dataclasses import dataclass, replace
 
 from ..rom import M_DEPENDENT, STRATEGIES
@@ -15,8 +14,6 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "parse_config_text",
-    "canonical_config",
-    "config_hash",
 ]
 
 
@@ -38,7 +35,6 @@ class ExperimentConfig:
     swe_n_t: int = 91
     gamma: float = 1.0
     centered: bool = False
-    difference_quotients: bool = False
     k_list: tuple = (25,)
     m_list: tuple = (30,)
     strategies: tuple = ("smdeim",)
@@ -103,7 +99,6 @@ _KEYS = {
     "swe.n_t": ("swe_n_t", _parse_int),
     "pod.gamma": ("gamma", _parse_float),
     "pod.centered": ("centered", _parse_bool),
-    "pod.difference_quotients": ("difference_quotients", _parse_bool),
     "rom.k": ("k_list", _parse_int_list),
     "rom.m": ("m_list", _parse_int_list),
     "rom.strategy": ("strategies", _parse_str_list),
@@ -197,33 +192,6 @@ def validate_config(cfg):
         raise ConfigError("key 'rom.h': must be positive")
     if cfg.newton_cap < 1:
         raise ConfigError("key 'rom.newton_cap': must be positive")
-
-
-def _canon_value(value):
-    if isinstance(value, tuple):
-        return ",".join(_canon_value(v) for v in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
-
-
-def canonical_config(cfg):
-    """Canonical text form of the effective settings (output dir excluded)."""
-    lines = []
-    for key, (field_name, _) in sorted(_KEYS.items()):
-        if field_name == "out_dir":
-            continue
-        lines.append(f"{key}={_canon_value(getattr(cfg, field_name))}")
-    return "\n".join(lines) + "\n"
-
-
-def config_hash(cfg):
-    """Stable 16-hex-digit digest of the effective experiment settings."""
-    return hashlib.sha256(canonical_config(cfg).encode("utf-8")).hexdigest()[:16]
 
 
 def with_overrides(cfg, out_dir=None, seed=None):

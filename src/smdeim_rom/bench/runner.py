@@ -22,9 +22,9 @@ online_seconds, timestamp) are the only ones expected to vary between runs.
 
 Each command trains once per model: it works through the models one at a
 time, and every grid unit of a model run in one process shares one
-ModelContext, which reads the model's snapshot files once, when a unit
-first needs them, and factors each snapshot matrix once.  Nothing is kept
-from one command to the next.
+ModelContext, which reads each stage's snapshot file once, when a unit
+first needs that stage, and factors each snapshot matrix once.  Nothing is
+kept from one command to the next.
 
 Metrics are evaluated on stage-0 quantities at held-out snapshot states
 (every stride-th column), each projected onto the basis subspace first so
@@ -252,22 +252,21 @@ class ModelContext:
     """One model and what the grid units of one command share for it.
 
     It holds the built model and its full-order record, and reads or
-    computes on first use, once each: the snapshots, the SVD of each
-    snapshot matrix, the tensor cores of each k, the interpolants of each
-    (strategy, stage, m), and the held-out truth of each basis.  The
-    _contexts table holds one context at a time and is emptied with each
-    command, so nothing in it outlives the command.
+    computes on first use, once each: each stage's snapshots, the SVD of
+    each snapshot matrix, the tensor cores of each k, the interpolants of
+    each (strategy, stage, m), and the held-out truth of each basis.  snaps
+    seeds the snapshots of a run that made them.  The _contexts table holds
+    one context at a time and is emptied with each command, so nothing in
+    it outlives the command.
     """
 
-    def __init__(self, cfg, model, snaps, traj=None, mean_iters=None, seconds=None):
+    def __init__(self, cfg, model, traj, mean_iters, seconds, snaps=()):
         self.cfg = cfg
         self.model = model
-        if snaps is not None:
-            self.snaps = snaps
         self.traj = traj
         self.mean_iters = mean_iters
         self.seconds = seconds
-        self._memo = {}
+        self._memo = {("snap", j): snap for j, snap in enumerate(snaps)}
 
     @classmethod
     def open(cls, cfg, params, simulate):
@@ -279,7 +278,7 @@ class ModelContext:
         paths = snap_paths(cfg, model)
         missing = [p for p in paths if not p.exists()]
         if not missing:
-            return cls(cfg, model, None, *artifact_io.load_trajectory(paths[0]))
+            return cls(cfg, model, *artifact_io.load_trajectory(paths[0]))
         if not simulate:
             raise MissingArtifactError(
                 f"expected snapshot artifact {missing[0]}; run simulate or offline first"
@@ -293,23 +292,28 @@ class ModelContext:
         record = (traj, stats.mean_iterations, stats.online_seconds)
         artifact_io.append_block(paths[0], artifact_io.TAG_TRAJ,
                                  artifact_io.traj_block(*record))
-        return cls(cfg, model, snaps, *record)
-
-    @functools.cached_property
-    def snaps(self):
-        """Every stage's snapshots, read once from the files when the
-        context was made without them."""
-        return [artifact_io.load_snapshots(p) for p in snap_paths(self.cfg, self.model)]
+        return cls(cfg, model, *record, snaps)
 
     def _once(self, key, build):
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
 
+    def snap(self, stage):
+        """One stage's snapshots, read from its file on first use."""
+        return self._once(("snap", stage), lambda: artifact_io.load_snapshots(
+            snap_paths(self.cfg, self.model)[stage]
+        ))
+
+    @property
+    def snaps(self):
+        """Every stage's snapshots."""
+        return [self.snap(j) for j in range(len(self.model.stages))]
+
     def svd(self, block, stage):
         """thin_svd of one stage's "jacobian" or "nonlinear" snapshots."""
         return self._once(
-            (block, stage), lambda: thin_svd(getattr(self.snaps[stage], block))
+            (block, stage), lambda: thin_svd(getattr(self.snap(stage), block))
         )
 
     def basis(self, k):
@@ -317,10 +321,7 @@ class ModelContext:
         energy rule keeps."""
         cfg = self.cfg
         full = self._once("pod", lambda: pod_basis(
-            self.snaps[0].states,
-            gamma=cfg.gamma,
-            centered=cfg.centered,
-            difference_quotients=cfg.difference_quotients,
+            self.snap(0).states, gamma=cfg.gamma, centered=cfg.centered
         ))
         return full.truncate(k)
 
@@ -335,7 +336,7 @@ class ModelContext:
         """A stage's interpolant of an M_DEPENDENT strategy for m modes."""
 
         def build():
-            snap = self.snaps[stage]
+            snap = self.snap(stage)
             if strategy == "mdeim-reference":
                 return build_mdeim_reference(snap, m, guard_n=self.cfg.guard_n)
             if strategy == "smdeim":
@@ -348,7 +349,7 @@ class ModelContext:
 
     def probes(self, basis):
         """Held-out truth at every probe state, for one basis."""
-        s0 = self.snaps[0]
+        s0 = self.snap(0)
         op = self.model.stages[0].op
         ids = _heldout_ids(s0.n_cols, self.cfg.heldout_stride)
         return self._once(
@@ -383,26 +384,24 @@ def _header_snapshot(snap):
     """Zero-column snapshot body carrying identity + pattern for artifacts."""
     empty = np.empty((snap.n, 0))
     return replace(snap, states=empty, nonlinear=empty,
-                   jacobian=np.empty((snap.pattern.r, 0)), meta={})
+                   jacobian=np.empty((snap.pattern.r, 0)))
 
 
-def build_rom_artifact(cfg, model, snaps, strategy, k, m, ctx=None):
+def build_rom_artifact(cfg, model, ctx, strategy, k, m):
     """Build one reduced model offline and persist it; idempotent.  ctx, the
-    ModelContext of model and snaps, shares factorizations between calls;
-    the unit that first needs one carries its time in offline_seconds."""
+    ModelContext of model, shares factorizations between calls; the unit
+    that first needs one carries its time in offline_seconds."""
     path = rom_artifact_path(cfg, model.config_hash, strategy, k, m)
     if path.exists():
         return path
-    if ctx is None:
-        ctx = ModelContext(cfg, model, snaps)
     t0 = time.perf_counter()
-    stages = range(len(snaps)) if strategy in M_DEPENDENT else ()
+    stages = range(len(model.stages)) if strategy in M_DEPENDENT else ()
     prebuilt = {j: ctx.interpolant(strategy, j, m) for j in stages}
     rm = reduce_model(
         model,
         ctx.basis(k),
         strategy,
-        snapshots=snaps,
+        snapshots=ctx.snaps,
         m=m,
         h=cfg.h,
         guard_n=cfg.guard_n,
@@ -413,10 +412,10 @@ def build_rom_artifact(cfg, model, snaps, strategy, k, m, ctx=None):
     )
     rm.offline_seconds = time.perf_counter() - t0
     tmp = path.with_name(path.name + ".tmp")
-    artifact_io.save_snapshots(tmp, _header_snapshot(snaps[0]))
+    artifact_io.save_snapshots(tmp, _header_snapshot(ctx.snap(0)))
     for j, interp in prebuilt.items():
         if strategy == "deim":
-            block = (artifact_io.TAG_DEIM, artifact_io.deim_block(interp, stage=j))
+            block = (artifact_io.TAG_DEIM, artifact_io.deim_block(interp, j))
         else:
             block = (artifact_io.TAG_MINT, artifact_io.mint_block(interp, stage=j))
         artifact_io.append_block(tmp, *block)
@@ -470,11 +469,11 @@ def _trajectory_error(basis, traj_red, traj_full):
     return float(np.linalg.norm(basis.lift(traj_red) - ref) / np.linalg.norm(ref))
 
 
-def run_online_point(cfg, model, snaps, traj_full, strategy, k, m, ctx=None):
+def run_online_point(cfg, model, ctx, traj_full, strategy, k, m):
     """Integrate one persisted reduced model and evaluate its metrics.
 
-    ctx, the ModelContext of model and snaps, shares the held-out truth
-    between calls.  Returns a dict of metric values; raises
+    ctx, the ModelContext of model, shares the held-out truth between
+    calls.  Returns a dict of metric values; raises
     MissingArtifactError when the offline artifact is absent or was built
     under other settings than cfg's, and NewtonConvergenceError when the
     reduced run fails.
@@ -484,8 +483,6 @@ def run_online_point(cfg, model, snaps, traj_full, strategy, k, m, ctx=None):
         raise MissingArtifactError(
             f"expected offline artifact {path}; run the offline command first"
         )
-    if ctx is None:
-        ctx = ModelContext(cfg, model, snaps, traj_full)
     blocks = artifact_io.read_blocks(path)
     rm = artifact_io.load_reduced_model(path, model, blocks=blocks)
     for key, built, wanted in (
@@ -587,13 +584,12 @@ def _unit_worker(cfg, params, strategy, k, m, build, online):
     """Build and/or run one grid unit; returns a metrics dict (never raises
     for expected per-point failures)."""
     ctx = _context(cfg, params, simulate=build)
-    model, snaps = ctx.model, ctx.snaps
     try:
         if build:
-            build_rom_artifact(cfg, model, snaps, strategy, k, m, ctx=ctx)
+            build_rom_artifact(cfg, ctx.model, ctx, strategy, k, m)
         if not online:
             return {"status": "ok"}
-        return run_online_point(cfg, model, snaps, ctx.traj, strategy, k, m, ctx=ctx)
+        return run_online_point(cfg, ctx.model, ctx, ctx.traj, strategy, k, m)
     except _BUILD_ERRORS as exc:
         return {"status": f"failed:{type(exc).__name__}"}
     except NewtonConvergenceError as exc:

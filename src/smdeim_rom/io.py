@@ -20,8 +20,8 @@ The writer takes each dimension field from the shapes of the arrays that
 name it, and the reader returns every field but those (u8 arrays as int64),
 so both handle the same mapping of names to values.
 
-Block tags: "PODB" a basis (_POD); "DEIM" an interpolant (_DEIM), at top
-level one per stage of a deim reduced model (_STAGE_DEIM); "MINT" a matrix
+Block tags: "PODB" a basis (_POD); "DEIM" the interpolant of one stage of
+a deim reduced model (_STAGE_DEIM: the stage, then _DEIM); "MINT" a matrix
 interpolant (_MINT); "TRAJ" a full-order trajectory with its mean Newton
 iteration count (_TRAJ); "REDM" a reduced model: _REDM, then per stage
 _STAGE, the explicit core (_CORE) when its flag is set, the Jacobian kind
@@ -52,7 +52,6 @@ __all__ = [
     "pod_block",
     "parse_pod_block",
     "deim_block",
-    "parse_deim_block",
     "mint_block",
     "parse_mint_block",
     "redm_block",
@@ -360,13 +359,8 @@ def parse_pod_block(payload):
     return _pod_basis(_Cursor(payload).fields(_POD))
 
 
-def deim_block(interp, stage=None):
-    fields = _DEIM if stage is None else _STAGE_DEIM
-    return _encode(fields, {**vars(interp), "stage": stage})
-
-
-def parse_deim_block(payload):
-    return DeimInterpolant(**_Cursor(payload).fields(_DEIM))
+def deim_block(interp, stage):
+    return _encode(_STAGE_DEIM, {**vars(interp), "stage": stage})
 
 
 def mint_block(mi, stage=0):

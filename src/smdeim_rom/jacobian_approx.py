@@ -40,7 +40,6 @@ __all__ = [
     "sample_and_approximate",
     "verify_lemma2",
     "Lemma2Report",
-    "deim_function_jacobian",
 ]
 
 DEFAULT_GUARD = 512
@@ -221,19 +220,3 @@ def verify_lemma2(snap, guard_n=None):
     ortho = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
     return Lemma2Report(reconstruction_residual=residual, orthonormality_deviation=ortho)
 
-
-def deim_function_jacobian(fn_interp, jac_rows):
-    """Row-sampled Jacobian approximation V (P^T V)^{-1} (P^T J).
-
-    fn_interp is an interpolant over function snapshots; jac_rows holds the
-    Jacobian rows at its selected indexes, shape (m, n), sparse or dense.
-    Returns the dense n-by-n approximation (diagnostic scale only).
-    """
-    if scipy.sparse.issparse(jac_rows):
-        jac_rows = jac_rows.toarray()
-    jac_rows = np.asarray(jac_rows, dtype=np.float64)
-    if jac_rows.shape[0] != fn_interp.m:
-        raise ValueError(
-            f"expected {fn_interp.m} sampled rows, got {jac_rows.shape[0]}"
-        )
-    return fn_interp.projector @ jac_rows

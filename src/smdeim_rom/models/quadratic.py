@@ -401,12 +401,10 @@ class QuadraticOperator:
                 tensor[j] += (u[:, j, None] * hu).T @ gu
         return tensor
 
-    def reduced_linear(self, u, mean=None):
+    def reduced_linear(self, u, mean):
         """U^T J(mean) U for the state-independent Jacobian part.
 
-        With mean=None (or zero) this is just the projected linear part; a
-        nonzero mean adds the quadratic derivative frozen at the mean.
+        With a zero mean this is just the projected linear part; a nonzero
+        mean adds the quadratic derivative frozen at the mean.
         """
-        if mean is None:
-            mean = np.zeros(self.n, dtype=np.float64)
         return u.T @ (self.jacobian(mean) @ u)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .linalg import thin_svd
 
-__all__ = ["PodBasis", "pod_basis", "energy_fraction"]
+__all__ = ["PodBasis", "pod_basis"]
 
 # slack on the energy inequality so gamma = 1.0 resolves to the numerical
 # rank instead of tripping on trailing round-off
@@ -58,20 +58,7 @@ class PodBasis:
         return self.u.T @ (full - self.mean[:, None])
 
 
-def energy_fraction(singulars, m):
-    """Fraction of snapshot energy captured by the m leading modes."""
-    lam = np.asarray(singulars, dtype=np.float64) ** 2
-    total = lam.sum()
-    if total == 0.0:
-        raise ValueError("all singular values are zero")
-    m = int(m)
-    if m <= 0:
-        return 0.0
-    return float(lam[: min(m, lam.size)].sum() / total)
-
-
-def pod_basis(snapshots, gamma=0.99, k_max=None, centered=False,
-              difference_quotients=False):
+def pod_basis(snapshots, gamma=0.99, k_max=None, centered=False):
     """Build a PodBasis from an (n, n_s) snapshot matrix.
 
     Parameters
@@ -84,18 +71,12 @@ def pod_basis(snapshots, gamma=0.99, k_max=None, centered=False,
         Optional hard cap on the dimension.
     centered : bool
         Remove the column mean before factoring.
-    difference_quotients : bool
-        Augment the snapshots with consecutive column differences before
-        factoring (enrichment for time-derivative content).  Off by default
-        and not exercised by the acceptance suite.
     """
     s_mat = np.asarray(snapshots, dtype=np.float64)
     if s_mat.ndim != 2 or s_mat.shape[1] == 0:
         raise ValueError(f"snapshot matrix must be (n, n_s), got {s_mat.shape}")
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    if difference_quotients and s_mat.shape[1] > 1:
-        s_mat = np.hstack([s_mat, np.diff(s_mat, axis=1)])
     if centered:
         mean = s_mat.mean(axis=1)
         work = s_mat - mean[:, None]

@@ -9,7 +9,7 @@ truncated-identity map, scatter is its transpose, and the two invert each
 other on conforming inputs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -19,7 +19,6 @@ __all__ = [
     "SparsityPattern",
     "SnapshotSet",
     "build_pattern",
-    "pattern_union",
     "gather",
     "scatter",
 ]
@@ -116,15 +115,6 @@ def build_pattern(mat):
     return SparsityPattern(n=mat.shape[0], rows=rows[order], cols=cols[order])
 
 
-def pattern_union(a, b):
-    """Union of two patterns over the same dimension."""
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    lin = np.union1d(a.linear, b.linear)
-    n = np.int64(a.n)
-    return SparsityPattern(n=a.n, rows=(lin % n), cols=(lin // n))
-
-
 def gather(mat, pattern):
     """Pack the entries of `mat` at the pattern coordinates into an r-vector.
 
@@ -176,7 +166,6 @@ class SnapshotSet:
     states: np.ndarray
     nonlinear: np.ndarray
     jacobian: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self):

@@ -1,4 +1,4 @@
-"""Benchmark driver: config grammar, hashing, CLI exit codes, resume
+"""Benchmark driver: config grammar, CLI exit codes, resume
 semantics, parallel parity, deterministic outputs, and the held-out
 metrics against dense oracles.
 
@@ -8,6 +8,7 @@ results CSV after masking the wall-clock columns (offline/online seconds and
 the timestamp), which are the only fields allowed to vary between runs.
 """
 
+import dataclasses
 import importlib.util
 import inspect
 import tracemalloc
@@ -19,13 +20,11 @@ import pytest
 from smdeim_rom import instrumentation
 from smdeim_rom import io as artifact_io
 from smdeim_rom import rom
-from smdeim_rom.bench import runner
+from smdeim_rom.bench import config, runner
 from smdeim_rom.bench.cli import main
 from smdeim_rom.bench.config import (
     ConfigError,
     ExperimentConfig,
-    canonical_config,
-    config_hash,
     parse_config_text,
     validate_config,
     with_overrides,
@@ -35,7 +34,6 @@ from smdeim_rom.deim import deim_interpolant
 from smdeim_rom.jacobian_approx import (
     RankError,
     build_smdeim,
-    deim_function_jacobian,
     sample_and_approximate,
 )
 from smdeim_rom.linalg import thin_svd
@@ -166,14 +164,16 @@ def test_swe_grid_needs_five_points_each_way(tmp_path, capsys):
     assert "swe.ny" in capsys.readouterr().err
 
 
-def test_canonical_config_excludes_out_dir():
-    a = ExperimentConfig(out_dir="one")
-    b = ExperimentConfig(out_dir="two")
-    assert canonical_config(a) == canonical_config(b)
-    assert config_hash(a) == config_hash(b)
-    c = ExperimentConfig(m_list=(31,))
-    assert config_hash(a) != config_hash(c)
-    assert "burgers.u0_peak" in canonical_config(a)
+def test_removed_key_is_unknown(tmp_path, capsys):
+    path, _ = write_config(tmp_path, extra="pod.difference_quotients = true\n")
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert "unknown key 'pod.difference_quotients'" in capsys.readouterr().err
+
+
+def test_config_keys_and_fields_match_one_to_one():
+    # a field no key sets would be a knob nothing can turn
+    keyed = sorted(field for field, _ in config._KEYS.values())
+    assert keyed == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def test_with_overrides():
@@ -453,6 +453,37 @@ def test_mdeim_reference_trains_once_per_stage_and_m(tmp_path, monkeypatch):
     assert len(list(runner.artifact_dir(cfg).glob("rom-*-mdeim-reference-*"))) == 4
 
 
+def test_online_reads_only_the_stage_0_snapshots(tmp_path, monkeypatch):
+    # the held-out probes are stage-0 states; no online unit needs another
+    # stage's snapshots
+    text = SWE_SMALL.format(out=tmp_path / "out").replace(
+        "deim, smdeim", "deim, smdeim, tensorial"
+    )
+    cfg = parse_config_text(text)
+    runner.cmd_offline(cfg)
+    reads = []
+    load = artifact_io.load_snapshots
+
+    def counted(path):
+        reads.append(Path(path).name)
+        return load(path)
+
+    monkeypatch.setattr(artifact_io, "load_snapshots", counted)
+    runner.cmd_online(cfg)
+    assert [name.rsplit("-", 1)[1] for name in reads] == ["s0.smdm"]
+    rows = read_rows(runner.csv_path(cfg))
+    assert sorted(r["strategy"] for r in rows if r["status"] == "ok") == [
+        "deim", "full", "smdeim", "tensorial"
+    ]
+
+
+def run_context(cfg, run):
+    """The ModelContext of a session FullRun, seeded with its snapshots."""
+    return runner.ModelContext(cfg, run.model, run.trajectory,
+                               run.stats.mean_iterations, run.stats.online_seconds,
+                               run.snaps)
+
+
 def _same_interp(a, b):
     # the projector's memory layout too: BLAS products round by it
     return (
@@ -493,9 +524,10 @@ def test_shared_products_equal_direct_calls_bit_for_bit(tmp_path):
 
 def test_deim_artifact_holds_one_deim_block_per_stage(tmp_path, swe_run):
     cfg = ExperimentConfig(model="swe", out_dir=str(tmp_path))
-    model, snaps, traj = swe_run.model, swe_run.snaps, swe_run.trajectory
+    ctx = run_context(cfg, swe_run)
+    model, snaps, traj = ctx.model, ctx.snaps, ctx.traj
     runner.artifact_dir(cfg).mkdir(parents=True)
-    path = runner.build_rom_artifact(cfg, model, snaps, "deim", 25, 30)
+    path = runner.build_rom_artifact(cfg, model, ctx, "deim", 25, 30)
     blocks = artifact_io.read_blocks(path)
     for j, snap in enumerate(snaps):
         got = artifact_io.load_interpolant(
@@ -517,7 +549,7 @@ def test_deim_artifact_holds_one_deim_block_per_stage(tmp_path, swe_run):
     del blocks
     old.replace(path)
     with pytest.raises(artifact_io.FormatError, match="'DEIM' block for stage 0"):
-        runner.run_online_point(cfg, model, snaps, traj, "deim", 25, 30)
+        runner.run_online_point(cfg, model, ctx, traj, "deim", 25, 30)
 
 
 def test_online_without_offline_fails_with_exit_3(tmp_path, capsys):
@@ -656,7 +688,7 @@ def dense_sv1_err(cfg, strategy, k, m):
             approx = sample_and_approximate(mi, op, x).toarray()
         else:
             rows = op.sample_nl_rows(x, fn_interp.indexes)
-            approx = op.linear.toarray() + deim_function_jacobian(fn_interp, rows)
+            approx = op.linear.toarray() + fn_interp.projector @ rows.toarray()
         sv_true = np.linalg.svd(true, compute_uv=False)[0]
         sv_app = np.linalg.svd(approx, compute_uv=False)[0]
         errs.append(abs(sv_app - sv_true) / sv_true)
@@ -694,9 +726,10 @@ def test_heldout_metrics_form_no_dense_square_matrix(
     # before the solve: the reader holds the file's bytes, the parsed
     # reduced model and the stage-0 interpolant with its r-by-m bases.
     cfg = ExperimentConfig(model="swe", out_dir=str(tmp_path))
-    model, snaps, traj = swe_run.model, swe_run.snaps, swe_run.trajectory
+    ctx = run_context(cfg, swe_run)
+    model, traj = ctx.model, ctx.traj
     runner.artifact_dir(cfg).mkdir(parents=True)
-    runner.build_rom_artifact(cfg, model, snaps, strategy, 25, 30)
+    runner.build_rom_artifact(cfg, model, ctx, strategy, 25, 30)
     after_solve = []
     rom_solve = runner.rom_solve
 
@@ -709,7 +742,7 @@ def test_heldout_metrics_form_no_dense_square_matrix(
     monkeypatch.setattr(runner, "rom_solve", solve_then_reset_peak)
     tracemalloc.start()
     try:
-        result = runner.run_online_point(cfg, model, snaps, traj, strategy, 25, 30)
+        result = runner.run_online_point(cfg, model, ctx, traj, strategy, 25, 30)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -150,7 +150,10 @@ def test_pod_block_round_trip(tmp_path, setup):
 def test_deim_block_round_trip(rng):
     v = thin_svd(rng.standard_normal((25, 6))).u
     interp = deim_interpolant(v)
-    back = artifact_io.parse_deim_block(artifact_io.deim_block(interp))
+    blocks = [(artifact_io.TAG_DEIM, artifact_io.deim_block(interp, 0))]
+    back = artifact_io.load_interpolant(
+        None, 0, blocks=blocks, tag=artifact_io.TAG_DEIM
+    )
     assert np.array_equal(back.basis, interp.basis)
     assert np.array_equal(back.indexes, interp.indexes)
     assert np.array_equal(back.projector, interp.projector)
@@ -447,17 +450,14 @@ def test_pod_block_round_trips(n, data):
     assert artifact_io.pod_block(back) == payload
 
 
-@given(interp=_deim_interpolants(), stage=st.none() | st.integers(0, 2**64 - 1))
+@given(interp=_deim_interpolants(), stage=st.integers(0, 2**64 - 1))
 def test_deim_block_round_trips(interp, stage):
-    payload = artifact_io.deim_block(interp, stage=stage)
-    if stage is None:
-        back = artifact_io.parse_deim_block(payload)
-    else:
-        back = artifact_io.load_interpolant(
-            None, stage, blocks=[(artifact_io.TAG_DEIM, payload)], tag=artifact_io.TAG_DEIM
-        )
+    payload = artifact_io.deim_block(interp, stage)
+    back = artifact_io.load_interpolant(
+        None, stage, blocks=[(artifact_io.TAG_DEIM, payload)], tag=artifact_io.TAG_DEIM
+    )
     _assert_fields_equal(back, interp)
-    assert artifact_io.deim_block(back, stage=stage) == payload
+    assert artifact_io.deim_block(back, stage) == payload
 
 
 @given(mode=st.sampled_from(["sparse", "vectorized"]), n=st.integers(1, 5),

@@ -19,7 +19,6 @@ from smdeim_rom.jacobian_approx import (
     approximate_matrix,
     build_mdeim_reference,
     build_smdeim,
-    deim_function_jacobian,
     guard_limit,
     sample_and_approximate,
     verify_lemma2,
@@ -321,16 +320,3 @@ def test_off_pattern_perturbation_fills_singular_vectors(small_snap):
     support[snap.pattern.linear] = True
     nz_outside = int(np.count_nonzero(svd.u[~support, :]))
     assert nz_outside > 0
-
-
-def test_deim_function_jacobian_row_identity(rng):
-    v = thin_svd(rng.standard_normal((20, 5))).u
-    from smdeim_rom.deim import deim_interpolant
-
-    interp = deim_interpolant(v)
-    jac_rows = rng.standard_normal((5, 20))
-    approx = deim_function_jacobian(interp, jac_rows)
-    # exact at the selected rows
-    assert np.max(np.abs(approx[interp.indexes, :] - jac_rows)) <= 1e-10
-    with pytest.raises(ValueError):
-        deim_function_jacobian(interp, jac_rows[:3])

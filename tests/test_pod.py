@@ -8,7 +8,7 @@ can be done by inspection.
 import numpy as np
 import pytest
 
-from smdeim_rom.pod import energy_fraction, pod_basis
+from smdeim_rom.pod import pod_basis
 
 
 def planted_spectrum(rng, n, sigmas):
@@ -97,29 +97,6 @@ def test_lift_project_matrix_forms(rng):
     red = basis.project(x)
     assert red.shape == (3, 4)
     assert np.allclose(basis.lift(red), basis.u @ red, atol=1e-14)
-
-
-def test_difference_quotients_capture_increments(rng):
-    # two snapshots: the difference direction is representable at k=2
-    a = rng.standard_normal(9)
-    b = a + rng.standard_normal(9)
-    snap = np.column_stack([a, b])
-    plain = pod_basis(snap, gamma=1.0)
-    enriched = pod_basis(snap, gamma=1.0, difference_quotients=True)
-    assert enriched.k == plain.k == 2
-    d = b - a
-    resid = d - enriched.u @ (enriched.u.T @ d)
-    assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(d)
-
-
-def test_energy_fraction_monotone(rng):
-    snap = planted_spectrum(rng, 14, [3.0, 2.0, 1.0])
-    s = pod_basis(snap, gamma=1.0).singulars
-    fracs = [energy_fraction(s, m) for m in range(0, 4)]
-    assert fracs[0] == 0.0
-    assert all(x <= y for x, y in zip(fracs, fracs[1:]))
-    assert abs(fracs[-1] - 1.0) <= 1e-12
-    assert abs(fracs[1] - 9.0 / 14.0) <= 1e-12
 
 
 def test_invalid_inputs_raise(rng):

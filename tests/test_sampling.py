@@ -10,7 +10,8 @@ Oracles: `jacobian_values` (assembled entries at the pattern coordinates,
 0.0 elsewhere) and the assembled Jacobian of the operator with its linear
 part removed.  Every comparison is exact (np.array_equal): the plan adds the
 same products in the same order as the assembled route.  `reduced_linear`
-is checked against its former per-pair formula, kept here.
+is checked against its former per-pair formula, kept here, within the
+rounding bound of their summed absolute terms.
 """
 
 import re
@@ -18,7 +19,7 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from smdeim_rom import io as artifact_io
@@ -133,19 +134,32 @@ def per_pair_reduced_linear(op, u, mean):
     return out
 
 
+def reduced_linear_rounding_bound(op, u, mean):
+    """1e-13 |U|^T (|L| + sum_t |diag(G_t m)| |H_t| + |diag(H_t m)| |G_t|) |U|,
+    elementwise: the summed absolute terms of U^T J(mean) U, the scale of
+    the rounding error of both formulas whatever their terms cancel to."""
+    total = abs(op.linear)
+    for g, h in op.pairs:
+        total = total + scipy.sparse.diags(np.abs(g @ mean)) @ abs(h)
+        total = total + scipy.sparse.diags(np.abs(h @ mean)) @ abs(g)
+    au = np.abs(u)
+    return 1e-13 * (au.T @ (total @ au))
+
+
 @pytest.mark.parametrize("name", sorted(OPS))
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6))
+@example(seed=79084834, k=1)  # swe-y: the terms cancel to 1e-4 of their sum
 def test_reduced_linear_equals_the_per_pair_formula(name, seed, k):
     op = OPS[name]
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((op.n, k))
     zero = np.zeros(op.n)
-    assert np.array_equal(op.reduced_linear(u), per_pair_reduced_linear(op, u, zero))
-    assert np.array_equal(op.reduced_linear(u, zero), op.reduced_linear(u))
+    want = per_pair_reduced_linear(op, u, zero)
+    assert np.array_equal(op.reduced_linear(u, zero), want)
     mean = rng.standard_normal(op.n)
     want = per_pair_reduced_linear(op, u, mean)
     got = op.reduced_linear(u, mean)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
+    assert np.all(np.abs(got - want) <= reduced_linear_rounding_bound(op, u, mean))
 
 
 @given(rows=st.lists(st.integers(1, 197), min_size=1, max_size=30))

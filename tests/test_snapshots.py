@@ -17,7 +17,6 @@ from smdeim_rom.snapshots import (
     SparsityPattern,
     build_pattern,
     gather,
-    pattern_union,
     scatter,
 )
 
@@ -115,15 +114,6 @@ def test_scatter_validates_length():
     pat = SparsityPattern(n=2, rows=np.array([0]), cols=np.array([0]))
     with pytest.raises(ValueError):
         scatter(np.zeros(2), pat)
-
-
-def test_pattern_union_merges_and_checks_dimension(rng):
-    a = random_pattern(rng, 12, density=0.1)
-    b = random_pattern(rng, 12, density=0.1)
-    u = pattern_union(a, b)
-    assert set(u.linear.tolist()) == set(a.linear.tolist()) | set(b.linear.tolist())
-    with pytest.raises(ValueError):
-        pattern_union(a, random_pattern(rng, 13))
 
 
 def test_pattern_equality_is_structural():
