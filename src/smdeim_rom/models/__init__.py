@@ -34,6 +34,8 @@ __all__ = [
     "params_hash",
 ]
 
+SNAPSHOT_CHUNK = 32  # state columns per block call when full_solve collects snapshots
+
 
 def params_hash(**params):
     """Stable 16-hex-digit digest of keyword parameters."""
@@ -117,8 +119,14 @@ def full_solve(model, n_t=None, newton_tol=1e-10, newton_cap=50):
     states = np.column_stack(outputs) if outputs else np.empty((model.n, 0))
     sets = []
     for stage in model.stages:
-        nonlinear = stage.op.nonlinear_term(states)
-        jac = stage.op.jacobian_values(states)
+        # in column chunks, so the temporaries stay small and are reused; a
+        # block call's columns equal the vector calls' bit for bit
+        nonlinear = np.empty(states.shape)
+        jac = np.empty((stage.op.pattern.r, states.shape[1]))
+        for c in range(0, states.shape[1], SNAPSHOT_CHUNK):
+            cols = slice(c, c + SNAPSHOT_CHUNK)
+            nonlinear[:, cols] = stage.op.nonlinear_term(states[:, cols])
+            jac[:, cols] = stage.op.jacobian_values(states[:, cols])
         sets.append(
             SnapshotSet(
                 model_id=model.model_id,

@@ -127,11 +127,11 @@ def _wall_derivative(m, h, fold):
 
 def _place(block, bi, bj, n_grid):
     """Embed an n_grid x n_grid block into the 3-variable stacked operator."""
-    grid = [[None] * 3 for _ in range(3)]
-    for d in range(3):
-        grid[d][d] = scipy.sparse.csr_matrix((n_grid, n_grid))
-    grid[bi][bj] = scipy.sparse.csr_matrix(block)
-    return scipy.sparse.bmat(grid, format="csr")
+    coo = scipy.sparse.coo_matrix(block)
+    return scipy.sparse.csr_matrix(
+        (coo.data, (coo.row + bi * n_grid, coo.col + bj * n_grid)),
+        shape=(3 * n_grid, 3 * n_grid),
+    )
 
 
 def build_swe(nx_points=21, ny_points=15, dt=240.0, n_t=91, h1=H1, h2=H2):

@@ -40,6 +40,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from . import instrumentation
 from .jacobian_approx import build_mdeim_reference, build_smdeim, check_rank
@@ -281,10 +282,12 @@ class DeimFunctionJacobian:
 class MatrixInterpolantJacobian:
     """Entry-sampled full-Jacobian interpolation contracted to k-by-k.
 
-    The contraction matrix has row (j + k l) equal to u_j(rows) (.) u_l(cols)
-    over the interpolant's coordinate list; multiplying the precomputed
-    product by the m sampled entries and reshaping column-major yields the
-    reduced Jacobian in O(k^2 m) online work.  The entries come from a
+    Column i of the k^2-by-m reducer is vec_F(U^T P_i U), P_i the n-by-n
+    matrix holding projector column i at the interpolant's coordinates;
+    multiplying the reducer by the m sampled entries and reshaping
+    column-major yields the reduced Jacobian in O(k^2 m) online work.  The
+    reducer is built one column at a time: on the sparse route that takes
+    m (2 r k + 2 n k^2) flops and O(n k) scratch.  The entries come from a
     precomputed sampling plan over a lift of the sample mesh alone.
     """
 
@@ -292,22 +295,20 @@ class MatrixInterpolantJacobian:
     needs_lift = False
 
     def __init__(self, op, basis, mi):
-        u = basis.u
-        k = u.shape[1]
-        projector = mi.interp.projector
+        u, n = basis.u, mi.pattern.n
+        reducer = np.empty((u.shape[1] ** 2, mi.m))
         if mi.mode == "sparse":
-            factor = np.einsum(
-                "qj,ql->ljq", u[mi.pattern.rows], u[mi.pattern.cols]
-            ).reshape(k * k, -1)
-            reducer = np.ascontiguousarray(factor @ projector)
-        else:
-            # column i is vec_F(U^T P_i U), P_i the n-by-n column-major
-            # matrix of projector column i; no k^2-by-n^2 factor is formed
-            n = mi.pattern.n
-            reducer = np.empty((k * k, projector.shape[1]))
-            for i in range(projector.shape[1]):
-                p_i = projector[:, i].reshape((n, n), order="F")
-                reducer[:, i] = (u.T @ p_i @ u).ravel(order="F")
+            # the pattern is sorted column-major, so with its rows and column
+            # pointers projector column i is P_i in CSC form, refilled in place
+            pat = mi.pattern
+            indptr = np.searchsorted(pat.cols, np.arange(n + 1))
+            p_i = scipy.sparse.csc_matrix((np.empty(pat.r), pat.rows, indptr), (n, n))
+        for i, col in enumerate(mi.interp.projector.T):
+            if mi.mode == "sparse":
+                p_i.data[:] = col
+            else:
+                p_i = col.reshape((n, n), order="F")
+            reducer[:, i] = (u.T @ (p_i @ u)).ravel(order="F")
         self._setup(op, basis, reducer, mi.sample_rows, mi.sample_cols)
 
     def parts(self):

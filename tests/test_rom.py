@@ -25,6 +25,7 @@ from smdeim_rom.linalg import SingularMatrixError, thin_svd
 from smdeim_rom.models import FullModel, ImplicitStage, full_solve
 from smdeim_rom.models.burgers import build_burgers
 from smdeim_rom.models.quadratic import QuadraticOperator
+from smdeim_rom.models.swe import build_swe
 from smdeim_rom.pod import PodBasis, pod_basis
 from smdeim_rom.rom import (
     STRATEGIES,
@@ -190,6 +191,40 @@ def test_vectorized_reducer_allocates_less_than_one_n_by_n_array(reference_parts
     op = model.stages[0].op
     peak = peak_bytes(lambda: MatrixInterpolantJacobian(op, basis, mi))
     assert peak < 8 * model.n**2
+
+
+@pytest.fixture(scope="module", params=["burgers-101", "swe-11x9-x", "swe-11x9-y"])
+def sparse_parts(request):
+    if request.param == "burgers-101":
+        model, _, snaps, basis = burgers_setup(n=101)
+        stage = 0
+    else:
+        model = build_swe(11, 9, n_t=21)
+        _, _, snaps = full_solve(model)
+        basis = pod_basis(np.hstack([s.states for s in snaps]), gamma=1.0, k_max=6)
+        stage = "xy".index(request.param[-1])
+    return model.stages[stage].op, basis, build_smdeim(snaps[stage], 8)
+
+
+def test_sparse_reducer_matches_einsum_oracle(sparse_parts):
+    op, basis, mi = sparse_parts
+    jac = MatrixInterpolantJacobian(op, basis, mi)
+    # the k^2-by-r factor with row j + k l equal to u_j(rows) (.) u_l(cols)
+    u, k = basis.u, basis.k
+    factor = np.einsum("qj,ql->ljq", u[mi.pattern.rows], u[mi.pattern.cols])
+    oracle = factor.reshape(k * k, -1) @ mi.interp.projector
+    assert jac.reducer.shape == oracle.shape
+    assert np.max(np.abs(jac.reducer - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+def test_sparse_reducer_allocates_under_a_quarter_of_the_einsum_factor(
+    swe_run, swe_basis
+):
+    # the einsum factor takes 8 k^2 r bytes; one mode at a time needs O(n k)
+    mi = build_smdeim(swe_run.snaps[0], 20)
+    op, k = swe_run.model.stages[0].op, swe_basis.k
+    peak = peak_bytes(lambda: MatrixInterpolantJacobian(op, swe_basis, mi))
+    assert peak < 2 * k**2 * mi.pattern.r
 
 
 def test_tensorial_equals_direct_projection(rng, burgers_rom_parts):

@@ -9,6 +9,8 @@ col*n + row is strictly increasing.  All random cases are seeded.
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smdeim_rom.models import full_solve
 from smdeim_rom.models.burgers import build_burgers
@@ -50,6 +52,88 @@ def test_positions_of_round_trip(rng):
     all_lin = set(pat.linear.tolist())
     missing = next(q for q in range(17 * 17) if q not in all_lin)
     assert pat.positions_of([missing % 17], [missing // 17])[0] == -1
+
+
+@st.composite
+def coordinate_lists(draw, min_size=0):
+    """(n, rows, cols): a duplicate-free coordinate list in drawn order."""
+    n = draw(st.integers(1, 9))
+    index = st.integers(0, n - 1)
+    coords = draw(st.lists(st.tuples(index, index), min_size=min_size,
+                           max_size=n * n, unique=True))
+    rows = np.array([a for a, _ in coords], dtype=np.int64)
+    cols = np.array([b for _, b in coords], dtype=np.int64)
+    return n, rows, cols
+
+
+_values = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(coordinate_lists())
+def test_property_pattern_sorts_column_major(case):
+    n, rows, cols = case
+    pat = SparsityPattern(n=n, rows=rows, cols=cols)
+    assert pat.r == rows.size
+    assert np.all(np.diff(pat.linear) > 0)
+    assert np.array_equal(pat.linear, pat.cols * n + pat.rows)
+    assert np.array_equal(pat.linear, np.sort(cols * n + rows))
+
+
+@given(coordinate_lists(min_size=1), st.data())
+def test_property_pattern_rejects_duplicates(case, data):
+    n, rows, cols = case
+    q = data.draw(st.integers(0, rows.size - 1))
+    at = data.draw(st.integers(0, rows.size))
+    with pytest.raises(ValueError, match="duplicate"):
+        SparsityPattern(n=n, rows=np.insert(rows, at, rows[q]),
+                        cols=np.insert(cols, at, cols[q]))
+
+
+@given(coordinate_lists(), st.data())
+def test_property_positions_of_hits_and_misses(case, data):
+    n, rows, cols = case
+    pat = SparsityPattern(n=n, rows=rows, cols=cols)
+    index = st.integers(0, n - 1)
+    queries = data.draw(st.lists(st.tuples(index, index), max_size=12))
+    q_rows = np.array([a for a, _ in queries], dtype=np.int64)
+    q_cols = np.array([b for _, b in queries], dtype=np.int64)
+    pos = pat.positions_of(q_rows, q_cols)
+    inside = set(zip(rows.tolist(), cols.tolist()))
+    hit = np.array([c in inside for c in queries], dtype=bool)
+    assert np.all((pos >= 0) == hit)
+    assert np.array_equal(pat.rows[pos[hit]], q_rows[hit])
+    assert np.array_equal(pat.cols[pos[hit]], q_cols[hit])
+    assert np.all(pos[~hit] == -1)
+
+
+@given(coordinate_lists(), st.data())
+def test_property_gather_and_scatter_invert_each_other(case, data):
+    n, rows, cols = case
+    pat = SparsityPattern(n=n, rows=rows, cols=cols)
+    vals = np.array(data.draw(st.lists(_values, min_size=pat.r, max_size=pat.r)))
+    assert np.array_equal(gather(scatter(vals, pat), pat), vals)
+    # a matrix storing a subset of the pattern comes back entry for entry
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=pat.r,
+                                       max_size=pat.r)), dtype=bool)
+    mat = scipy.sparse.csr_matrix(
+        (vals[keep], (pat.rows[keep], pat.cols[keep])), shape=(n, n)
+    )
+    assert np.array_equal(scatter(gather(mat, pat), pat).toarray(), mat.toarray())
+
+
+@given(coordinate_lists(), st.data())
+def test_property_column_pointers_make_scatter_a_csc_matrix(case, data):
+    # pattern.rows with column pointers over the sorted cols is the CSC form
+    # of scatter, with no permutation
+    n, rows, cols = case
+    pat = SparsityPattern(n=n, rows=rows, cols=cols)
+    vals = np.array(data.draw(st.lists(_values, min_size=pat.r, max_size=pat.r)))
+    indptr = np.searchsorted(pat.cols, np.arange(n + 1))
+    csc = scipy.sparse.csc_matrix((vals, pat.rows, indptr), shape=(n, n))
+    want = scatter(vals, pat)
+    assert csc.has_sorted_indices
+    assert np.array_equal(csc.toarray(), want.toarray())
+    assert np.array_equal(csc.tocsr().indices, want.indices)
 
 
 def test_build_pattern_keeps_stored_zeros():
