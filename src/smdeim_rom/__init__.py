@@ -68,7 +68,6 @@ from .snapshots import (
     PatternViolationError,
     SnapshotSet,
     SparsityPattern,
-    build_pattern,
     gather,
     scatter,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "PatternViolationError",
     "SnapshotSet",
     "SparsityPattern",
-    "build_pattern",
     "gather",
     "scatter",
     "NewtonConvergenceError",

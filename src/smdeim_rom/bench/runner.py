@@ -431,10 +431,6 @@ def _heldout_ids(n_cols, stride):
     return [i for i in range(n_cols) if i % stride == stride - 1]
 
 
-# rows of the deim Jacobian error formed at a time in _deim_frobenius_distance
-_FROB_BLOCK_ROWS = 64
-
-
 def _deim_jacobian_operator(linear, projector, rows):
     """The deim Jacobian approximation L + P R as an operator, never formed.
 
@@ -448,18 +444,6 @@ def _deim_jacobian_operator(linear, projector, rows):
         rmatvec=lambda v: linear.T @ v + rows.T @ (projector.T @ v),
         dtype=np.float64,
     )
-
-
-def _deim_frobenius_distance(linear, projector, rows, jac):
-    """||(L + P R) - J||_F over blocks of _FROB_BLOCK_ROWS rows, so at most
-    that many rows of the n-by-n difference exist at once."""
-    rows = rows.toarray()
-    sq = 0.0
-    for a in range(0, jac.shape[0], _FROB_BLOCK_ROWS):
-        b = a + _FROB_BLOCK_ROWS
-        diff = linear[a:b].toarray() + projector[a:b] @ rows - jac[a:b].toarray()
-        sq += float(np.dot(diff.ravel(), diff.ravel()))
-    return np.sqrt(sq)
 
 
 def _trajectory_error(basis, traj_red, traj_full):
@@ -519,16 +503,15 @@ def run_online_point(cfg, model, ctx, traj_full, strategy, k, m):
             continue
         if strategy == "deim":
             rows = op0.sample_nl_rows(probe.x, interp.indexes)
-            approx = _deim_jacobian_operator(op0.linear, interp.projector, rows)
-            num = _deim_frobenius_distance(
-                op0.linear, interp.projector, rows, probe.jac
-            )
+            approx = op0.linear + scipy.sparse.csr_matrix(interp.projector) @ rows
+            # Lanczos runs faster on the factored form than on this sum
+            sv_op = _deim_jacobian_operator(op0.linear, interp.projector, rows)
         else:
-            approx = sample_and_approximate(interp, op0, probe.x)
-            num = scipy.sparse.linalg.norm(approx - probe.jac)
+            approx = sv_op = sample_and_approximate(interp, op0, probe.x)
+        num = scipy.sparse.linalg.norm(approx - probe.jac)
         jac_errs.append(float(num / probe.jac_norm))
         if count < cfg.sv_probes:
-            sv_app = leading_singular_value(approx)
+            sv_app = leading_singular_value(sv_op)
             sv_errs.append(abs(sv_app - probe.sv1) / probe.sv1)
 
     return {

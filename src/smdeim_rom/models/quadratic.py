@@ -42,7 +42,7 @@ import scipy.sparse
 from .. import instrumentation
 from ..snapshots import SparsityPattern
 
-__all__ = ["PaddedRows", "QuadraticOperator", "SamplingPlan"]
+__all__ = ["QuadraticOperator", "SamplingPlan"]
 
 
 def _as_sorted_csr(mat):
@@ -102,10 +102,9 @@ class PaddedRows:
     vectorized over the rows.
 
     Slot w of row i holds the row's w-th stored entry in storage order; the
-    slots past a row's end hold the value 0 and read index 0.  An entry's
-    value may be a vector (data of shape (nnz, c)).  `dot(x)` sums
-    val[w, i] * x[idx[w, i]] over w from zero, looping over the width: the
-    order in which a CSR product sums a row, so it gives the same bits.
+    slots past a row's end hold the value 0 and read index 0.  `dot(x)`
+    sums val[w, i] * x[idx[w, i]] over w from zero, looping over the width:
+    the order in which a CSR product sums a row, so it gives the same bits.
     """
 
     def __init__(self, indptr, indices, data):
@@ -113,10 +112,8 @@ class PaddedRows:
         offs = np.arange(int(counts.max(initial=0)), dtype=np.int64)[:, None]
         # a padded slot takes the entry one past the last: an appended 0
         pos = np.where(offs < counts, indptr[:-1] + offs, indptr[-1])
-        data = np.asarray(data, dtype=np.float64)
-        self.val = np.concatenate((data, np.zeros((1,) + data.shape[1:])))[pos]
-        trailing = (1,) * (data.ndim - 1)
-        self.idx = np.append(indices, 0)[pos].reshape(pos.shape + trailing)
+        self.val = np.append(np.asarray(data, dtype=np.float64), 0.0)[pos]
+        self.idx = np.append(indices, 0)[pos]
 
     def dot(self, x):
         prod = self.val * x[self.idx]

@@ -17,7 +17,8 @@ root; the strategies differ only in how the k-by-k Newton matrix is built:
 * directional-derivative: forward differences of the full right-hand side
   along the basis directions.
 * deim: interpolate the nonlinear-term Jacobian from sampled rows, linear
-  part projected exactly offline.
+  part projected exactly offline; the rows' entries are contracted to
+  k-by-k by a reducer, as smdeim's are.
 * smdeim: interpolate the full Jacobian from entries sampled at pattern
   coordinates, contracted to k-by-k offline.
 * mdeim-reference: same contraction built from the guarded vectorized
@@ -46,7 +47,6 @@ from . import instrumentation
 from .jacobian_approx import build_mdeim_reference, build_smdeim, check_rank
 from .deim import deim_interpolant
 from .linalg import solve_dense, thin_svd
-from .models.quadratic import PaddedRows
 from .pod import PodBasis
 from .stats import integrate
 
@@ -236,49 +236,6 @@ class _SampleMesh:
         return self.mean + self.u @ xt
 
 
-class DeimFunctionJacobian:
-    """Sampled rows of the nonlinear Jacobian through a function-snapshot
-    interpolant; the linear part is projected exactly offline.  Only the
-    sample mesh of the sampled rows is lifted."""
-
-    kind = "deim"
-    needs_lift = False
-
-    def __init__(self, op, basis, fn_interp, lin_reduced):
-        self._setup(op, basis, fn_interp.indexes,
-                    basis.u.T @ fn_interp.projector, lin_reduced)
-
-    def parts(self):
-        return {"indexes": self.indexes, "left": self.left,
-                "lin_reduced": self.lin_reduced}
-
-    @classmethod
-    def from_parts(cls, op, basis, core, indexes, left, lin_reduced):
-        obj = cls.__new__(cls)
-        obj._setup(op, basis, indexes, left, lin_reduced)
-        return obj
-
-    def _setup(self, op, basis, indexes, left, lin_reduced):
-        self.op = op
-        self.indexes = indexes
-        self.left = left
-        self.lin_reduced = lin_reduced
-        self.plan, indptr = op.nl_row_plan(indexes)
-        self.sample_mesh = _SampleMesh(basis, self.plan.mesh)
-        # (sampled rows) @ U summed row by row: entry q of the sampled CSR
-        # rows multiplies the value plan.apply gives at q by the basis row
-        # of its column
-        mesh_cols = np.searchsorted(self.plan.mesh, self.plan.cols)
-        self._rows = PaddedRows(
-            indptr, np.arange(self.plan.m), self.sample_mesh.u[mesh_cols]
-        )
-
-    def evaluate(self, xt, x_full=None):
-        vals = self.plan.apply(self.sample_mesh.lift(xt, x_full))
-        rows_u = self._rows.dot(vals)
-        return self.lin_reduced + self.left @ rows_u
-
-
 class MatrixInterpolantJacobian:
     """Entry-sampled full-Jacobian interpolation contracted to k-by-k.
 
@@ -289,12 +246,22 @@ class MatrixInterpolantJacobian:
     reducer is built one column at a time: on the sparse route that takes
     m (2 r k + 2 n k^2) flops and O(n k) scratch.  The entries come from a
     precomputed sampling plan over a lift of the sample mesh alone.
+
+    The interpolant must be trained on the stage operator's pattern; stage
+    names the stage in the error raised otherwise.
     """
 
     kind = "matrix"
     needs_lift = False
 
-    def __init__(self, op, basis, mi):
+    def __init__(self, op, basis, mi, stage=None):
+        if mi.pattern != op.pattern:
+            where = "" if stage is None else f"stage {stage}: "
+            raise ValueError(
+                f"{where}interpolant trained on a pattern with n={mi.pattern.n}, "
+                f"r={mi.pattern.r}; the stage operator's has n={op.pattern.n}, "
+                f"r={op.pattern.r} or other coordinates"
+            )
         u, n = basis.u, mi.pattern.n
         reducer = np.empty((u.shape[1] ** 2, mi.m))
         if mi.mode == "sparse":
@@ -309,7 +276,7 @@ class MatrixInterpolantJacobian:
             else:
                 p_i = col.reshape((n, n), order="F")
             reducer[:, i] = (u.T @ (p_i @ u)).ravel(order="F")
-        self._setup(op, basis, reducer, mi.sample_rows, mi.sample_cols)
+        self._setup(op, basis, reducer, op.sampling_plan(mi.sample_rows, mi.sample_cols))
 
     def parts(self):
         return {"reducer": self.reducer, "sample_rows": self.sample_rows,
@@ -318,15 +285,15 @@ class MatrixInterpolantJacobian:
     @classmethod
     def from_parts(cls, op, basis, core, reducer, sample_rows, sample_cols):
         obj = cls.__new__(cls)
-        obj._setup(op, basis, reducer, sample_rows, sample_cols)
+        obj._setup(op, basis, reducer, op.sampling_plan(sample_rows, sample_cols))
         return obj
 
-    def _setup(self, op, basis, reducer, sample_rows, sample_cols):
+    def _setup(self, op, basis, reducer, plan):
         self.op = op
         self.k = int(basis.k)
         self.reducer = reducer
-        self.plan = op.sampling_plan(sample_rows, sample_cols)
-        self.sample_mesh = _SampleMesh(basis, self.plan.mesh)
+        self.plan = plan
+        self.sample_mesh = _SampleMesh(basis, plan.mesh)
 
     @property
     def sample_rows(self):
@@ -336,11 +303,51 @@ class MatrixInterpolantJacobian:
     def sample_cols(self):
         return self.plan.cols
 
-    def evaluate(self, xt, x_full=None):
+    def _contract(self, xt, x_full):
+        # shared by both classes' evaluate, so neither evaluate calls the
+        # other and each evaluation is one call of its own class's evaluate
         samples = self.plan.apply(self.sample_mesh.lift(xt, x_full))
         instrumentation.bump("sample_flops", self.plan.flops)
         instrumentation.bump("reduced_jacobian_flops", 2 * self.reducer.size)
         return (self.reducer @ samples).reshape((self.k, self.k), order="F")
+
+    def evaluate(self, xt, x_full=None):
+        return self._contract(xt, x_full)
+
+
+class DeimFunctionJacobian(MatrixInterpolantJacobian):
+    """Sampled rows of the nonlinear Jacobian through a function-snapshot
+    interpolant, plus the linear part projected exactly offline.
+
+    With R the sampled rows and left = U^T P (P the interpolant's
+    projector), the reduced Jacobian is lin_reduced + left (R U).  That is
+    affine in the entries of R, so the rows' entries are the samples of a
+    reducer: entry q at row indexes[i] and column c has the column
+    vec_F(left[:, i] (x) U[c, :]).
+    """
+
+    kind = "deim"
+
+    def __init__(self, op, basis, indexes, left, lin_reduced):
+        self.indexes = indexes
+        self.left = left
+        self.lin_reduced = lin_reduced
+        plan, indptr = op.nl_row_plan(indexes)
+        row_of = np.repeat(np.arange(len(indexes)), np.diff(indptr))
+        k = basis.k
+        outer = left[:, None, row_of] * basis.u[plan.cols].T[None, :, :]
+        self._setup(op, basis, outer.reshape((k * k, plan.m), order="F"), plan)
+
+    def parts(self):
+        return {"indexes": self.indexes, "left": self.left,
+                "lin_reduced": self.lin_reduced}
+
+    @classmethod
+    def from_parts(cls, op, basis, core, indexes, left, lin_reduced):
+        return cls(op, basis, indexes, left, lin_reduced)
+
+    def evaluate(self, xt, x_full=None):
+        return self.lin_reduced + self._contract(xt, x_full)
 
 
 JACOBIANS = {
@@ -436,8 +443,9 @@ def reduce_model(
                 svd = thin_svd(snapshots[s_idx].nonlinear)
                 check_rank(svd, m, "nonlinear-term")
                 fn_interp = deim_interpolant(svd.u, m)
-            lin_reduced = u.T @ (stage.op.linear @ u)
-            jac = DeimFunctionJacobian(stage.op, basis, fn_interp, lin_reduced)
+            jac = DeimFunctionJacobian(stage.op, basis, fn_interp.indexes,
+                                       u.T @ fn_interp.projector,
+                                       u.T @ (stage.op.linear @ u))
         else:
             if s_idx in prebuilt:
                 mi = prebuilt[s_idx]
@@ -445,7 +453,7 @@ def reduce_model(
                 mi = build_smdeim(snapshots[s_idx], m)
             else:
                 mi = build_mdeim_reference(snapshots[s_idx], m, guard_n=guard_n)
-            jac = MatrixInterpolantJacobian(stage.op, basis, mi)
+            jac = MatrixInterpolantJacobian(stage.op, basis, mi, stage=s_idx)
         stages.append(
             ReducedStage(
                 name=stage.name,

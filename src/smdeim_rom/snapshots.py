@@ -18,7 +18,6 @@ __all__ = [
     "PatternViolationError",
     "SparsityPattern",
     "SnapshotSet",
-    "build_pattern",
     "gather",
     "scatter",
 ]
@@ -93,26 +92,6 @@ class SparsityPattern:
             and self.r == other.r
             and bool(np.array_equal(self._linear, other._linear))
         )
-
-
-def build_pattern(mat):
-    """Pattern of the stored entries of a square sparse matrix.
-
-    Stored zeros count: the pattern is structural, not value based.
-    """
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"pattern requires a square matrix, got {mat.shape}")
-    coo = mat.tocoo()
-    # tocoo keeps explicitly stored zeros, which is what we want
-    rows = coo.row.astype(np.int64)
-    cols = coo.col.astype(np.int64)
-    lin = cols * np.int64(mat.shape[0]) + rows
-    order = np.argsort(lin, kind="stable")
-    lin_sorted = lin[order]
-    if lin_sorted.size and np.any(np.diff(lin_sorted) == 0):
-        keep = np.concatenate(([True], np.diff(lin_sorted) != 0))
-        order = order[keep]
-    return SparsityPattern(n=mat.shape[0], rows=rows[order], cols=cols[order])
 
 
 def gather(mat, pattern):

@@ -666,8 +666,9 @@ run.out = {out}
 """
 
 
-def dense_sv1_err(cfg, strategy, k, m):
-    """sv1_err recomputed with dense n-by-n Jacobians and a full SVD."""
+def dense_jacobians(cfg, strategy, k, m, count=None):
+    """(true, approximate) stage-0 Jacobians as dense n-by-n arrays at the
+    first count held-out probes (all of them by default)."""
     params = {"nx": cfg.swe_nx[0], "ny": cfg.swe_ny[0]}
     ctx = runner.ModelContext.open(cfg, params, simulate=False)
     model, snap = ctx.model, ctx.snaps[0]
@@ -679,9 +680,7 @@ def dense_sv1_err(cfg, strategy, k, m):
     else:
         fn_interp = deim_interpolant(thin_svd(snap.nonlinear).u, m)
     stride = cfg.heldout_stride
-    probes = list(range(stride - 1, snap.n_cols, stride))[: cfg.sv_probes]
-    errs = []
-    for i in probes:
+    for i in list(range(stride - 1, snap.n_cols, stride))[:count]:
         x = basis.lift(basis.project(snap.states[:, i]))
         true = op.jacobian(x).toarray()
         if strategy == "smdeim":
@@ -689,6 +688,13 @@ def dense_sv1_err(cfg, strategy, k, m):
         else:
             rows = op.sample_nl_rows(x, fn_interp.indexes)
             approx = op.linear.toarray() + fn_interp.projector @ rows.toarray()
+        yield true, approx
+
+
+def dense_sv1_err(cfg, strategy, k, m):
+    """sv1_err recomputed with dense n-by-n Jacobians and a full SVD."""
+    errs = []
+    for true, approx in dense_jacobians(cfg, strategy, k, m, cfg.sv_probes):
         sv_true = np.linalg.svd(true, compute_uv=False)[0]
         sv_app = np.linalg.svd(approx, compute_uv=False)[0]
         errs.append(abs(sv_app - sv_true) / sv_true)
@@ -713,6 +719,22 @@ def test_sv1_err_matches_dense_svd_and_jobs(tmp_path):
         assert abs(float(row["sv1_err"]) - expect) <= 1e-12
         checked += 1
     assert checked == 2
+
+
+def test_deim_jac_frob_err_matches_dense_oracle(tmp_path):
+    # deim's L + P R is summed as one sparse matrix; the oracle forms it dense
+    out = tmp_path / "out"
+    text = SWE_SMALL.format(out=out).replace("deim, smdeim", "deim")
+    path = tmp_path / "deim.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["sweep", "--config", str(path)]) == 0
+    (row,) = [r for r in read_rows(out / "results.csv") if r["strategy"] == "deim"]
+    assert row["status"] == "ok"
+    errs = [np.linalg.norm(approx - true) / np.linalg.norm(true)
+            for true, approx in dense_jacobians(parse_config_text(text), "deim", 10, 12)]
+    assert len(errs) > 1
+    want = float(np.mean(errs))
+    assert abs(float(row["jac_frob_err"]) - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("strategy", ["deim", "smdeim"])

@@ -9,11 +9,14 @@ are asserted at random reduced states, and the integrator contracts
 models.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smdeim_rom import io as artifact_io
 from smdeim_rom.jacobian_approx import (
@@ -29,6 +32,7 @@ from smdeim_rom.models.swe import build_swe
 from smdeim_rom.pod import PodBasis, pod_basis
 from smdeim_rom.rom import (
     STRATEGIES,
+    DeimFunctionJacobian,
     MatrixInterpolantJacobian,
     build_tensor_core,
     reduce_model,
@@ -369,6 +373,75 @@ def test_deim_strategy_matches_row_sampled_definition(rng, burgers_rom_parts):
         rows @ basis.u
     )
     assert np.max(np.abs(jac.evaluate(xt, x_full) - oracle)) <= 1e-10
+
+
+@functools.cache
+def solved(name):
+    """(model, snapshots) of a small Burgers or SWE 11x9 run."""
+    model = build_burgers(n=31, n_t=41) if name == "burgers" else build_swe(11, 9, n_t=21)
+    return model, full_solve(model)[2]
+
+
+@functools.cache
+def deim_case(name, centered):
+    """(stage operator, its snapshots, basis) for Burgers or an SWE stage."""
+    model, snaps = solved(name.split("-")[0])
+    stage = "xy".index(name[-1]) if name.startswith("swe") else 0
+    states = np.hstack([s.states for s in snaps])
+    basis = pod_basis(states, gamma=1.0, k_max=6, centered=centered)
+    return model.stages[stage].op, snaps[stage], basis
+
+
+DEIM_CASES = ["burgers", "swe-x", "swe-y"]
+
+
+@pytest.mark.parametrize("centered", [False, True])
+@pytest.mark.parametrize("name", DEIM_CASES)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_property_deim_reducer_equals_the_sampled_rows_formula(name, centered, data,
+                                                               seed):
+    op, snap, basis = deim_case(name, centered)
+    indexes = np.array(data.draw(
+        st.lists(st.integers(0, op.n - 1), min_size=1, max_size=12, unique=True)))
+    rng = np.random.default_rng(seed)
+    u, k = basis.u, basis.k
+    left = rng.standard_normal((k, indexes.size))
+    lin_reduced = u.T @ (op.linear @ u)
+    jac = DeimFunctionJacobian(op, basis, indexes, left, lin_reduced)
+    xt = basis.project(snap.states[:, rng.integers(snap.n_cols)])
+    x = basis.lift(xt + 0.05 * rng.standard_normal(k))
+    # the row-sampled definition: L_red + left (R U), R the sampled rows
+    want = lin_reduced + left @ (op.sample_nl_rows(x, indexes) @ u)
+    got = jac.evaluate(None, x)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("centered", [False, True])
+@pytest.mark.parametrize("name", DEIM_CASES)
+def test_deim_from_parts_rebuilds_the_reducer_bit_for_bit(name, centered):
+    model, snaps = solved(name.split("-")[0])
+    _, _, basis = deim_case(name, centered)
+    rm = reduce_model(model, basis, "deim", snapshots=snaps, m=8)
+    for stage, st_red in zip(model.stages, rm.stages):
+        jac = st_red.jacobian
+        assert jac.reducer.shape == (basis.k**2, jac.plan.m)
+        back = DeimFunctionJacobian.from_parts(stage.op, basis, None, **jac.parts())
+        assert np.array_equal(back.reducer, jac.reducer)
+        xt = rm.initial_reduced
+        assert np.array_equal(back.evaluate(xt), jac.evaluate(xt))
+
+
+def test_smdeim_refuses_an_interpolant_of_another_stage():
+    model, snaps = solved("swe")
+    _, _, basis = deim_case("swe-x", False)
+    mi0, mi1 = (build_smdeim(snap, 12) for snap in snaps)
+    assert mi0.pattern != mi1.pattern
+    with pytest.raises(ValueError, match="stage 1"):
+        reduce_model(model, basis, "smdeim", snapshots=snaps, m=12,
+                     prebuilt={0: mi0, 1: mi0})
+    rm = reduce_model(model, basis, "smdeim", snapshots=snaps, m=12,
+                      prebuilt={0: mi0, 1: mi1})
+    assert [stage.jacobian.plan.m for stage in rm.stages] == [12, 12]
 
 
 def test_mdeim_reference_strategy_agrees_with_smdeim(burgers_rom_parts):

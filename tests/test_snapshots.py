@@ -17,7 +17,6 @@ from smdeim_rom.models.burgers import build_burgers
 from smdeim_rom.snapshots import (
     PatternViolationError,
     SparsityPattern,
-    build_pattern,
     gather,
     scatter,
 )
@@ -134,32 +133,6 @@ def test_property_column_pointers_make_scatter_a_csc_matrix(case, data):
     assert csc.has_sorted_indices
     assert np.array_equal(csc.toarray(), want.toarray())
     assert np.array_equal(csc.tocsr().indices, want.indices)
-
-
-def test_build_pattern_keeps_stored_zeros():
-    mat = scipy.sparse.csr_matrix(
-        (np.array([0.0, 2.0]), (np.array([0, 1]), np.array([0, 1]))), shape=(2, 2)
-    )
-    pat = build_pattern(mat)
-    assert pat.r == 2  # the explicit zero is structural
-
-
-def test_build_pattern_small_example():
-    mat = scipy.sparse.csr_matrix(np.array([[1.0, 0.0], [2.0, 3.0]]))
-    pat = build_pattern(mat)
-    coords = list(zip(pat.rows.tolist(), pat.cols.tolist()))
-    assert coords == [(0, 0), (1, 0), (1, 1)]
-
-
-def test_build_pattern_identity():
-    pat = build_pattern(scipy.sparse.identity(4, format="csr"))
-    assert pat.r == 4
-    assert np.array_equal(pat.rows, pat.cols)
-
-
-def test_build_pattern_requires_square():
-    with pytest.raises(ValueError):
-        build_pattern(scipy.sparse.csr_matrix((2, 3)))
 
 
 def test_gather_scatter_round_trip_exact(rng):
