@@ -39,7 +39,6 @@ from .jacobian_approx import (
     build_mdeim_reference,
     build_smdeim,
     guard_limit,
-    sample_and_approximate,
     verify_lemma2,
 )
 from .linalg import (
@@ -90,7 +89,6 @@ __all__ = [
     "build_mdeim_reference",
     "build_smdeim",
     "guard_limit",
-    "sample_and_approximate",
     "verify_lemma2",
     "BandTooWideError",
     "SingularMatrixError",

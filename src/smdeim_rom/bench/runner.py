@@ -49,10 +49,10 @@ from ..deim import DependentColumnsError, deim_interpolant
 from ..jacobian_approx import (
     MemoryGuardError,
     RankError,
+    approximate_matrix,
     build_mdeim_reference,
     build_smdeim,
     check_rank,
-    sample_and_approximate,
 )
 from ..linalg import SvdConvergenceError, leading_singular_value, thin_svd
 from ..models import burgers as burgers_model
@@ -493,21 +493,25 @@ def run_online_point(cfg, model, ctx, traj_full, strategy, k, m):
     traj_err = _trajectory_error(basis, traj_red, traj_full)
 
     op0 = model.stages[0].op
+    jac = rm.stages[0].jacobian
     red_errs = []
     jac_errs = []
     sv_errs = []
     for count, probe in enumerate(ctx.probes(basis)):
-        red_approx = rm.stages[0].jacobian.evaluate(probe.xt, probe.x)
+        red_approx = jac.evaluate(probe.xt, probe.x)
         red_errs.append(float(np.linalg.norm(red_approx - probe.red) / probe.red_norm))
         if interp is None:
             continue
+        # the stage Jacobian's own plan samples the held-out state
+        samples = jac.plan.apply(probe.x[jac.plan.mesh])
         if strategy == "deim":
-            rows = op0.sample_nl_rows(probe.x, interp.indexes)
+            rows = scipy.sparse.csr_matrix((samples, jac.plan.cols, jac.row_ptr),
+                                           shape=(jac.row_ptr.size - 1, op0.n))
             approx = op0.linear + scipy.sparse.csr_matrix(interp.projector) @ rows
             # Lanczos runs faster on the factored form than on this sum
             sv_op = _deim_jacobian_operator(op0.linear, interp.projector, rows)
         else:
-            approx = sv_op = sample_and_approximate(interp, op0, probe.x)
+            approx = sv_op = approximate_matrix(interp, samples)
         num = scipy.sparse.linalg.norm(approx - probe.jac)
         jac_errs.append(float(num / probe.jac_norm))
         if count < cfg.sv_probes:

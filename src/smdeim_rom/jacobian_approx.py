@@ -37,7 +37,6 @@ __all__ = [
     "build_smdeim",
     "build_mdeim_reference",
     "approximate_matrix",
-    "sample_and_approximate",
     "verify_lemma2",
     "Lemma2Report",
 ]
@@ -177,12 +176,6 @@ def approximate_matrix(mi, samples):
         return scatter(vec, mi.pattern)
     dense = vec.reshape((mi.n, mi.n), order="F")
     return scipy.sparse.csr_matrix(dense)
-
-
-def sample_and_approximate(mi, op, x):
-    """Sample the operator Jacobian at the interpolation coords and apply."""
-    samples = op.sample_jacobian(x, mi.sample_rows, mi.sample_cols)
-    return approximate_matrix(mi, samples)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,9 @@ with sparse L, G_t, H_t ((.) is the entrywise product).  That single form
 provides, generically and exactly:
 
 * the sparse Jacobian  J(x) = L + sum_t [diag(G_t x) H_t + diag(H_t x) G_t],
+  assembled as the pattern's CSC matrix of `jacobian_values(x)`: the values
+  come in column-major pattern order, which is CSC order, so they are the
+  matrix's data as they stand,
 * O(stencil) evaluation of Jacobian entries without assembling J, through
   sampling plans: `jacobian_values` restricted offline to a fixed
   coordinate list, whose sample mesh is the state entries that the
@@ -61,15 +64,6 @@ def _structural_linear_indexes(mat, row_mask=None):
         keep = row_mask[rows]
         rows, cols = rows[keep], cols[keep]
     return cols * np.int64(mat.shape[0]) + rows
-
-
-def _row_major_template(pattern):
-    # permutation from the pattern's column-major order into CSR order
-    perm = np.lexsort((pattern.cols, pattern.rows))
-    indices = pattern.cols[perm].astype(np.int32)
-    counts = np.bincount(pattern.rows, minlength=pattern.n)
-    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
-    return perm, indices, indptr
 
 
 def _reject_outside(n, rows, cols=None):
@@ -233,9 +227,6 @@ class QuadraticOperator:
         else:
             self._factors = scipy.sparse.csr_matrix((0, n), dtype=np.float64)
         self._values_map = self._jacobian_values_map()
-        self._csr_perm, self._csr_indices, self._csr_indptr = _row_major_template(
-            self.pattern
-        )
         # fixed per-entry sampling charge: the stencil-width bound, so the
         # accounted cost of m samples depends on m and the operator alone,
         # never on where the samples land in the grid
@@ -246,9 +237,8 @@ class QuadraticOperator:
             for g, h in self.pairs
         )
         # row-major layout of the nonlinear pattern, for row sampling
-        _, self._nl_indices, self._nl_indptr = _row_major_template(
-            self.nl_pattern
-        )
+        rows_form = self.nl_pattern.matrix(np.zeros(self.nl_pattern.r)).tocsr()
+        self._nl_indices, self._nl_indptr = rows_form.indices, rows_form.indptr
 
     # -- full-space evaluation -------------------------------------------
 
@@ -309,21 +299,10 @@ class QuadraticOperator:
             )
         )
 
-    def jacobian(self, x, out=None):
-        """Assembled sparse Jacobian with the fixed structural pattern.
-
-        out, a matrix an earlier call returned, receives the values at x in
-        place and is returned, so a caller evaluating many states builds
-        one CSR.
-        """
-        vals = self.jacobian_values(x)[self._csr_perm]
-        if out is not None:
-            out.data[:] = vals
-            return out
-        return scipy.sparse.csr_matrix(
-            (vals, self._csr_indices.copy(), self._csr_indptr.copy()),
-            shape=(self.n, self.n),
-        )
+    def jacobian(self, x):
+        """Assembled sparse Jacobian with the fixed structural pattern, as
+        the pattern's CSC matrix of `jacobian_values(x)`."""
+        return self.pattern.matrix(self.jacobian_values(x))
 
     # -- pointwise sampling (independent of n) ----------------------------
 

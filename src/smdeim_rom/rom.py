@@ -41,7 +41,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from . import instrumentation
 from .jacobian_approx import build_mdeim_reference, build_smdeim, check_rank
@@ -164,8 +163,8 @@ class TensorialJacobian:
 
 
 class DirectProjectionJacobian:
-    """U^T J(x) U; the first evaluation builds the CSR of J and later ones
-    refill its values."""
+    """U^T J(x) U, with J the pattern's CSC matrix built once and refilled
+    from `jacobian_values` at each evaluation."""
 
     kind = "direct-projection"
     needs_lift = True
@@ -173,7 +172,7 @@ class DirectProjectionJacobian:
     def __init__(self, op, u):
         self.op = op
         self.u = u
-        self._jac = None
+        self._jac = op.pattern.matrix(np.zeros(op.pattern.r))
 
     def parts(self):
         return {}
@@ -183,7 +182,7 @@ class DirectProjectionJacobian:
         return cls(op, basis.u)
 
     def evaluate(self, xt, x_full):
-        self._jac = self.op.jacobian(x_full, out=self._jac)
+        self._jac.data[:] = self.op.jacobian_values(x_full)
         return self.u.T @ (self._jac @ self.u)
 
 
@@ -240,7 +239,8 @@ class MatrixInterpolantJacobian:
     """Entry-sampled full-Jacobian interpolation contracted to k-by-k.
 
     Column i of the k^2-by-m reducer is vec_F(U^T P_i U), P_i the n-by-n
-    matrix holding projector column i at the interpolant's coordinates;
+    matrix holding projector column i at the interpolant's coordinates
+    (on the sparse route the pattern's matrix of it, `mi.pattern.matrix`);
     multiplying the reducer by the m sampled entries and reshaping
     column-major yields the reduced Jacobian in O(k^2 m) online work.  The
     reducer is built one column at a time: on the sparse route that takes
@@ -265,11 +265,8 @@ class MatrixInterpolantJacobian:
         u, n = basis.u, mi.pattern.n
         reducer = np.empty((u.shape[1] ** 2, mi.m))
         if mi.mode == "sparse":
-            # the pattern is sorted column-major, so with its rows and column
-            # pointers projector column i is P_i in CSC form, refilled in place
-            pat = mi.pattern
-            indptr = np.searchsorted(pat.cols, np.arange(n + 1))
-            p_i = scipy.sparse.csc_matrix((np.empty(pat.r), pat.rows, indptr), (n, n))
+            # projector column i, in pattern order, is the data of P_i
+            p_i = mi.pattern.matrix(np.zeros(mi.pattern.r))
         for i, col in enumerate(mi.interp.projector.T):
             if mi.mode == "sparse":
                 p_i.data[:] = col
@@ -323,7 +320,8 @@ class DeimFunctionJacobian(MatrixInterpolantJacobian):
     projector), the reduced Jacobian is lin_reduced + left (R U).  That is
     affine in the entries of R, so the rows' entries are the samples of a
     reducer: entry q at row indexes[i] and column c has the column
-    vec_F(left[:, i] (x) U[c, :]).
+    vec_F(left[:, i] (x) U[c, :]).  row_ptr delimits the rows in the plan's
+    coordinates, so (samples, plan.cols, row_ptr) is R in CSR form.
     """
 
     kind = "deim"
@@ -332,8 +330,8 @@ class DeimFunctionJacobian(MatrixInterpolantJacobian):
         self.indexes = indexes
         self.left = left
         self.lin_reduced = lin_reduced
-        plan, indptr = op.nl_row_plan(indexes)
-        row_of = np.repeat(np.arange(len(indexes)), np.diff(indptr))
+        plan, self.row_ptr = op.nl_row_plan(indexes)
+        row_of = np.repeat(np.arange(len(indexes)), np.diff(self.row_ptr))
         k = basis.k
         outer = left[:, None, row_of] * basis.u[plan.cols].T[None, :, :]
         self._setup(op, basis, outer.reshape((k * k, plan.m), order="F"), plan)
@@ -486,23 +484,18 @@ def reduced_jacobian(rm, xt, stage=0):
     return st.jacobian.evaluate(xt, x_full)
 
 
-def rom_solve(rm, n_t, x0=None, continue_on_failure=False, record_iterates=False):
+def rom_solve(rm, n_t, x0=None, continue_on_failure=False):
     """Advance the reduced model for n_t time points.
 
     Returns (trajectory, stats): trajectory is (k, n_t) in reduced
     coordinates with the initial column included.  Every stage solve starts
     from the run's first reduced state and each Newton update is a dense LU
     solve with I - fraction dt reduced_jacobian(xt); failures are handled
-    by stats.integrate, continue_on_failure included.  With
-    record_iterates=True, stats.meta["iterates"] collects every reduced
-    state at which a Newton matrix was evaluated, per solve.
+    by stats.integrate, continue_on_failure included.
     """
     eye = np.eye(rm.k)
-    iterates = [] if record_iterates else None
 
     def newton_step(s_idx, coef, xt, residual):
-        if iterates is not None:
-            iterates.append(xt.copy())
         return solve_dense(eye - coef * reduced_jacobian(rm, xt, s_idx), -residual)
 
     stages = []
@@ -516,7 +509,4 @@ def rom_solve(rm, n_t, x0=None, continue_on_failure=False, record_iterates=False
         rm.newton_tol, rm.newton_cap, continue_on_failure,
     )
     stats.offline_seconds = rm.offline_seconds
-    if record_iterates:
-        it = iter(iterates)
-        stats.meta = {"iterates": [[next(it) for _ in range(n)] for n in stats.iterations]}
     return trajectory, stats

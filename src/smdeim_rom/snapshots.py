@@ -7,6 +7,13 @@ dependent Jacobian can ever hold a value.  Vectorizing only those coordinates
 interpolation work on r-vectors instead of n^2-vectors: gather is the
 truncated-identity map, scatter is its transpose, and the two invert each
 other on conforming inputs.
+
+Column-major order over the pattern is CSC order: the pattern's rows are the
+CSC row indexes and its column pointers delimit the columns.  So a vector of
+values in pattern order is a sparse matrix as it stands, and
+`SparsityPattern.matrix` is the one place that builds it; every
+pattern-valued matrix of the package (scatter, the assembled Jacobian, the
+reducer's P_i) comes from there.
 """
 
 from dataclasses import dataclass
@@ -33,7 +40,8 @@ class SparsityPattern:
 
     Coordinates are stored column-major sorted (by column, then row), which
     makes the linear index `col * n + row` strictly increasing.  All indexes
-    are 0-based.
+    are 0-based.  indptr holds the column pointers: column j's coordinates
+    are positions indptr[j] to indptr[j + 1] - 1.
     """
 
     n: int
@@ -61,6 +69,7 @@ class SparsityPattern:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_linear", lin)
+        object.__setattr__(self, "indptr", np.searchsorted(cols, np.arange(self.n + 1)))
 
     @property
     def r(self):
@@ -70,6 +79,18 @@ class SparsityPattern:
     def linear(self):
         """Column-major linear indexes, strictly increasing."""
         return self._linear
+
+    def matrix(self, values):
+        """The n-by-n CSC matrix holding values (an r-vector in pattern
+        order) at the pattern coordinates, zeros included.
+
+        It owns copies of the values and of the index arrays, so refilling
+        its data or editing its structure leaves the pattern unchanged.
+        """
+        return scipy.sparse.csc_matrix(
+            (np.asarray(values, dtype=np.float64), self.rows, self.indptr),
+            shape=(self.n, self.n), copy=True,
+        )
 
     def positions_of(self, rows, cols):
         """Positions of the given coordinates inside the pattern, -1 if absent."""
@@ -123,9 +144,7 @@ def scatter(values, pattern):
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (pattern.r,):
         raise ValueError(f"expected {pattern.r} values, got shape {values.shape}")
-    return scipy.sparse.csr_matrix(
-        (values.copy(), (pattern.rows, pattern.cols)), shape=(pattern.n, pattern.n)
-    )
+    return pattern.matrix(values)
 
 
 @dataclass

@@ -48,7 +48,6 @@ class NewtonStats:
     failures: list = field(default_factory=list)
     offline_seconds: float = 0.0
     online_seconds: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     @property
     def mean_iterations(self):

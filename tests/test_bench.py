@@ -33,8 +33,8 @@ from smdeim_rom.bench.runner import CSV_COLUMNS, unit_list
 from smdeim_rom.deim import deim_interpolant
 from smdeim_rom.jacobian_approx import (
     RankError,
+    approximate_matrix,
     build_smdeim,
-    sample_and_approximate,
 )
 from smdeim_rom.linalg import thin_svd
 from smdeim_rom.pod import pod_basis
@@ -684,7 +684,8 @@ def dense_jacobians(cfg, strategy, k, m, count=None):
         x = basis.lift(basis.project(snap.states[:, i]))
         true = op.jacobian(x).toarray()
         if strategy == "smdeim":
-            approx = sample_and_approximate(mi, op, x).toarray()
+            samples = op.sample_jacobian(x, mi.sample_rows, mi.sample_cols)
+            approx = approximate_matrix(mi, samples).toarray()
         else:
             rows = op.sample_nl_rows(x, fn_interp.indexes)
             approx = op.linear.toarray() + fn_interp.projector @ rows.toarray()

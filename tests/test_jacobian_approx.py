@@ -20,7 +20,6 @@ from smdeim_rom.jacobian_approx import (
     build_mdeim_reference,
     build_smdeim,
     guard_limit,
-    sample_and_approximate,
     verify_lemma2,
 )
 from smdeim_rom.deim import deim_interpolant
@@ -37,6 +36,11 @@ def small_snap():
     return model, sets[0]
 
 
+def approximate_at(mi, op, x):
+    # the interpolant applied to the Jacobian values sampled at its coordinates
+    return approximate_matrix(mi, op.sample_jacobian(x, mi.sample_rows, mi.sample_cols))
+
+
 def test_routes_agree_on_coordinates_and_values(small_snap):
     model, snap = small_snap
     m = 8
@@ -46,8 +50,8 @@ def test_routes_agree_on_coordinates_and_values(small_snap):
     assert np.array_equal(fast.sample_cols, ref.sample_cols)
     # approximations agree on a held-out state
     x = snap.states[:, -1] * 0.9
-    a_fast = sample_and_approximate(fast, model.stages[0].op, x)
-    a_ref = sample_and_approximate(ref, model.stages[0].op, x)
+    a_fast = approximate_at(fast, model.stages[0].op, x)
+    a_ref = approximate_at(ref, model.stages[0].op, x)
     diff = scipy.sparse.linalg.norm(a_fast - a_ref)
     assert diff <= 1e-10 * scipy.sparse.linalg.norm(a_fast)
 
@@ -63,7 +67,7 @@ def test_routes_share_singular_values(small_snap):
 def test_sparse_mode_reconstruction_stays_in_pattern(small_snap):
     model, snap = small_snap
     mi = build_smdeim(snap, 10)
-    approx = sample_and_approximate(mi, model.stages[0].op, snap.states[:, 5])
+    approx = approximate_at(mi, model.stages[0].op, snap.states[:, 5])
     lin = approx.tocoo()
     linear = lin.col.astype(np.int64) * snap.pattern.n + lin.row.astype(np.int64)
     assert set(linear.tolist()) <= set(snap.pattern.linear.tolist())
@@ -74,7 +78,7 @@ def test_exact_at_sample_coordinates(small_snap):
     op = model.stages[0].op
     mi = build_smdeim(snap, 12)
     x = snap.states[:, 17]
-    approx = sample_and_approximate(mi, op, x)
+    approx = approximate_at(mi, op, x)
     true_vals = op.sample_jacobian(x, mi.sample_rows, mi.sample_cols)
     got = np.array(
         [approx[int(a), int(b)] for a, b in zip(mi.sample_rows, mi.sample_cols)]
@@ -88,7 +92,7 @@ def test_training_column_reproduced_at_full_mode_count(small_snap):
     mi = build_smdeim(snap, int(svd.rank))
     col = 13
     x = snap.states[:, col]
-    approx = sample_and_approximate(mi, model.stages[0].op, x)
+    approx = approximate_at(mi, model.stages[0].op, x)
     true_vec = snap.jacobian[:, col]
     err = np.linalg.norm(gather(approx, snap.pattern) - true_vec)
     assert err <= 1e-8 * np.linalg.norm(true_vec)

@@ -18,10 +18,7 @@ from hypothesis import strategies as st
 
 from smdeim_rom.bench.runner import _deim_jacobian_operator
 from smdeim_rom.deim import deim_interpolant
-from smdeim_rom.jacobian_approx import (
-    build_smdeim,
-    sample_and_approximate,
-)
+from smdeim_rom.jacobian_approx import approximate_matrix, build_smdeim
 from smdeim_rom import linalg
 from smdeim_rom.linalg import (
     SingularMatrixError,
@@ -323,7 +320,9 @@ def probe(swe_run):
 
 def test_leading_singular_value_of_smdeim_approximation(swe_run):
     snap, op, x = probe(swe_run)
-    approx = sample_and_approximate(build_smdeim(snap, 30), op, x)
+    mi = build_smdeim(snap, 30)
+    samples = op.sample_jacobian(x, mi.sample_rows, mi.sample_cols)
+    approx = approximate_matrix(mi, samples)
     expect = dense_sv1(approx.toarray())
     assert abs(leading_singular_value(approx) - expect) <= 1e-13 * expect
 

@@ -18,6 +18,7 @@ import scipy.sparse
 from hypothesis import given
 from hypothesis import strategies as st
 
+from smdeim_rom.linalg import leading_singular_value
 from smdeim_rom.models import QuadraticOperator
 from smdeim_rom.models.burgers import build_burgers
 from smdeim_rom.models.swe import build_swe
@@ -161,6 +162,40 @@ def test_factor_entries_where_the_partner_row_is_empty():
     want = np.diag(g @ x) @ h.toarray() + np.diag(h @ x) @ g.toarray()
     assert np.allclose(op.jacobian(x).toarray(), want, rtol=1e-15, atol=0.0)
     assert not np.any(op.pattern.rows == 1)
+
+
+def lexsort_csr(op, x):
+    # the row-major layout of J(x) before the pattern's CSC matrix: the
+    # pattern values permuted into CSR order by a lexsort of the coordinates
+    pat = op.pattern
+    perm = np.lexsort((pat.cols, pat.rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(pat.rows, minlength=pat.n))))
+    return scipy.sparse.csr_matrix(
+        (op.jacobian_values(x)[perm], pat.cols[perm], indptr), shape=(pat.n, pat.n)
+    )
+
+
+_BURGERS_199 = build_burgers(n=199)
+
+
+@pytest.mark.parametrize("op, x0", [
+    (_BURGERS_199.stages[0].op, _BURGERS_199.initial_state),
+    (_SWE.stages[0].op, _SWE.initial_state),
+    (_SWE.stages[1].op, _SWE.initial_state),
+], ids=["burgers-199", "swe-x", "swe-y"])
+def test_csc_jacobian_gives_the_bits_of_the_row_major_layout(op, x0, rng):
+    # both layouts sum each row from zero in column order, so every product
+    # the package takes with J has the same bits in either
+    x = x0 * (1.0 + 0.1 * rng.standard_normal(op.n))
+    u = np.linalg.qr(rng.standard_normal((op.n, 25)))[0]
+    jac = op.jacobian(x)
+    old = lexsort_csr(op, x)
+    assert jac.format == "csc"
+    assert np.array_equal(jac.toarray(), old.toarray())
+    assert np.array_equal(u.T @ (jac @ u), u.T @ (old @ u))
+    assert np.array_equal(jac @ u[:, 0], old @ u[:, 0])
+    assert np.array_equal(jac.T @ u[:, 0], old.T @ u[:, 0])
+    assert leading_singular_value(jac) == leading_singular_value(old)
 
 
 def test_batched_snapshots_equal_per_column_collection(burgers201, swe_run):

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from smdeim_rom import io as artifact_io
 from smdeim_rom.jacobian_approx import (
     build_mdeim_reference,
+    approximate_matrix,
     build_smdeim,
-    sample_and_approximate,
 )
 from smdeim_rom.linalg import SingularMatrixError, thin_svd
 from smdeim_rom.models import FullModel, ImplicitStage, full_solve
@@ -334,7 +334,8 @@ def test_smdeim_strategy_matches_sampled_matrix_projection(rng, burgers_rom_part
     for col in (3, 25):
         xt = basis.project(snaps[0].states[:, col]) + 0.02 * rng.standard_normal(basis.k)
         x_full = basis.lift(xt)
-        approx = sample_and_approximate(mi, op, x_full)
+        samples = op.sample_jacobian(x_full, mi.sample_rows, mi.sample_cols)
+        approx = approximate_matrix(mi, samples)
         oracle = basis.u.T @ (approx @ basis.u)
         got = jac.evaluate(xt, x_full)
         assert np.max(np.abs(got - oracle)) <= 1e-10 * max(1.0, np.abs(oracle).max())
@@ -496,17 +497,6 @@ def test_zero_rhs_passes_through_bit_exact(rng):
     assert stats.iterations == [1, 1, 1, 1]
     with pytest.raises(ValueError):
         rom_solve(rm, 0)
-
-
-def test_record_iterates_counts_match_iterations(burgers_rom_parts):
-    model, _, snaps, basis = burgers_rom_parts
-    rm = reduce_model(model, basis, "smdeim", snapshots=snaps, m=10)
-    traj, stats = rom_solve(rm, 10, record_iterates=True)
-    iterates = stats.meta["iterates"]
-    assert len(iterates) == len(stats.iterations) == 9
-    for per_solve, iters in zip(iterates, stats.iterations):
-        assert len(per_solve) == iters
-        assert all(p.shape == (basis.k,) for p in per_solve)
 
 
 def test_newton_failure_raises_and_continue_records(burgers_rom_parts):

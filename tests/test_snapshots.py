@@ -3,7 +3,10 @@
 The central identities: scatter is a right inverse of gather on pattern
 vectors, gather recovers any matrix whose stored entries lie inside the
 pattern, and the coordinate order is column-major so the linear index
-col*n + row is strictly increasing.  All random cases are seeded.
+col*n + row is strictly increasing.  That order is CSC order, so the
+pattern's matrix of a value vector has the pattern's rows and column
+pointers as its index arrays, as copies it owns.  All random cases are
+seeded.
 """
 
 import numpy as np
@@ -122,17 +125,55 @@ def test_property_gather_and_scatter_invert_each_other(case, data):
 
 @given(coordinate_lists(), st.data())
 def test_property_column_pointers_make_scatter_a_csc_matrix(case, data):
-    # pattern.rows with column pointers over the sorted cols is the CSC form
-    # of scatter, with no permutation
+    # scatter is the pattern's CSC matrix: the pattern's rows and column
+    # pointers, with the values in pattern order and no permutation
     n, rows, cols = case
     pat = SparsityPattern(n=n, rows=rows, cols=cols)
     vals = np.array(data.draw(st.lists(_values, min_size=pat.r, max_size=pat.r)))
-    indptr = np.searchsorted(pat.cols, np.arange(n + 1))
-    csc = scipy.sparse.csc_matrix((vals, pat.rows, indptr), shape=(n, n))
-    want = scatter(vals, pat)
-    assert csc.has_sorted_indices
-    assert np.array_equal(csc.toarray(), want.toarray())
-    assert np.array_equal(csc.tocsr().indices, want.indices)
+    got = scatter(vals, pat)
+    assert got.format == "csc"
+    assert np.array_equal(got.indices, pat.rows)
+    assert np.array_equal(got.indptr, pat.indptr)
+    assert np.array_equal(got.data, vals)
+
+
+@given(coordinate_lists(), st.data())
+def test_property_pattern_matrix_equals_the_coo_oracle(case, data):
+    # values drawn in the drawn coordinate order; a lexsort by (col, row)
+    # puts them in pattern order
+    n, rows, cols = case
+    pat = SparsityPattern(n=n, rows=rows, cols=cols)
+    drawn = np.array(data.draw(st.lists(_values, min_size=pat.r, max_size=pat.r)))
+    vals = drawn[np.lexsort((rows, cols))]
+    got = pat.matrix(vals)
+    want = scipy.sparse.coo_matrix((drawn, (rows, cols)), shape=(n, n))
+    assert got.shape == (n, n) and got.nnz == pat.r
+    assert np.array_equal(got.toarray(), want.toarray())
+    assert np.array_equal(pat.indptr, np.searchsorted(np.sort(cols), np.arange(n + 1)))
+    assert np.array_equal(got.indptr, pat.indptr)
+    for j in range(n):
+        assert np.all(np.diff(got.indices[got.indptr[j]:got.indptr[j + 1]]) > 0)
+    assert got.has_sorted_indices
+
+
+@given(coordinate_lists(), st.data())
+def test_property_pattern_matrix_owns_its_arrays(case, data):
+    # editing the returned matrix's structure or values leaves the pattern
+    # and the caller's values as they were
+    n, rows, cols = case
+    pat = SparsityPattern(n=n, rows=rows, cols=cols)
+    vals = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.5, -2.0]),
+                                       min_size=pat.r, max_size=pat.r)))
+    kept = (pat.rows.copy(), pat.cols.copy(), pat.indptr.copy(), vals.copy())
+    mat = pat.matrix(vals)
+    for own, theirs in ((mat.indices, pat.rows), (mat.indptr, pat.indptr),
+                        (mat.data, vals)):
+        assert not np.shares_memory(own, theirs)
+    mat.eliminate_zeros()
+    mat.data *= 3.0
+    for now, before in zip((pat.rows, pat.cols, pat.indptr, vals), kept):
+        assert np.array_equal(now, before)
+    assert np.array_equal(pat.matrix(vals).toarray(), scatter(kept[3], pat).toarray())
 
 
 def test_gather_scatter_round_trip_exact(rng):
