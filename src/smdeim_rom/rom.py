@@ -17,8 +17,8 @@ root; the strategies differ only in how the k-by-k Newton matrix is built:
 * directional-derivative: forward differences of the full right-hand side
   along the basis directions.
 * deim: interpolate the nonlinear-term Jacobian from sampled rows, linear
-  part projected exactly offline; the rows' entries are contracted to
-  k-by-k by a reducer, as smdeim's are.
+  part projected exactly offline; the rows' e entries scale a k-by-e
+  factor whose product with an e-by-k one is k-by-k.
 * smdeim: interpolate the full Jacobian from entries sampled at pattern
   coordinates, contracted to k-by-k offline.
 * mdeim-reference: same contraction built from the guarded vectorized
@@ -245,7 +245,7 @@ class MatrixInterpolantJacobian:
     column-major yields the reduced Jacobian in O(k^2 m) online work.  The
     reducer is built one column at a time: on the sparse route that takes
     m (2 r k + 2 n k^2) flops and O(n k) scratch.  The entries come from a
-    precomputed sampling plan over a lift of the sample mesh alone.
+    sampling plan over a lift of the sample mesh alone, which deim shares.
 
     The interpolant must be trained on the stage operator's pattern; stage
     names the stage in the error raised otherwise.
@@ -263,7 +263,7 @@ class MatrixInterpolantJacobian:
                 f"r={op.pattern.r} or other coordinates"
             )
         u, n = basis.u, mi.pattern.n
-        reducer = np.empty((u.shape[1] ** 2, mi.m))
+        reducer = self.reducer = np.empty((u.shape[1] ** 2, mi.m))
         if mi.mode == "sparse":
             # projector column i, in pattern order, is the data of P_i
             p_i = mi.pattern.matrix(np.zeros(mi.pattern.r))
@@ -273,7 +273,7 @@ class MatrixInterpolantJacobian:
             else:
                 p_i = col.reshape((n, n), order="F")
             reducer[:, i] = (u.T @ (p_i @ u)).ravel(order="F")
-        self._setup(op, basis, reducer, op.sampling_plan(mi.sample_rows, mi.sample_cols))
+        self._setup(op, basis, op.sampling_plan(mi.sample_rows, mi.sample_cols))
 
     def parts(self):
         return {"reducer": self.reducer, "sample_rows": self.sample_rows,
@@ -282,13 +282,13 @@ class MatrixInterpolantJacobian:
     @classmethod
     def from_parts(cls, op, basis, core, reducer, sample_rows, sample_cols):
         obj = cls.__new__(cls)
-        obj._setup(op, basis, reducer, op.sampling_plan(sample_rows, sample_cols))
+        obj.reducer = reducer
+        obj._setup(op, basis, op.sampling_plan(sample_rows, sample_cols))
         return obj
 
-    def _setup(self, op, basis, reducer, plan):
+    def _setup(self, op, basis, plan):
         self.op = op
         self.k = int(basis.k)
-        self.reducer = reducer
         self.plan = plan
         self.sample_mesh = _SampleMesh(basis, plan.mesh)
 
@@ -300,16 +300,16 @@ class MatrixInterpolantJacobian:
     def sample_cols(self):
         return self.plan.cols
 
-    def _contract(self, xt, x_full):
+    def _sample(self, xt, x_full, flops):
         # shared by both classes' evaluate, so neither evaluate calls the
-        # other and each evaluation is one call of its own class's evaluate
-        samples = self.plan.apply(self.sample_mesh.lift(xt, x_full))
+        # other; flops is the cost of the caller's own contraction
         instrumentation.bump("sample_flops", self.plan.flops)
-        instrumentation.bump("reduced_jacobian_flops", 2 * self.reducer.size)
-        return (self.reducer @ samples).reshape((self.k, self.k), order="F")
+        instrumentation.bump("reduced_jacobian_flops", flops)
+        return self.plan.apply(self.sample_mesh.lift(xt, x_full))
 
     def evaluate(self, xt, x_full=None):
-        return self._contract(xt, x_full)
+        samples = self._sample(xt, x_full, 2 * self.reducer.size)
+        return (self.reducer @ samples).reshape((self.k, self.k), order="F")
 
 
 class DeimFunctionJacobian(MatrixInterpolantJacobian):
@@ -317,10 +317,10 @@ class DeimFunctionJacobian(MatrixInterpolantJacobian):
     interpolant, plus the linear part projected exactly offline.
 
     With R the sampled rows and left = U^T P (P the interpolant's
-    projector), the reduced Jacobian is lin_reduced + left (R U).  That is
-    affine in the entries of R, so the rows' entries are the samples of a
-    reducer: entry q at row indexes[i] and column c has the column
-    vec_F(left[:, i] (x) U[c, :]).  row_ptr delimits the rows in the plan's
+    projector), the reduced Jacobian is lin_reduced + left (R U), one
+    rank-1 term per entry of R: lin_reduced + (left_e * samples) @ u_e,
+    where entry q, at row indexes[i] and column c, has left_e[:, q] =
+    left[:, i] and u_e[q] = U[c].  row_ptr delimits the rows in the plan's
     coordinates, so (samples, plan.cols, row_ptr) is R in CSR form.
     """
 
@@ -331,10 +331,9 @@ class DeimFunctionJacobian(MatrixInterpolantJacobian):
         self.left = left
         self.lin_reduced = lin_reduced
         plan, self.row_ptr = op.nl_row_plan(indexes)
-        row_of = np.repeat(np.arange(len(indexes)), np.diff(self.row_ptr))
-        k = basis.k
-        outer = left[:, None, row_of] * basis.u[plan.cols].T[None, :, :]
-        self._setup(op, basis, outer.reshape((k * k, plan.m), order="F"), plan)
+        self.left_e = np.repeat(left, np.diff(self.row_ptr), axis=1)
+        self.u_e = np.ascontiguousarray(basis.u[plan.cols])
+        self._setup(op, basis, plan)
 
     def parts(self):
         return {"indexes": self.indexes, "left": self.left,
@@ -345,7 +344,8 @@ class DeimFunctionJacobian(MatrixInterpolantJacobian):
         return cls(op, basis, indexes, left, lin_reduced)
 
     def evaluate(self, xt, x_full=None):
-        return self.lin_reduced + self._contract(xt, x_full)
+        samples = self._sample(xt, x_full, self.left_e.size * (1 + 2 * self.k))
+        return self.lin_reduced + (self.left_e * samples) @ self.u_e
 
 
 JACOBIANS = {

@@ -18,6 +18,7 @@ import scipy.sparse
 from hypothesis import given
 from hypothesis import strategies as st
 
+from smdeim_rom import instrumentation
 from smdeim_rom import io as artifact_io
 from smdeim_rom.jacobian_approx import (
     build_mdeim_reference,
@@ -419,17 +420,68 @@ def test_property_deim_reducer_equals_the_sampled_rows_formula(name, centered, d
 
 @pytest.mark.parametrize("centered", [False, True])
 @pytest.mark.parametrize("name", DEIM_CASES)
-def test_deim_from_parts_rebuilds_the_reducer_bit_for_bit(name, centered):
+def test_deim_from_parts_rebuilds_its_factors_bit_for_bit(name, centered):
     model, snaps = solved(name.split("-")[0])
     _, _, basis = deim_case(name, centered)
     rm = reduce_model(model, basis, "deim", snapshots=snaps, m=8)
     for stage, st_red in zip(model.stages, rm.stages):
         jac = st_red.jacobian
-        assert jac.reducer.shape == (basis.k**2, jac.plan.m)
+        assert jac.left_e.shape == (basis.k, jac.plan.m)
+        assert jac.u_e.shape == (jac.plan.m, basis.k)
         back = DeimFunctionJacobian.from_parts(stage.op, basis, None, **jac.parts())
-        assert np.array_equal(back.reducer, jac.reducer)
+        for attr in ("left_e", "u_e"):
+            assert getattr(back, attr).flags.c_contiguous
+            assert np.array_equal(getattr(back, attr), getattr(jac, attr))
         xt = rm.initial_reduced
         assert np.array_equal(back.evaluate(xt), jac.evaluate(xt))
+
+
+def held_arrays(obj):
+    """Every numpy array reachable through obj's attributes, except those of
+    the stage operator it was built on."""
+    seen, todo, arrays = set(), [obj], []
+    while todo:
+        item = todo.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            arrays.append(item)
+        elif hasattr(item, "__dict__"):
+            todo.extend(v for key, v in vars(item).items() if key != "op")
+    return arrays
+
+
+def test_deim_stages_hold_no_k2_by_e_array(swe_run):
+    # SWE 21x15 at the benchmark's k=25, m=30; the two stages alternate, so
+    # what one evaluation reads must stay small enough to remain in cache
+    basis = pod_basis(swe_run.snaps[0].states, gamma=1.0, k_max=25)
+    k = basis.k
+    assert k == 25
+    rm = reduce_model(swe_run.model, basis, "deim", snapshots=swe_run.snaps, m=30)
+    for st_red in rm.stages:
+        jac = st_red.jacobian
+        e = jac.plan.m
+        largest = max(a.size for a in held_arrays(jac))
+        assert largest < k * k * e / 4, (largest, k, e)
+        read = jac.left_e.nbytes + jac.u_e.nbytes + jac.lin_reduced.nbytes
+        assert read <= 2 * 8 * k * e + 8 * k * k
+
+
+@pytest.mark.parametrize("strategy", ["deim", "smdeim"])
+def test_one_evaluation_counts_its_contraction_flops(burgers_rom_parts, strategy):
+    model, _, snaps, basis = burgers_rom_parts
+    rm = reduce_model(model, basis, strategy, snapshots=snaps, m=8)
+    jac = rm.stages[0].jacobian
+    k, e = basis.k, jac.plan.m
+    before = instrumentation.snapshot()
+    jac.evaluate(rm.initial_reduced)
+    after = instrumentation.snapshot()
+    # deim scales its k-by-e factor, then multiplies it by the e-by-k one;
+    # smdeim multiplies its k^2-by-m reducer by the m samples
+    want = k * e + 2 * k * k * e if strategy == "deim" else 2 * k * k * e
+    assert after["reduced_jacobian_flops"] - before["reduced_jacobian_flops"] == want
+    assert after["sample_flops"] - before["sample_flops"] == jac.plan.flops
 
 
 def test_smdeim_refuses_an_interpolant_of_another_stage():
