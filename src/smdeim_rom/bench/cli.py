@@ -12,6 +12,7 @@ run.out and run.seed settings of the config file.
 import argparse
 import sys
 
+from ..io import FormatError
 from .config import ConfigError, parse_config, with_overrides
 from .runner import (
     MissingArtifactError,
@@ -68,7 +69,7 @@ def main(argv=None):
         return 2
     try:
         return _COMMANDS[args.command](cfg, jobs=args.jobs)
-    except MissingArtifactError as exc:
+    except (MissingArtifactError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -173,8 +173,6 @@ def validate_config(cfg):
             raise ConfigError("key 'burgers.n': grid sizes must be at least 6")
         if cfg.burgers_n_t < 2:
             raise ConfigError("key 'burgers.n_t': need at least 2 time points")
-        if cfg.burgers_u0_peak <= 0.0:
-            raise ConfigError("key 'burgers.u0_peak': peak must be positive")
     else:
         if not cfg.swe_nx or any(v < 5 for v in cfg.swe_nx):
             raise ConfigError("key 'swe.nx': grid sizes must be at least 5")
@@ -188,10 +186,11 @@ def validate_config(cfg):
         raise ConfigError("key 'run.heldout_stride': must be positive")
     if cfg.sv_probes < 0:
         raise ConfigError("key 'run.sv_probes': must be nonnegative")
-    if cfg.h <= 0:
-        raise ConfigError("key 'rom.h': must be positive")
-    if cfg.newton_cap < 1:
-        raise ConfigError("key 'rom.newton_cap': must be positive")
+    for key in ("burgers.mu", "burgers.t_final", "burgers.u0_peak", "swe.dt",
+                "rom.h", "rom.newton_tol", "rom.newton_cap", "guard.n"):
+        value = getattr(cfg, _KEYS[key][0])
+        if value is not None and not value > 0:  # NaN fails too
+            raise ConfigError(f"key {key!r}: must be positive, got {value}")
 
 
 def with_overrides(cfg, out_dir=None, seed=None):

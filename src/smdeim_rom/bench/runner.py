@@ -380,13 +380,6 @@ def _write_spectrum(cfg, params):
                    [(i + 1, _fmt(float(s))) for i, s in enumerate(singulars)])
 
 
-def _header_snapshot(snap):
-    """Zero-column snapshot body carrying identity + pattern for artifacts."""
-    empty = np.empty((snap.n, 0))
-    return replace(snap, states=empty, nonlinear=empty,
-                   jacobian=np.empty((snap.pattern.r, 0)))
-
-
 def build_rom_artifact(cfg, model, ctx, strategy, k, m):
     """Build one reduced model offline and persist it; idempotent.  ctx, the
     ModelContext of model, shares factorizations between calls; the unit
@@ -412,7 +405,7 @@ def build_rom_artifact(cfg, model, ctx, strategy, k, m):
     )
     rm.offline_seconds = time.perf_counter() - t0
     tmp = path.with_name(path.name + ".tmp")
-    artifact_io.save_snapshots(tmp, _header_snapshot(ctx.snap(0)))
+    tmp.unlink(missing_ok=True)  # the first block starts the file afresh
     for j, interp in prebuilt.items():
         if strategy == "deim":
             block = (artifact_io.TAG_DEIM, artifact_io.deim_block(interp, j))
@@ -467,8 +460,7 @@ def run_online_point(cfg, model, ctx, traj_full, strategy, k, m):
         raise MissingArtifactError(
             f"expected offline artifact {path}; run the offline command first"
         )
-    blocks = artifact_io.read_blocks(path)
-    rm = artifact_io.load_reduced_model(path, model, blocks=blocks)
+    rm = artifact_io.load_reduced_model(path, model)
     for key, built, wanted in (
         ("pod.gamma", rm.basis.gamma, cfg.gamma),
         ("pod.centered", rm.basis.centered, cfg.centered),
@@ -484,8 +476,7 @@ def run_online_point(cfg, model, ctx, traj_full, strategy, k, m):
     interp = None
     if strategy in M_DEPENDENT:
         tag = artifact_io.TAG_DEIM if strategy == "deim" else artifact_io.TAG_MINT
-        interp = artifact_io.load_interpolant(path, stage=0, blocks=blocks, tag=tag)
-    del blocks
+        interp = artifact_io.load_interpolant(path, stage=0, tag=tag)
     with instrumentation.online_section():
         traj_red, stats = rom_solve(rm, model.default_n_t)
 

@@ -1,9 +1,8 @@
 """Binary persistence for snapshots, bases, interpolants and reduced models.
 
-One file format serves all artifacts: a snapshot body (magic "SMDM", u32
-format version, then the _BODY fields) followed by zero or more tagged
-blocks, each framed as a 4-byte ASCII tag plus a u64 payload length.
-Everything is little-endian.
+Every artifact file is a header (magic "SMDM", u32 format version) and zero
+or more tagged blocks, each framed as a 4-byte ASCII tag plus a u64 payload
+length; a snapshot set is one more block.  Everything is little-endian.
 
 Every layout is a field list, declared once below: a tuple of (name, kind)
 fields that _pack writes in order and _Cursor.fields reads back.  A kind is
@@ -20,15 +19,21 @@ The writer takes each dimension field from the shapes of the arrays that
 name it, and the reader returns every field but those (u8 arrays as int64),
 so both handle the same mapping of names to values.
 
-Block tags: "PODB" a basis (_POD); "DEIM" the interpolant of one stage of
-a deim reduced model (_STAGE_DEIM: the stage, then _DEIM); "MINT" a matrix
-interpolant (_MINT); "TRAJ" a full-order trajectory with its mean Newton
-iteration count (_TRAJ); "REDM" a reduced model: _REDM, then per stage
-_STAGE, the explicit core (_CORE) when its flag is set, the Jacobian kind
-(_KIND) and that kind's _PARTS.  Loading a reduced model rebinds it to a
-freshly built full model after checking the stored model identity.
+Block tags: "SNAP" a snapshot set (_SNAP); "PODB" a basis (_POD); "DEIM"
+the interpolant of one stage of a deim reduced model (_STAGE_DEIM: the
+stage, then _DEIM); "MINT" a matrix interpolant (_MINT); "TRAJ" a
+full-order trajectory with its mean Newton iteration count (_TRAJ); "REDM"
+a reduced model: _REDM, then per stage _STAGE, the explicit core (_CORE)
+when its flag is set, the Jacobian kind (_KIND) and that kind's _PARTS.
+Loading a reduced model rebinds it to a freshly built full model after
+checking the stored model identity.
+
+Every reader walks the frame headers through one seeking cursor over the
+open file and reads only the payloads it wants, and every FormatError a
+loader raises names the file.
 """
 
+import contextlib
 import io as _io
 import math
 import os
@@ -66,8 +71,9 @@ __all__ = [
 ]
 
 MAGIC = b"SMDM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
+TAG_SNAP = "SNAP"
 TAG_POD = "PODB"
 TAG_DEIM = "DEIM"
 TAG_MINT = "MINT"
@@ -81,7 +87,7 @@ class FormatError(ValueError):
 
 # -- field lists ---------------------------------------------------------
 
-_BODY = (
+_SNAP = (
     ("ident", "str"),  # "model_id;config_hash;stage"
     ("n", "u64"), ("n_cols", "u64"), ("r", "u64"), ("dt", "f64"),
     ("coords", ("u8", 2, "r")),  # row and column of each pattern entry
@@ -224,11 +230,10 @@ class _Cursor:
     def scalar(self, kind):
         return _SCALARS[kind].unpack(self.take(_SCALARS[kind].size))[0]
 
-    def fields(self, fields, scope=None, arrays=True):
+    def fields(self, fields, scope=None):
         """Read the field list fields, as _pack wrote it, into a mapping from
         field name to value, dimension fields left out.  scope maps the
-        fields of an enclosing list to their values.  arrays=False moves
-        past the arrays without reading them."""
+        fields of an enclosing list to their values."""
         scope = dict(scope or {})
         dims = set()
         for name, kind in fields:
@@ -239,13 +244,9 @@ class _Cursor:
             elif kind[0] in _ARRAYS:
                 dims.update(kind[1:])
                 shape = [_extent(dim, scope) for dim in kind[1:]]
-                nbytes = 8 * math.prod(shape)
-                if arrays:
-                    a = np.frombuffer(self.take(nbytes), dtype=_ARRAYS[kind[0]])
-                    a = a.reshape(shape, order="F")
-                    scope[name] = a.astype(np.int64) if kind[0] == "u8" else a.copy()
-                else:
-                    self.skip(nbytes)
+                a = np.frombuffer(self.take(8 * math.prod(shape)), dtype=_ARRAYS[kind[0]])
+                a = a.reshape(shape, order="F")
+                scope[name] = a.astype(np.int64) if kind[0] == "u8" else a.copy()
             else:
                 scope[name] = _Cursor(self.take(self.scalar("u64"))).fields(kind)
         return {f: scope[f] for f, _ in fields if f in scope and f not in dims}
@@ -257,90 +258,95 @@ class _FileCursor(_Cursor):
 
     def take(self, nbytes):
         self.buf.seek(self.skip(nbytes))
-        return self.buf.read(nbytes)
+        return memoryview(self.buf.read(nbytes))
 
 
-# -- snapshot body and block framing -------------------------------------
+# -- header and block framing ---------------------------------------------
+
+_HEADER = MAGIC + _SCALARS["u32"].pack(FORMAT_VERSION)
 
 
 def save_snapshots(path, snap):
-    """Write one snapshot set to path as a fresh artifact file (no blocks)."""
+    """Write one snapshot set to path as a fresh artifact file: the header
+    and a SNAP block, its payload streamed to the file."""
+    ident = f"{snap.model_id};{snap.config_hash};{snap.stage}"
+    coords = np.stack((snap.pattern.rows, snap.pattern.cols))
     with open(path, "wb") as f:
-        f.write(MAGIC + _SCALARS["u32"].pack(FORMAT_VERSION))
-        ident = f"{snap.model_id};{snap.config_hash};{snap.stage}"
-        coords = np.stack((snap.pattern.rows, snap.pattern.cols))
-        _pack(_BODY, {**vars(snap), "ident": ident, "coords": coords}, f)
-
-
-def _read_body(cur, arrays=True):
-    if bytes(cur.take(4)) != MAGIC:
-        raise FormatError("bad magic; not an artifact file")
-    version = cur.scalar("u32")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {version}")
-    body = cur.fields(_BODY, arrays=arrays)
-    if arrays:
-        ident = (body.pop("ident").split(";") + ["", ""])[:3]
-        rows, cols = body.pop("coords")
-        pattern = SparsityPattern(n=body["states"].shape[0], rows=rows, cols=cols)
-        return SnapshotSet(*ident, pattern=pattern, **body)
-
-
-def _frames(cur):
-    """(tag, payload offset, payload length) of each block after the body;
-    the cursor moves past each payload."""
-    while cur.off < cur.size:
-        tag = bytes(cur.take(4)).decode("ascii")
-        length = cur.scalar("u64")
-        yield tag, cur.skip(length), length
-
-
-def _read_file(path):
-    with open(path, "rb") as f:
-        buf = memoryview(f.read())
-    cur = _Cursor(buf)
-    snap = _read_body(cur)
-    return snap, [(tag, buf[off : off + n]) for tag, off, n in _frames(cur)]
-
-
-def load_snapshots(path):
-    """Read the snapshot body of an artifact file."""
-    return _read_file(path)[0]
+        f.write(_HEADER + TAG_SNAP.encode("ascii") + bytes(8))  # length below
+        _pack(_SNAP, {**vars(snap), "ident": ident, "coords": coords}, f)
+        length = f.tell() - len(_HEADER) - 12
+        f.seek(len(_HEADER) + 4)
+        f.write(_SCALARS["u64"].pack(length))
 
 
 def append_block(path, tag, payload):
-    """Append one tagged block to an existing artifact file."""
+    """Append one tagged block to the artifact file path, writing the
+    header first when the file is absent or empty."""
     raw = tag.encode("ascii")
     if len(raw) != 4:
         raise ValueError(f"tag must be 4 ASCII characters, got {tag!r}")
     with open(path, "ab") as f:
+        if f.tell() == 0:
+            f.write(_HEADER)
         f.write(raw + _SCALARS["u64"].pack(len(payload)))
         f.write(payload)
 
 
-def read_blocks(path):
-    """All (tag, payload) blocks of an artifact file, in file order.
-
-    Payloads are read-only memoryviews into one buffer holding the file.
-    """
-    return _read_file(path)[1]
-
-
-def _last_block(path, tag, blocks=None):
-    """The payload of the last tag block: from blocks when given, else read
-    alone from the file, past a body whose size its header gives."""
-    if blocks is None:
+@contextlib.contextmanager
+def _reading(path):
+    """A _FileCursor past the header of the artifact file path; a
+    FormatError raised in the with block names the file."""
+    try:
         with open(path, "rb") as f:
             cur = _FileCursor(f, os.fstat(f.fileno()).st_size)
-            _read_body(cur, arrays=False)
-            spans = [(off, n) for got, off, n in _frames(cur) if got == tag]
-            if spans:
-                cur.off, n = spans[-1]
-                blocks = [(tag, cur.take(n))]
-    payloads = [p for t, p in blocks or () if t == tag]
-    if not payloads:
-        raise FormatError(f"no {tag!r} block in {path}")
-    return payloads[-1]
+            if bytes(cur.take(4)) != MAGIC:
+                raise FormatError("bad magic; not an artifact file")
+            if (version := cur.scalar("u32")) != FORMAT_VERSION:
+                raise FormatError(f"unsupported format version {version}; "
+                                  f"this build reads version {FORMAT_VERSION}")
+            yield cur
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _frames(cur):
+    """(tag, payload offset, payload length) of each block, in file order.
+    At each step the cursor stands at the payload, which the caller may
+    read or not; the walk goes on from the payload's end."""
+    while cur.off < cur.size:
+        tag = bytes(cur.take(4)).decode("ascii", "backslashreplace")
+        length = cur.scalar("u64")
+        start = cur.skip(length)
+        cur.off = start
+        yield tag, start, length
+        cur.off = start + length
+
+
+def _load(path, tag, parse, *args):
+    """parse(payload, *args) of the last tag block of the artifact file
+    path, whose payload it reads alone."""
+    with _reading(path) as cur:
+        spans = [(off, n) for got, off, n in _frames(cur) if got == tag]
+        if not spans:
+            raise FormatError(f"no {tag!r} block")
+        cur.off, n = spans[-1]
+        return parse(cur.take(n), *args)
+
+
+def load_snapshots(path):
+    """The snapshot set of an artifact file's SNAP block."""
+    snap = _load(path, TAG_SNAP, lambda payload: _Cursor(payload).fields(_SNAP))
+    ident = (snap.pop("ident").split(";") + ["", ""])[:3]
+    rows, cols = snap.pop("coords")
+    pattern = SparsityPattern(n=snap["states"].shape[0], rows=rows, cols=cols)
+    return SnapshotSet(*ident, pattern=pattern, **snap)
+
+
+def read_blocks(path):
+    """All (tag, payload) blocks of an artifact file, in file order, each
+    payload read alone into its own buffer."""
+    with _reading(path) as cur:
+        return [(tag, cur.take(n)) for tag, _, n in _frames(cur)]
 
 
 # -- block payloads ------------------------------------------------------
@@ -369,13 +375,17 @@ def mint_block(mi, stage=0):
                            "coords": coords, "interp": vars(mi.interp)})
 
 
+def _matrix_interpolant(mi):
+    n, (rows, cols) = mi.pop("n"), mi.pop("coords")
+    pattern = SparsityPattern(n=n, rows=rows, cols=cols)
+    interp = DeimInterpolant(**mi.pop("interp"))
+    return MatrixInterpolant(pattern=pattern, interp=interp, **mi)
+
+
 def parse_mint_block(payload):
     """Returns (stage, MatrixInterpolant)."""
     mi = _Cursor(payload).fields(_MINT)
-    stage, n, (rows, cols) = (mi.pop(f) for f in ("stage", "n", "coords"))
-    pattern = SparsityPattern(n=n, rows=rows, cols=cols)
-    interp = DeimInterpolant(**mi.pop("interp"))
-    return stage, MatrixInterpolant(pattern=pattern, interp=interp, **mi)
+    return mi.pop("stage"), _matrix_interpolant(mi)
 
 
 def redm_block(rm):
@@ -451,45 +461,43 @@ def save_pod_basis(path, basis):
 
 
 def load_pod_basis(path):
-    return parse_pod_block(_last_block(path, TAG_POD))
+    return _load(path, TAG_POD, parse_pod_block)
 
 
-def load_interpolant(path, stage=0, blocks=None, tag=TAG_MINT):
+def load_interpolant(path, stage=0, tag=TAG_MINT):
     """The interpolant of one stage: the MatrixInterpolant of a MINT block,
-    or with tag=TAG_DEIM the DeimInterpolant of a stage DEIM block.  blocks,
-    the file's read_blocks(path) result when the caller already holds it,
-    saves reading the file again."""
+    or with tag=TAG_DEIM the DeimInterpolant of a stage DEIM block.  Of the
+    blocks of the tag before it, it reads only the stage, their first field."""
     found = []
-    for got_tag, payload in read_blocks(path) if blocks is None else blocks:
-        if got_tag == tag:
-            cur = _Cursor(payload)
-            got_stage = cur.scalar("u64")  # both payloads start with it
-            if got_stage == stage:
-                if tag == TAG_MINT:
-                    return parse_mint_block(payload)[1]
-                # the projector in the column-major layout deim_interpolant
-                # builds, so BLAS products with it round as on the built one
-                interp = DeimInterpolant(**cur.fields(_DEIM))
-                return replace(interp, projector=np.asfortranarray(interp.projector))
-            found.append(got_stage)
-    raise FormatError(
-        f"no {tag!r} block for stage {stage} in {path}"
-        + (f" (stages present: {sorted(found)})" if found else "")
-    )
+    with _reading(path) as cur:
+        for n in (n for got, _, n in _frames(cur) if got == tag):
+            found.append(_Cursor(cur.take(min(n, 8))).scalar("u64"))
+            if found[-1] == stage:
+                rest = _Cursor(cur.take(n - 8)).fields(_MINT[1:] if tag == TAG_MINT else _DEIM)
+                break
+        else:
+            raise FormatError(f"no {tag!r} block for stage {stage} "
+                              f"(stages present: {sorted(found)})")
+    if tag == TAG_MINT:
+        return _matrix_interpolant(rest)
+    # the projector in the column-major layout deim_interpolant builds, so
+    # BLAS products with it round as on the built one
+    interp = DeimInterpolant(**rest)
+    return replace(interp, projector=np.asfortranarray(interp.projector))
 
 
 def load_trajectory(path):
     """(trajectory, mean_iters, solve_seconds), read from the last TRAJ
     block alone."""
-    return parse_traj_block(_last_block(path, TAG_TRAJ))
+    return _load(path, TAG_TRAJ, parse_traj_block)
 
 
 def save_reduced_model(path, rm):
     append_block(path, TAG_REDM, redm_block(rm))
 
 
-def load_reduced_model(path, model, blocks=None):
-    """Rebuild a persisted reduced model, rebinding operator references to
-    the supplied full model (which must match the stored identity).  blocks
-    is as in load_interpolant."""
-    return _parse_redm(_last_block(path, TAG_REDM, blocks), model)
+def load_reduced_model(path, model):
+    """Rebuild a persisted reduced model from the last REDM block, rebinding
+    operator references to the supplied full model (which must match the
+    stored identity)."""
+    return _load(path, TAG_REDM, _parse_redm, model)

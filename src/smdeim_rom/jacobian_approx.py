@@ -17,7 +17,6 @@ at structurally zero coordinates and its cost scales with n^2, which is why
 it is kept behind a memory guard.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +52,9 @@ class RankError(ValueError):
 
 
 def guard_limit(override=None):
-    """Dimension cap for the vectorized route; SMDEIM_GUARD_N overrides."""
-    if override is not None:
-        return int(override)
-    env = os.environ.get("SMDEIM_GUARD_N")
-    return int(env) if env else DEFAULT_GUARD
+    """Dimension cap for the vectorized route: override when given, else
+    DEFAULT_GUARD."""
+    return DEFAULT_GUARD if override is None else int(override)
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,7 @@ def _check_guard(n, guard_n, nbytes, route):
         raise MemoryGuardError(
             f"dimension {n} exceeds the vectorized-route guard {limit}: "
             f"{route} would hold {nbytes} bytes ({nbytes / 2**20:.1f} MiB) "
-            "of n^2-row arrays; raise SMDEIM_GUARD_N or pass guard_n to override"
+            "of n^2-row arrays; pass guard_n (config key guard.n) to override"
         )
 
 
@@ -140,7 +137,7 @@ def build_mdeim_reference(snap, m, guard_n=None):
     """Interpolant built from explicitly vectorized n^2-row snapshots.
 
     Reference/oracle route: memory and cost scale with n^2, so dimensions
-    above the guard (default 512, env SMDEIM_GUARD_N or guard_n to override)
+    above the guard (default 512, guard_n to override)
     are refused.  The padded matrix is built in Fortran order, so gesdd
     factors it in place: the route holds two n^2 x n_s arrays at its peak,
     the padded matrix and its left singular vectors, 2 * 8 n^2 n_s bytes.

@@ -147,6 +147,15 @@ def test_validation_rules():
         validate_config(ExperimentConfig(m_list=(), strategies=("smdeim",)))
     # m is not required when no sampled strategy is configured
     validate_config(ExperimentConfig(m_list=(), strategies=("tensorial",)))
+    # numbers that must be positive, for either model
+    for model in ("burgers", "swe"):
+        for key, value in (("burgers.mu", "0"), ("burgers.t_final", "-1"),
+                           ("swe.dt", "0"), ("rom.newton_tol", "0"),
+                           ("rom.newton_tol", "nan"), ("guard.n", "0"),
+                           ("guard.n", "-3")):
+            with pytest.raises(ConfigError, match=f"key '{key}': must be positive"):
+                parse_config_text(f"model = {model}\n{key} = {value}\n")
+    validate_config(ExperimentConfig(guard_n=1, newton_tol=1e-300))
 
 
 def test_swe_grid_needs_five_points_each_way(tmp_path, capsys):
@@ -528,28 +537,44 @@ def test_deim_artifact_holds_one_deim_block_per_stage(tmp_path, swe_run):
     model, snaps, traj = ctx.model, ctx.snaps, ctx.traj
     runner.artifact_dir(cfg).mkdir(parents=True)
     path = runner.build_rom_artifact(cfg, model, ctx, "deim", 25, 30)
-    blocks = artifact_io.read_blocks(path)
     for j, snap in enumerate(snaps):
-        got = artifact_io.load_interpolant(
-            path, stage=j, blocks=blocks, tag=artifact_io.TAG_DEIM
-        )
+        got = artifact_io.load_interpolant(path, stage=j, tag=artifact_io.TAG_DEIM)
         assert _same_interp(got, deim_interpolant(thin_svd(snap.nonlinear).u, 30))
-    # one interpolant per stage and the reduced model, which embeds its
-    # basis, so no standalone basis block
+    # the bare header, one interpolant per stage and the reduced model,
+    # which embeds its basis: no snapshot set and no standalone basis block
+    blocks = artifact_io.read_blocks(path)
     assert [t for t, _ in blocks] == [artifact_io.TAG_DEIM] * len(snaps) + [
         artifact_io.TAG_REDM
     ]
+    assert path.read_bytes()[:12] == artifact_io.MAGIC + (2).to_bytes(4, "little") + b"DEIM"
+    with pytest.raises(artifact_io.FormatError, match="no 'SNAP' block"):
+        artifact_io.load_snapshots(path)
     # an artifact written before the deim interpolant was stored
-    old = path.with_name("old-" + path.name)
-    body = artifact_io.load_snapshots(path)
-    artifact_io.save_snapshots(old, body)
+    path.unlink()
     for tag, payload in blocks:
         if tag != artifact_io.TAG_DEIM:
-            artifact_io.append_block(old, tag, payload)
+            artifact_io.append_block(path, tag, payload)
     del blocks
-    old.replace(path)
     with pytest.raises(artifact_io.FormatError, match="'DEIM' block for stage 0"):
         runner.run_online_point(cfg, model, ctx, traj, "deim", 25, 30)
+
+
+def test_rom_artifact_starts_from_a_fresh_file(tmp_path):
+    # a .tmp left by an interrupted build is not appended to
+    cfg = parse_config_text(TINY.format(out=tmp_path / "out"))
+    runner.cmd_offline(cfg)
+    config_hash = runner.build_model(cfg, {"n": 31}).config_hash
+    path = runner.rom_artifact_path(cfg, config_hash, "smdeim", 4, 6)
+    want = path.read_bytes()
+    stale = path.with_name(path.name + ".tmp")
+    stale.write_bytes(want[:100])
+    path.unlink()
+    runner.cmd_offline(cfg)
+    assert not stale.exists()
+    assert path.stat().st_size == len(want)
+    assert [t for t, _ in artifact_io.read_blocks(path)] == [
+        artifact_io.TAG_MINT, artifact_io.TAG_REDM
+    ]
 
 
 def test_online_without_offline_fails_with_exit_3(tmp_path, capsys):
@@ -582,6 +607,23 @@ def test_online_refuses_artifacts_built_under_other_settings(
     assert main(["online", "--config", str(other)]) == 3
     err = capsys.readouterr().err
     assert f"{key} = {built}, the config has {wanted}" in err
+    assert all(r["strategy"] == "full" for r in read_rows(out / "results.csv"))
+
+
+def test_unreadable_model_artifact_exits_3_naming_it(tmp_path, capsys):
+    cfg_path, out = write_config(tmp_path)
+    assert main(["offline", "--config", str(cfg_path)]) == 0
+    (path,) = (out / "artifacts").glob("rom-*-smdeim-*.smdm")
+    whole = path.read_bytes()
+    old_header = artifact_io.MAGIC + (1).to_bytes(4, "little")
+    for raw, says in ((whole[:-10], "truncated"),
+                      (old_header + whole[8:], "format version 1")):
+        path.write_bytes(raw)
+        capsys.readouterr()
+        assert main(["online", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and says in err
+        assert "Traceback" not in err
     assert all(r["strategy"] == "full" for r in read_rows(out / "results.csv"))
 
 
@@ -623,21 +665,61 @@ def test_plotdata_series(tmp_path):
     assert traj.exists()
 
 
-def test_online_reads_each_model_artifact_once(tmp_path, monkeypatch):
-    cfg_path, out = write_config(tmp_path)
-    assert main(["offline", "--config", str(cfg_path)]) == 0
-    read = []
-    read_blocks = artifact_io.read_blocks
+class FileReads:
+    """Bytes read through each file artifact_io opens, by file name."""
 
-    def counted(path):
-        read.append(path.name)
-        return read_blocks(path)
+    def __init__(self, monkeypatch):
+        self.bytes = {}
+        opener = open
 
-    monkeypatch.setattr(artifact_io, "read_blocks", counted)
-    assert main(["online", "--config", str(cfg_path)]) == 0
-    model_reads = sorted(name for name in read if name.startswith("rom-"))
-    assert len(model_reads) == 2  # smdeim and tensorial
-    assert len(set(model_reads)) == 2
+        def counted(path, *args, **kwargs):
+            return self._File(opener(path, *args, **kwargs), self.bytes,
+                              Path(path).name)
+
+        monkeypatch.setattr(artifact_io, "open", counted, raising=False)
+
+    class _File:
+        def __init__(self, f, tally, name):
+            self.f, self.tally, self.name = f, tally, name
+
+        def read(self, *args):
+            data = self.f.read(*args)
+            self.tally[self.name] = self.tally.get(self.name, 0) + len(data)
+            return data
+
+        def __getattr__(self, name):
+            return getattr(self.f, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+
+def test_online_reads_only_the_redm_and_stage_0_payloads(tmp_path, monkeypatch):
+    # of each reduced-model file: the frame headers, walked by its two
+    # loaders, and the REDM and stage-0 interpolant payloads; of the
+    # snapshot files: stage 0's
+    cfg = parse_config_text(SWE_SMALL.format(out=tmp_path / "out").replace(
+        "deim, smdeim", "deim, smdeim, tensorial"))
+    runner.cmd_offline(cfg)
+    reads = FileReads(monkeypatch)
+    runner.cmd_online(cfg)
+    monkeypatch.undo()
+    rom_files = sorted(runner.artifact_dir(cfg).glob("rom-*"))
+    assert len(rom_files) == 3
+    (snap0,) = runner.artifact_dir(cfg).glob("snap-*-s0.smdm")
+    assert sorted(reads.bytes) == sorted(p.name for p in [*rom_files, snap0])
+    for path in rom_files:
+        blocks = artifact_io.read_blocks(path)
+        needed = sum(len(p) for t, p in blocks if t == artifact_io.TAG_REDM)
+        stage0 = [p for t, p in blocks if t in (artifact_io.TAG_DEIM, artifact_io.TAG_MINT)
+                  and int.from_bytes(p[:8], "little") == 0]
+        assert len(stage0) == (0 if "tensorial" in path.name else 1)
+        needed += sum(len(p) for p in stage0)
+        frames = 8 + 12 * len(blocks)
+        assert needed <= reads.bytes[path.name] <= needed + 2 * frames, path.name
 
 
 def test_failed_point_is_recorded_not_raised(tmp_path):
@@ -789,7 +871,9 @@ def test_benchmark_hooks_reach_the_runner(tmp_path, monkeypatch):
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer, trace=True)  # KeyError names a lost hook
-        patched = {attr for owner, attr, _ in tracer._patches if owner is runner}
+        originals = list(tracer._patches)
+        patched = {attr for owner, attr, _ in originals if owner is runner}
+        io_hooks = [fn for owner, _, fn in originals if owner is artifact_io]
     finally:
         tracer.unpatch_all()
     assert {"build_smdeim", "build_mdeim_reference", "build_rom_artifact",
@@ -797,6 +881,11 @@ def test_benchmark_hooks_reach_the_runner(tmp_path, monkeypatch):
     assert patched <= set(vars(runner))
     for fn, index in ((runner.build_rom_artifact, 3), (runner.run_online_point, 4)):
         assert list(inspect.signature(fn).parameters).index("strategy") == index
+    # the io hooks count bytes from the path, their first positional argument
+    assert len(io_hooks) >= 8
+    for fn in io_hooks:
+        assert list(inspect.signature(fn).parameters)[0] == "path", fn.__name__
+    assert all(vars(owner)[attr] is fn for owner, attr, fn in originals)
     calls = []
     build = runner.build_smdeim
 

@@ -67,15 +67,45 @@ def test_bad_magic_rejected(tmp_path):
 
 
 def test_unsupported_version_rejected(tmp_path, setup):
+    # 1 is the version that files of the earlier layout carry, where the
+    # snapshot body came before any block
     _, _, snaps, _ = setup
     path = tmp_path / "snap.bin"
     artifact_io.save_snapshots(path, snaps[0])
     raw = bytearray(path.read_bytes())
-    raw[4] = 99  # format version field
-    path.write_bytes(bytes(raw))
-    with pytest.raises(artifact_io.FormatError) as err:
-        artifact_io.load_snapshots(path)
-    assert "version" in str(err.value)
+    loaders = (artifact_io.load_snapshots, artifact_io.read_blocks,
+               artifact_io.load_trajectory, artifact_io.load_pod_basis,
+               artifact_io.load_interpolant,
+               lambda p: artifact_io.load_reduced_model(p, None))
+    for version in (1, 99):
+        raw[4] = version  # format version field
+        path.write_bytes(bytes(raw))
+        for load in loaders:
+            with pytest.raises(artifact_io.FormatError) as err:
+                load(path)
+            assert str(err.value).startswith(f"{path}: ")
+            assert f"format version {version};" in str(err.value)
+
+
+def test_every_file_is_the_header_then_blocks(tmp_path, setup):
+    model, _, snaps, basis = setup
+    header = artifact_io.MAGIC + (2).to_bytes(4, "little")
+    assert artifact_io.FORMAT_VERSION == 2
+    snap_path = tmp_path / "snap.bin"
+    artifact_io.save_snapshots(snap_path, snaps[0])
+    raw = snap_path.read_bytes()
+    assert raw[:8] == header
+    assert raw[8:12] == b"SNAP"
+    assert int.from_bytes(raw[12:20], "little") == len(raw) - 20
+    # a block appended to an absent file starts it with the bare header
+    rm = reduce_model(model, basis, "tensorial")
+    rom_path = tmp_path / "rom.bin"
+    artifact_io.save_reduced_model(rom_path, rm)
+    payload = artifact_io.redm_block(rm)
+    assert rom_path.read_bytes() == (
+        header + b"REDM" + len(payload).to_bytes(8, "little") + payload
+    )
+    assert [t for t, _ in artifact_io.read_blocks(rom_path)] == ["REDM"]
 
 
 def test_truncation_rejected(tmp_path, setup):
@@ -87,6 +117,7 @@ def test_truncation_rejected(tmp_path, setup):
     with pytest.raises(artifact_io.FormatError) as err:
         artifact_io.load_snapshots(path)
     assert "truncated" in str(err.value)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_block_framing_appends_in_order(tmp_path, setup):
@@ -96,15 +127,17 @@ def test_block_framing_appends_in_order(tmp_path, setup):
     artifact_io.append_block(path, "AAAA", b"first")
     artifact_io.append_block(path, "BBBB", b"second")
     artifact_io.append_block(path, "AAAA", b"third")
-    assert artifact_io.read_blocks(path) == [
+    assert artifact_io.read_blocks(path)[1:] == [
         ("AAAA", b"first"), ("BBBB", b"second"), ("AAAA", b"third"),
     ]
+    assert artifact_io.read_blocks(path)[0][0] == artifact_io.TAG_SNAP
     with pytest.raises(ValueError):
         artifact_io.append_block(path, "TOOLONG", b"")
 
 
 def test_read_blocks_holds_one_copy_of_the_file(tmp_path, setup):
-    # payloads are views into the buffer read from disk, not copies of it
+    # each payload is read once into its own buffer, and nothing holds the
+    # whole file besides
     _, _, snaps, _ = setup
     path = tmp_path / "art.bin"
     artifact_io.save_snapshots(path, snaps[0])
@@ -147,13 +180,13 @@ def test_pod_block_round_trip(tmp_path, setup):
     assert np.array_equal(back.mean, basis.mean)
 
 
-def test_deim_block_round_trip(rng):
+def test_deim_block_round_trip(tmp_path, rng):
     v = thin_svd(rng.standard_normal((25, 6))).u
     interp = deim_interpolant(v)
-    blocks = [(artifact_io.TAG_DEIM, artifact_io.deim_block(interp, 0))]
-    back = artifact_io.load_interpolant(
-        None, 0, blocks=blocks, tag=artifact_io.TAG_DEIM
-    )
+    path = tmp_path / "art.bin"
+    artifact_io.append_block(path, artifact_io.TAG_DEIM, artifact_io.deim_block(interp, 0))
+    back = artifact_io.load_interpolant(path, 0, tag=artifact_io.TAG_DEIM)
+    assert back.projector.flags.f_contiguous  # as deim_interpolant builds it
     assert np.array_equal(back.basis, interp.basis)
     assert np.array_equal(back.indexes, interp.indexes)
     assert np.array_equal(back.projector, interp.projector)
@@ -205,20 +238,34 @@ def test_reduced_model_round_trip_replays_identically(tmp_path, setup, strategy)
     assert s1.iterations == s2.iterations
 
 
-def test_loaders_parse_given_blocks_without_reading(tmp_path, setup):
+def test_loaders_read_only_their_payloads(tmp_path, setup, monkeypatch):
+    # the frame headers they walk, then their own payload: none of the
+    # snapshot block, the other stage's interpolant or the basis
     model, _, snaps, basis = setup
-    mi = build_smdeim(snaps[0], 6)
-    rm = reduce_model(model, basis, "smdeim", prebuilt={0: mi}, snapshots=snaps, m=6)
+    mis = [build_smdeim(snaps[0], m) for m in (6, 5)]
+    rm = reduce_model(model, basis, "smdeim", prebuilt={0: mis[0]}, snapshots=snaps, m=6)
     path = tmp_path / "art.bin"
-    artifact_io.save_snapshots(path, snaps[0])
-    artifact_io.append_block(path, artifact_io.TAG_MINT, artifact_io.mint_block(mi))
-    artifact_io.save_reduced_model(path, rm)
-    blocks = artifact_io.read_blocks(path)
-    path.unlink()
-    back = artifact_io.load_reduced_model(path, model, blocks=blocks)
+    blocks = [(artifact_io.TAG_MINT, artifact_io.mint_block(mis[1], stage=1)),
+              (artifact_io.TAG_POD, artifact_io.pod_block(basis)),
+              (artifact_io.TAG_MINT, artifact_io.mint_block(mis[0], stage=0)),
+              (artifact_io.TAG_REDM, artifact_io.redm_block(rm))]
+    _artifact_with_blocks(path, snaps[0], *blocks)
+    reads = []
+    monkeypatch.setattr(artifact_io, "open",
+                        lambda *a, **kw: _CountingFile(open(*a, **kw), reads),
+                        raising=False)
+    frames = 8 + 12 * (1 + len(blocks))  # the header and every frame header
+    back = artifact_io.load_reduced_model(path, model)
     assert np.array_equal(rom_solve(back, 21)[0], rom_solve(rm, 21)[0])
-    back_mi = artifact_io.load_interpolant(path, stage=0, blocks=blocks)
-    assert np.array_equal(back_mi.interp.projector, mi.interp.projector)
+    assert sum(reads) == frames + len(blocks[3][1])
+    reads.clear()
+    back_mi = artifact_io.load_interpolant(path, stage=0)
+    assert np.array_equal(back_mi.interp.projector, mis[0].interp.projector)
+    # the walk stops at its block; of the stage-1 block it reads the stage
+    assert sum(reads) == 8 + 12 * 4 + 8 + len(blocks[2][1])
+    reads.clear()
+    artifact_io.load_pod_basis(path)
+    assert sum(reads) == frames + len(blocks[1][1])
 
 
 def test_reduced_model_identity_mismatch(tmp_path, setup):
@@ -231,6 +278,7 @@ def test_reduced_model_identity_mismatch(tmp_path, setup):
     with pytest.raises(artifact_io.FormatError) as err:
         artifact_io.load_reduced_model(path, other)
     assert "built for" in str(err.value)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_trajectory_block_round_trip(tmp_path, setup, rng):
@@ -254,6 +302,7 @@ def test_missing_block_reports_tag(tmp_path, setup):
     with pytest.raises(artifact_io.FormatError) as err:
         artifact_io.load_trajectory(path)
     assert artifact_io.TAG_TRAJ in str(err.value)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def _artifact_with_blocks(path, snap, *blocks):
@@ -316,45 +365,62 @@ def test_load_trajectory_rejects_truncated_frames(tmp_path, setup):
         with pytest.raises(artifact_io.FormatError) as err:
             artifact_io.load_trajectory(path)
         assert "truncated" in str(err.value)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 # -- FormatError paths of the REDM block ----------------------------------
 
 
-def test_reduced_model_unknown_jacobian_kind(setup):
+def _redm_file(path, payload):
+    """path rewritten as the bare header and one REDM block of payload."""
+    path.unlink(missing_ok=True)
+    artifact_io.append_block(path, artifact_io.TAG_REDM, payload)
+    return path
+
+
+def test_reduced_model_unknown_jacobian_kind(tmp_path, setup):
     model, _, snaps, basis = setup
     rm = reduce_model(model, basis, "smdeim", snapshots=snaps, m=6)
     payload = artifact_io.redm_block(rm)
     kind = b"\x06\x00\x00\x00matrix"
     assert payload.count(kind) == 1
     bad = payload.replace(kind, b"\x06\x00\x00\x00matrox")
+    path = _redm_file(tmp_path / "art.bin", bad)
     with pytest.raises(artifact_io.FormatError) as err:
-        artifact_io.load_reduced_model(None, model, blocks=[(artifact_io.TAG_REDM, bad)])
+        artifact_io.load_reduced_model(path, model)
     assert "matrox" in str(err.value)
+    assert str(err.value).startswith(f"{path}: ")
 
 
-def test_reduced_model_stage_count_mismatch(swe_small):
+def test_reduced_model_stage_count_mismatch(tmp_path, swe_small):
     model, basis = swe_small
     rm = reduce_model(model, basis, "tensorial")
     rm.stages = rm.stages[:1]
-    payload = artifact_io.redm_block(rm)
+    path = _redm_file(tmp_path / "art.bin", artifact_io.redm_block(rm))
     with pytest.raises(artifact_io.FormatError) as err:
-        artifact_io.load_reduced_model(None, model, blocks=[(artifact_io.TAG_REDM, payload)])
+        artifact_io.load_reduced_model(path, model)
     assert "1 stages, model has 2" in str(err.value)
+    assert str(err.value).startswith(f"{path}: ")
 
 
-def test_reduced_model_cut_short_anywhere_is_a_format_error(swe_small):
+def test_reduced_model_cut_short_anywhere_is_a_format_error(tmp_path, swe_small):
     # every prefix, including each one ending inside a stage core, the
-    # explicit core, the kind string or the strategy fields
+    # explicit core, the kind string or the strategy fields, as a whole
+    # block and as a file cut inside the block
     model, basis = swe_small
+    path = tmp_path / "art.bin"
     for strategy in ("tensorial", "directional-derivative"):
         rm = reduce_model(model, basis, strategy)
         payload = artifact_io.redm_block(rm)
+        whole = _redm_file(path, payload).read_bytes()
         for cut in range(len(payload)):
-            with pytest.raises(artifact_io.FormatError):
-                artifact_io.load_reduced_model(
-                    None, model, blocks=[(artifact_io.TAG_REDM, payload[:cut])]
-                )
+            _redm_file(path, payload[:cut])
+            with pytest.raises(artifact_io.FormatError, match="truncated") as err:
+                artifact_io.load_reduced_model(path, model)
+            assert str(err.value).startswith(f"{path}: ")
+            path.write_bytes(whole[: len(whole) - len(payload) + cut])
+            with pytest.raises(artifact_io.FormatError, match="truncated"):
+                artifact_io.load_reduced_model(path, model)
 
 
 # -- round-trip properties over random shapes -----------------------------
@@ -423,9 +489,11 @@ def test_snapshot_body_round_trips(tmp_path_factory, n, n_cols, data):
         nonlinear=rng.standard_normal((n, n_cols)),
         jacobian=rng.standard_normal((pattern.r, n_cols)),
     )
-    path = tmp_path_factory.getbasetemp() / "body.bin"
+    path = tmp_path_factory.getbasetemp() / "snap.bin"
     artifact_io.save_snapshots(path, snap)
     raw = path.read_bytes()
+    ((tag, payload),) = artifact_io.read_blocks(path)
+    assert tag == artifact_io.TAG_SNAP and bytes(payload) == raw[20:]
     back = artifact_io.load_snapshots(path)
     _assert_fields_equal(back, snap)
     artifact_io.save_snapshots(path, back)
@@ -451,11 +519,12 @@ def test_pod_block_round_trips(n, data):
 
 
 @given(interp=_deim_interpolants(), stage=st.integers(0, 2**64 - 1))
-def test_deim_block_round_trips(interp, stage):
+def test_deim_block_round_trips(tmp_path_factory, interp, stage):
     payload = artifact_io.deim_block(interp, stage)
-    back = artifact_io.load_interpolant(
-        None, stage, blocks=[(artifact_io.TAG_DEIM, payload)], tag=artifact_io.TAG_DEIM
-    )
+    path = tmp_path_factory.getbasetemp() / "deim.bin"
+    path.unlink(missing_ok=True)
+    artifact_io.append_block(path, artifact_io.TAG_DEIM, payload)
+    back = artifact_io.load_interpolant(path, stage, tag=artifact_io.TAG_DEIM)
     _assert_fields_equal(back, interp)
     assert artifact_io.deim_block(back, stage) == payload
 
@@ -511,7 +580,7 @@ def _random_parts(kind, rng, draw, n, k):
 
 @pytest.mark.parametrize("kind", sorted(JACOBIANS))
 @given(data=st.data())
-def test_reduced_model_block_round_trips(swe_small, kind, data):
+def test_reduced_model_block_round_trips(tmp_path_factory, swe_small, kind, data):
     model, _ = swe_small
     n = model.n
     k = data.draw(st.integers(1, 4))
@@ -539,7 +608,8 @@ def test_reduced_model_block_round_trips(swe_small, kind, data):
         meta={"m": data.draw(st.none() | st.integers(0, 2**63 - 1)), "h": data.draw(_floats)},
     )
     payload = artifact_io.redm_block(rm)
-    back = artifact_io.load_reduced_model(None, model, blocks=[(artifact_io.TAG_REDM, payload)])
+    path = _redm_file(tmp_path_factory.getbasetemp() / f"redm-{kind}.bin", payload)
+    back = artifact_io.load_reduced_model(path, model)
     for name in ("model_id", "config_hash", "strategy", "dt", "newton_tol",
                  "newton_cap", "offline_seconds", "meta"):
         assert getattr(back, name) == getattr(rm, name), name

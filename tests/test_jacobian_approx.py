@@ -130,7 +130,7 @@ def test_rank_error_when_m_exceeds_rank():
         build_smdeim(snap, 2)
 
 
-def test_memory_guard_and_overrides(small_snap, monkeypatch):
+def test_memory_guard_and_overrides(small_snap):
     _, snap = small_snap
     big = SparsityPattern(
         n=DEFAULT_GUARD + 1, rows=np.array([0, 1]), cols=np.array([0, 1])
@@ -140,18 +140,13 @@ def test_memory_guard_and_overrides(small_snap, monkeypatch):
         states=np.zeros((big.n, 2)), nonlinear=np.zeros((big.n, 2)),
         jacobian=np.array([[1.0, 2.0], [1.0, 1.0]]),
     )
-    monkeypatch.delenv("SMDEIM_GUARD_N", raising=False)
     assert guard_limit() == DEFAULT_GUARD
+    assert guard_limit(big.n) == big.n
     with pytest.raises(MemoryGuardError):
         build_mdeim_reference(big_snap, 1)
-    # parameter override wins
+    # the parameter overrides
     mi = build_mdeim_reference(big_snap, 1, guard_n=big.n)
     assert mi.mode == "vectorized"
-    # environment override
-    monkeypatch.setenv("SMDEIM_GUARD_N", str(big.n))
-    assert guard_limit() == big.n
-    mi2 = build_mdeim_reference(big_snap, 1)
-    assert np.array_equal(mi2.sample_rows, mi.sample_rows)
 
 
 def test_memory_guard_names_the_bytes_of_the_refused_route():
