@@ -2,9 +2,10 @@
 
 Lines hold one `key=value` setting each; `#` starts a comment (full line or
 trailing, when preceded by whitespace); lists are comma-separated.  Unknown
-or duplicate keys are rejected by name so typos surface immediately.
+or duplicate keys and repeated list entries are rejected by name.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 from ..rom import M_DEPENDENT, STRATEGIES
@@ -189,8 +190,14 @@ def validate_config(cfg):
     for key in ("burgers.mu", "burgers.t_final", "burgers.u0_peak", "swe.dt",
                 "rom.h", "rom.newton_tol", "rom.newton_cap", "guard.n"):
         value = getattr(cfg, _KEYS[key][0])
-        if value is not None and not value > 0:  # NaN fails too
-            raise ConfigError(f"key {key!r}: must be positive, got {value}")
+        if value is not None and not 0 < value < math.inf:  # NaN fails too
+            raise ConfigError(f"key {key!r}: must be positive and finite, got {value}")
+    for key in ("burgers.n", "swe.nx", "swe.ny", "rom.k", "rom.m", "rom.strategy",
+                "run.seed"):
+        values = getattr(cfg, _KEYS[key][0])
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(f"key {key!r}: repeated entry {value!r}")
 
 
 def with_overrides(cfg, out_dir=None, seed=None):

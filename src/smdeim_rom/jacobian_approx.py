@@ -11,7 +11,7 @@ the small dense factors and every selected index maps to a pattern
 coordinate.
 
 The vectorized reference route materializes the full n^2-row snapshot matrix
-and factors it directly.  It exists as an oracle: mathematically it selects
+and factors it by QR.  It exists as an oracle: mathematically it selects
 the same leading indexes, but its singular vectors pick up round-off fill-in
 at structurally zero coordinates and its cost scales with n^2, which is why
 it is kept behind a memory guard.
@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse
 
 from .deim import DeimInterpolant, deim_interpolant
-from .linalg import SvdConvergenceError, thin_svd
+from .linalg import leading_svd, thin_svd
 from .snapshots import SparsityPattern, scatter
 
 __all__ = [
@@ -138,21 +138,14 @@ def build_mdeim_reference(snap, m, guard_n=None):
 
     Reference/oracle route: memory and cost scale with n^2, so dimensions
     above the guard (default 512, guard_n to override)
-    are refused.  The padded matrix is built in Fortran order, so gesdd
-    factors it in place: the route holds two n^2 x n_s arrays at its peak,
-    the padded matrix and its left singular vectors, 2 * 8 n^2 n_s bytes.
+    are refused.  The padded matrix is built in Fortran order and
+    `leading_svd` factors it in place (QR, the SVD of R, then only the m
+    left vectors the selection reads): the route holds the padded matrix
+    and those m vectors at its peak, 8 n^2 (n_s + m) bytes.
     """
     n = snap.pattern.n
-    _check_guard(n, guard_n, 2 * 8 * n * n * snap.n_cols, "build_mdeim_reference")
-    try:
-        svd = thin_svd(_vectorized(snap, "F"), overwrite_a=True)
-    except SvdConvergenceError:
-        svd = None
-    if svd is None:
-        # gesdd consumed the matrix before failing.  Retry, once the failure
-        # has released it, on a fresh C-ordered one: the wrapper copies that,
-        # so gesvd gets it intact if gesdd fails again.
-        svd = thin_svd(_vectorized(snap, "C"))
+    _check_guard(n, guard_n, 8 * n * n * (snap.n_cols + m), "build_mdeim_reference")
+    svd = leading_svd(_vectorized(snap, "F"), m)
     check_rank(svd, m, "vectorized")
     interp = deim_interpolant(svd.u, m)
     lin = interp.indexes.astype(np.int64)

@@ -29,6 +29,7 @@ __all__ = [
     "BandTemplate",
     "BAND_LIMIT",
     "thin_svd",
+    "leading_svd",
     "leading_singular_value",
     "solve_dense",
 ]
@@ -45,9 +46,10 @@ _SIGN_BLOCK_ROWS = 64
 # Seed of the Lanczos starting vector in leading_singular_value.
 _LANCZOS_SEED = 20140101
 
-# LAPACK routines of solve_dense and BandTemplate, looked up once
+# LAPACK routines of leading_svd, solve_dense and BandTemplate, looked up once
 _gesv = scipy.linalg.lapack.dgesv
 _gbsv = scipy.linalg.lapack.dgbsv
+_ormqr = scipy.linalg.lapack.dormqr
 
 # Widest half-bandwidth max(kl, ku) that BandTemplate accepts.  On 5-point
 # grid matrices (n = 8000 to 37000) ordered by reverse Cuthill-McKee,
@@ -128,17 +130,27 @@ def _apply_sign_convention(u, w):
     return u, w
 
 
-def thin_svd(a, overwrite_a=False):
+def _factor(a, what):
+    """Signed thin SVD of a float64 matrix: gesdd, or gesvd on the intact
+    input when gesdd fails.  what names the matrix in the error."""
+    try:
+        u, s, vt = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesdd")
+    except np.linalg.LinAlgError:
+        try:
+            u, s, vt = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
+        except np.linalg.LinAlgError as exc:
+            raise SvdConvergenceError(f"SVD failed to converge on {what}") from exc
+    u, w = _apply_sign_convention(u, vt.T.copy())
+    return SvdResult(u=u, singulars=s, w=w)
+
+
+def thin_svd(a):
     """Economy-size SVD with a deterministic sign convention.
 
     Parameters
     ----------
     a : (m, s) array_like
-        Matrix to factor; converted to float64.
-    overwrite_a : bool
-        Let gesdd factor `a` in place.  This saves a copy of `a` only when
-        `a` is a Fortran-ordered float64 array; any other input is first
-        copied to one by the LAPACK wrapper and is left intact.
+        Matrix to factor; converted to float64 and left intact.
 
     Returns
     -------
@@ -149,36 +161,44 @@ def thin_svd(a, overwrite_a=False):
     Raises
     ------
     SvdConvergenceError
-        If neither LAPACK driver converges; the message names the block
-        shape.  When gesdd fails on an input it was allowed to overwrite
-        in place, the input is destroyed, so no gesvd retry is made and
-        the message says so: retry on a fresh copy.
+        If neither gesdd nor the gesvd retry converges; the message names
+        the block shape.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"thin_svd expects a matrix, got ndim={a.ndim}")
     instrumentation.bump("thin_svd_calls")
-    shape = f"{a.shape[0]}x{a.shape[1]} block (columns 0..{a.shape[1] - 1})"
-    try:
-        u, s, vt = scipy.linalg.svd(
-            a, full_matrices=False, overwrite_a=overwrite_a, lapack_driver="gesdd"
-        )
-    except np.linalg.LinAlgError as exc:
-        if overwrite_a and a.flags.f_contiguous:
-            raise SvdConvergenceError(
-                f"gesdd failed to converge on a {shape} and consumed it in "
-                "place; no gesvd retry on the overwritten input"
-            ) from exc
-        try:
-            u, s, vt = scipy.linalg.svd(
-                a, full_matrices=False, overwrite_a=False, lapack_driver="gesvd"
-            )
-        except np.linalg.LinAlgError as exc:
-            raise SvdConvergenceError(
-                f"SVD failed to converge on a {shape}"
-            ) from exc
-    u, w = _apply_sign_convention(u, vt.T.copy())
-    return SvdResult(u=u, singulars=s, w=w)
+    return _factor(a, f"a {a.shape[0]}x{a.shape[1]} block (columns 0..{a.shape[1] - 1})")
+
+
+def leading_svd(a, m):
+    """Thin SVD of a (p, s) matrix with only its leading m left vectors formed.
+
+    For p >= s this is the R-SVD (Chan, ACM TOMS 8(1), 1982), the steps
+    gesdd takes on a tall matrix: a Householder QR a = Q R in place,
+    `thin_svd`'s factorization of the (s, s) triangle R, then
+    u = Q @ u_R[:, :m] by LAPACK ormqr, signed again by the convention.  A
+    Fortran-ordered float64 `a` is consumed; any other input is copied
+    first.  A wide matrix is factored directly.  u and w hold min(m, p, s)
+    columns, singulars all min(p, s) values; thin_svd_calls is not bumped.
+
+    Raises SvdConvergenceError, naming the shape, when neither gesdd nor
+    the gesvd retry converges on R (on `a` when it is wide).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    rows, cols = a.shape
+    what = f"a {rows}x{cols} matrix"
+    if rows < cols:
+        svd = _factor(a, what)
+        return SvdResult(u=svd.u[:, :m], singulars=svd.singulars, w=svd.w[:, :m])
+    (qr, tau), r = scipy.linalg.qr(a, overwrite_a=True, mode="raw", check_finite=False)
+    svd = _factor(r, f"the triangular factor of {what}")
+    c = np.zeros((rows, min(m, cols)), dtype=np.float64, order="F")
+    c[:cols] = svd.u[:, :m]
+    lwork = int(_ormqr("L", "N", qr, tau, c, -1, overwrite_c=1)[1][0])
+    u = _ormqr("L", "N", qr, tau, c, lwork, overwrite_c=1)[0]
+    u, w = _apply_sign_convention(u, svd.w[:, :m].copy())
+    return SvdResult(u=u, singulars=svd.singulars, w=w)
 
 
 def leading_singular_value(a):

@@ -147,15 +147,51 @@ def test_validation_rules():
         validate_config(ExperimentConfig(m_list=(), strategies=("smdeim",)))
     # m is not required when no sampled strategy is configured
     validate_config(ExperimentConfig(m_list=(), strategies=("tensorial",)))
-    # numbers that must be positive, for either model
+    # numbers that must be positive and finite, for either model
     for model in ("burgers", "swe"):
         for key, value in (("burgers.mu", "0"), ("burgers.t_final", "-1"),
                            ("swe.dt", "0"), ("rom.newton_tol", "0"),
                            ("rom.newton_tol", "nan"), ("guard.n", "0"),
-                           ("guard.n", "-3")):
+                           ("guard.n", "-3"), ("burgers.mu", "inf"),
+                           ("burgers.t_final", "inf"), ("burgers.u0_peak", "inf"),
+                           ("swe.dt", "infinity"), ("rom.h", "inf"),
+                           ("rom.newton_tol", "inf"), ("rom.h", "-inf")):
             with pytest.raises(ConfigError, match=f"key '{key}': must be positive"):
                 parse_config_text(f"model = {model}\n{key} = {value}\n")
-    validate_config(ExperimentConfig(guard_n=1, newton_tol=1e-300))
+    validate_config(ExperimentConfig(guard_n=1, newton_tol=1e-300, h=1e300))
+
+
+@pytest.mark.parametrize("key, first, other", [
+    ("burgers.n", "31", "41"),
+    ("swe.nx", "21", "25"),
+    ("swe.ny", "15", "9"),
+    ("rom.k", "5", "4"),
+    ("rom.m", "8", "6"),
+    ("rom.strategy", "smdeim", "tensorial"),
+    ("run.seed", "0", "1"),
+])
+def test_repeated_list_entry_is_rejected(key, first, other):
+    # a repeated entry would train and evaluate one grid point twice, and
+    # two workers could write the same artifact
+    value = repr(first) if key == "rom.strategy" else first
+    with pytest.raises(ConfigError, match=f"key '{key}': repeated entry {value}"):
+        parse_config_text(f"{key} = {first}, {other}, {first}\n")
+    parse_config_text(f"{key} = {first}, {other}\n")
+
+
+def test_non_finite_or_repeated_value_exits_2_naming_the_key(tmp_path, capsys):
+    # with newton_tol = inf every Newton solve would stop after one update
+    # and count as converged
+    for k_line, message in (
+        ("rom.k = 4\nrom.newton_tol = inf",
+         "key 'rom.newton_tol': must be positive and finite, got inf"),
+        ("rom.k = 4, 4", "key 'rom.k': repeated entry 4"),
+    ):
+        path, _ = write_config(tmp_path)
+        text = path.read_text(encoding="utf-8").replace("rom.k = 4", k_line)
+        path.write_text(text, encoding="utf-8")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_swe_grid_needs_five_points_each_way(tmp_path, capsys):
@@ -897,3 +933,35 @@ def test_benchmark_hooks_reach_the_runner(tmp_path, monkeypatch):
     cfg = parse_config_text(TINY.format(out=tmp_path / "out"))
     runner.cmd_offline(cfg)
     assert calls == [6]
+
+
+def test_benchmark_traced_counts_match_the_counters():
+    # The benchmark's traced pass checks that its thin_svd and
+    # deim_interpolant hooks saw every call the counters did; a kernel
+    # reached under a name it does not wrap would fail that check.
+    import smdeim_rom.models as models
+    import smdeim_rom.pod as pod
+    from smdeim_rom.models.burgers import build_burgers
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    model = build_burgers(n=31, n_t=41)
+    before = instrumentation.snapshot()
+    try:
+        tracing.install(tracer, True)
+        _, _, snaps = models.full_solve(model)
+        basis = pod.pod_basis(snaps[0].states, gamma=1.0, k_max=6)
+        built = [rom.reduce_model(model, basis, strategy, snapshots=snaps, m=8)
+                 for strategy in rom.STRATEGIES]
+        for rm in built:
+            rom.rom_solve(rm, 11)
+    finally:
+        tracer.unpatch_all()
+    after = instrumentation.snapshot()
+    assert len(built) == 6
+    for counter, label in (("thin_svd_calls", "linalg.thin_svd"),
+                           ("deim_select_calls", "deim.deim_interpolant")):
+        assert tracer.calls[label] > 0
+        assert after[counter] - before[counter] == tracer.calls[label], counter

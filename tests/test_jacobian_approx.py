@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from smdeim_rom import jacobian_approx as japprox
 from smdeim_rom.jacobian_approx import (
     DEFAULT_GUARD,
     MemoryGuardError,
@@ -22,7 +23,6 @@ from smdeim_rom.jacobian_approx import (
     guard_limit,
     verify_lemma2,
 )
-from smdeim_rom.deim import deim_interpolant
 from smdeim_rom.linalg import thin_svd
 from smdeim_rom.models import full_solve
 from smdeim_rom.models.burgers import build_burgers
@@ -158,10 +158,10 @@ def test_memory_guard_names_the_bytes_of_the_refused_route():
         jacobian=np.ones((r, n_s)),
     )
     prefix = f"dimension {n} exceeds the vectorized-route guard {DEFAULT_GUARD}"
-    # the padded matrix and its left singular vectors
+    # the padded matrix and its m leading left singular vectors
     with pytest.raises(MemoryGuardError, match=prefix) as err:
         build_mdeim_reference(snap, 1, guard_n=DEFAULT_GUARD)
-    assert f" {2 * 8 * n * n * n_s} bytes" in str(err.value)
+    assert f" {8 * n * n * (n_s + 1)} bytes" in str(err.value)
     # the padded snapshots, the padded (n^2, min(r, n_s)) factor and the
     # reconstruction
     with pytest.raises(MemoryGuardError, match=prefix) as err:
@@ -175,10 +175,10 @@ def snap101():
     return sets[0]
 
 
-def test_mdeim_reference_holds_two_copies_of_the_padded_matrix(snap101):
-    # gesdd factors the Fortran-ordered padded matrix in place: the peak is
-    # that matrix and its left singular vectors, 2 * 8 n^2 n_s, plus small
-    # workspace
+def test_mdeim_reference_holds_one_copy_of_the_padded_matrix(snap101):
+    # the QR factors the Fortran-ordered padded matrix in place and only m
+    # left singular vectors are formed: the peak is that matrix, the m
+    # vectors and small workspace, 8 n^2 (n_s + m) plus O(n_s^2)
     snap = snap101
     padded_bytes = 8 * snap.pattern.n ** 2 * snap.n_cols
     tracemalloc.start()
@@ -188,7 +188,19 @@ def test_mdeim_reference_holds_two_copies_of_the_padded_matrix(snap101):
     finally:
         tracemalloc.stop()
     assert mi.m == 30
-    assert peak <= 2.25 * padded_bytes
+    assert peak <= 1.4 * padded_bytes
+
+
+def test_mdeim_reference_singulars_equal_gesdd_bit_for_bit(snap101):
+    # the R-SVD takes the steps gesdd takes on a tall matrix, so the
+    # spectrum of the padded matrix is the same bits
+    n = snap101.pattern.n
+    padded = np.zeros((n * n, snap101.n_cols))
+    padded[snap101.pattern.linear, :] = snap101.jacobian
+    expect = scipy.linalg.svd(padded, full_matrices=False, lapack_driver="gesdd")[1]
+    del padded
+    got = build_mdeim_reference(snap101, 30).singulars
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_verify_lemma2_holds_its_stated_arrays(snap101):
@@ -222,37 +234,46 @@ def test_verify_lemma2_report_equals_out_of_place_formula(small_snap):
     )
 
 
-def test_mdeim_reference_retries_on_a_fresh_matrix_after_gesdd_consumed_it(
+def test_mdeim_reference_retries_gesvd_on_an_intact_triangle(
     small_snap, monkeypatch
 ):
-    # gesdd writes over the padded matrix, then fails: gesvd must factor an
-    # intact copy, giving the interpolant of the gesvd factors
+    # gesdd fails on the triangle R of the padded matrix: gesvd factors the
+    # same, intact R, and the padded matrix is built and factored once
     _, snap = small_snap
-    n, m = snap.pattern.n, 8
-    pristine = np.zeros((n * n, snap.n_cols))
-    pristine[snap.pattern.linear, :] = snap.jacobian
+    m = 8
     svd = scipy.linalg.svd
     calls = []
 
-    def fake(a, *args, overwrite_a=False, lapack_driver="gesdd", **kwargs):
-        calls.append((lapack_driver, overwrite_a, a.flags.f_contiguous))
+    def gesvd_only(a, *args, lapack_driver="gesdd", **kwargs):
+        return svd(a, *args, lapack_driver="gesvd", **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "svd", gesvd_only)
+    expect = build_mdeim_reference(snap, m)
+
+    def fake(a, *args, lapack_driver="gesdd", **kwargs):
+        calls.append((lapack_driver, a.copy()))
         if lapack_driver == "gesdd":
-            if overwrite_a and a.flags.f_contiguous:
-                a[...] = np.nan
             raise np.linalg.LinAlgError("SVD did not converge")
-        assert np.array_equal(a, pristine)
-        return svd(a, *args, overwrite_a=overwrite_a,
-                   lapack_driver=lapack_driver, **kwargs)
+        return svd(a, *args, lapack_driver=lapack_driver, **kwargs)
+
+    built = []
+    vectorized = japprox._vectorized
+
+    def counted(*args):
+        built.append(args[1])
+        return vectorized(*args)
 
     monkeypatch.setattr(scipy.linalg, "svd", fake)
-    expect = deim_interpolant(thin_svd(pristine.copy()).u, m)
-    calls.clear()
+    monkeypatch.setattr(japprox, "_vectorized", counted)
     got = build_mdeim_reference(snap, m)
-    assert calls == [("gesdd", True, True), ("gesdd", False, False),
-                     ("gesvd", False, False)]
-    assert np.array_equal(got.interp.indexes, expect.indexes)
-    assert np.array_equal(got.interp.basis, expect.basis)
-    assert np.array_equal(got.interp.projector, expect.projector)
+    assert built == ["F"]
+    assert [driver for driver, _ in calls] == ["gesdd", "gesvd"]
+    assert calls[0][1].shape == (snap.n_cols, snap.n_cols)
+    assert np.array_equal(calls[0][1], calls[1][1])
+    assert np.array_equal(got.singulars, expect.singulars)
+    assert np.array_equal(got.interp.indexes, expect.interp.indexes)
+    assert np.array_equal(got.interp.basis, expect.interp.basis)
+    assert np.array_equal(got.interp.projector, expect.interp.projector)
 
 
 def test_vectorized_coordinates_decode_column_major(small_snap):
