@@ -22,9 +22,11 @@ online_seconds, timestamp) are the only ones expected to vary between runs.
 
 Each command trains once per model: it works through the models one at a
 time, and every grid unit of a model run in one process shares one
-ModelContext, which reads each stage's snapshot file once, when a unit
-first needs that stage, and factors each snapshot matrix once.  Nothing is
-kept from one command to the next.
+ModelContext, which factors each snapshot matrix once.  It reads from a
+stage's snapshot file only the arrays a reader takes, when it takes them:
+the POD basis and the held-out probes stage 0's states, each SVD the block
+it factors, which is dropped once factored.  Nothing is kept from one
+command to the next.
 
 Metrics are evaluated on stage-0 quantities at held-out snapshot states
 (every stride-th column), each projected onto the basis subspace first so
@@ -251,29 +253,32 @@ class _Probe:
 class ModelContext:
     """One model and what the grid units of one command share for it.
 
-    It holds the built model and its full-order record, and reads or
-    computes on first use, once each: each stage's snapshots, the SVD of
-    each snapshot matrix, the tensor cores of each k, the interpolants of
-    each (strategy, stage, m), and the held-out truth of each basis.  snaps
-    seeds the snapshots of a run that made them.  The _contexts table holds
-    one context at a time and is emptied with each command, so nothing in
-    it outlives the command.
+    It holds the built model and its full-order record, and computes on
+    first use, once each: the POD basis of the max(rom.k) leading modes,
+    the SVD of each stage's "jacobian" and "nonlinear" snapshots with every
+    singular value but only the max(rom.m) leading columns of u and w (all
+    the selections read), the tensor cores of each k, the interpolants of
+    each (strategy, stage, m), stage 0's held-out states and the held-out
+    truth of each basis.  It keeps no snapshot block: each of these reads
+    from the stage's file the arrays it takes, and drops them when done.
+    The _contexts table holds one context at a time and is emptied with
+    each command, so nothing in it outlives the command.
     """
 
-    def __init__(self, cfg, model, traj, mean_iters, seconds, snaps=()):
+    def __init__(self, cfg, model, traj, mean_iters, seconds):
         self.cfg = cfg
         self.model = model
         self.traj = traj
         self.mean_iters = mean_iters
         self.seconds = seconds
-        self._memo = {("snap", j): snap for j, snap in enumerate(snaps)}
+        self._memo = {}
 
     @classmethod
     def open(cls, cfg, params, simulate):
         """The context of one model, reading only the TRAJ block of stage
         0's file.  When a snapshot file is absent, simulate=True runs the
-        full solve, persists it and keeps its snapshots; otherwise
-        MissingArtifactError names the file."""
+        full solve and persists it; otherwise MissingArtifactError names
+        the file."""
         model = build_model(cfg, params)
         paths = snap_paths(cfg, model)
         missing = [p for p in paths if not p.exists()]
@@ -292,36 +297,41 @@ class ModelContext:
         record = (traj, stats.mean_iterations, stats.online_seconds)
         artifact_io.append_block(paths[0], artifact_io.TAG_TRAJ,
                                  artifact_io.traj_block(*record))
-        return cls(cfg, model, *record, snaps)
+        return cls(cfg, model, *record)
 
     def _once(self, key, build):
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
 
-    def snap(self, stage):
-        """One stage's snapshots, read from its file on first use."""
-        return self._once(("snap", stage), lambda: artifact_io.load_snapshots(
-            snap_paths(self.cfg, self.model)[stage]
-        ))
-
-    @property
-    def snaps(self):
-        """Every stage's snapshots."""
-        return [self.snap(j) for j in range(len(self.model.stages))]
-
-    def svd(self, block, stage):
-        """thin_svd of one stage's "jacobian" or "nonlinear" snapshots."""
-        return self._once(
-            (block, stage), lambda: thin_svd(getattr(self.snap(stage), block))
+    def _read(self, stage, *arrays):
+        """The named snapshot arrays of one stage, read from its file; with
+        no name, its whole snapshot set."""
+        return artifact_io.load_snapshots(
+            snap_paths(self.cfg, self.model)[stage], arrays or None
         )
 
+    def svd(self, block, stage):
+        """thin_svd of one stage's "jacobian" or "nonlinear" snapshots, with
+        the leading max(rom.m) columns of u and w."""
+
+        def build():
+            svd = thin_svd(*self._read(stage, block))
+            keep = max(self.cfg.m_list)
+            return replace(svd, u=svd.u[:, :keep].copy(), w=svd.w[:, :keep].copy())
+
+        return self._once((block, stage), build)
+
     def basis(self, k):
-        """The POD basis for k, truncated from one basis of every mode the
-        energy rule keeps."""
+        """The POD basis for k, an entry of rom.k, truncated from one basis
+        of the max(rom.k) leading modes."""
         cfg = self.cfg
+        k_max = max(cfg.k_list)
+        if k > k_max:
+            raise ValueError(f"k={k} exceeds the largest rom.k, {k_max}")
         full = self._once("pod", lambda: pod_basis(
-            self.snap(0).states, gamma=cfg.gamma, centered=cfg.centered
+            *self._read(0, "states"), gamma=cfg.gamma, k_max=k_max,
+            centered=cfg.centered,
         ))
         return full.truncate(k)
 
@@ -336,11 +346,13 @@ class ModelContext:
         """A stage's interpolant of an M_DEPENDENT strategy for m modes."""
 
         def build():
-            snap = self.snap(stage)
             if strategy == "mdeim-reference":
-                return build_mdeim_reference(snap, m, guard_n=self.cfg.guard_n)
+                return build_mdeim_reference(self._read(stage), m,
+                                             guard_n=self.cfg.guard_n)
             if strategy == "smdeim":
-                return build_smdeim(snap, m, svd=self.svd("jacobian", stage))
+                # the stage operator carries the pattern of its snapshots
+                return build_smdeim(self.model.stages[stage].op, m,
+                                    svd=self.svd("jacobian", stage))
             svd = self.svd("nonlinear", stage)
             check_rank(svd, m, "nonlinear-term")
             return deim_interpolant(svd.u, m)
@@ -349,13 +361,16 @@ class ModelContext:
 
     def probes(self, basis):
         """Held-out truth at every probe state, for one basis."""
-        s0 = self.snap(0)
-        op = self.model.stages[0].op
-        ids = _heldout_ids(s0.n_cols, self.cfg.heldout_stride)
-        return self._once(
-            ("probes", basis.u.tobytes(), basis.mean.tobytes()),
-            lambda: [_Probe(op, basis, s0.states[:, i]) for i in ids],
-        )
+
+        def heldout():
+            (states,) = self._read(0, "states")
+            return states[:, _heldout_ids(states.shape[1], self.cfg.heldout_stride)]
+
+        def build():
+            op = self.model.stages[0].op
+            return [_Probe(op, basis, state) for state in self._once("heldout", heldout).T]
+
+        return self._once(("probes", basis.u.tobytes(), basis.mean.tobytes()), build)
 
 
 def _spectrum_paths(cfg, model):
@@ -394,7 +409,6 @@ def build_rom_artifact(cfg, model, ctx, strategy, k, m):
         model,
         ctx.basis(k),
         strategy,
-        snapshots=ctx.snaps,
         m=m,
         h=cfg.h,
         guard_n=cfg.guard_n,

@@ -17,7 +17,9 @@ fields that _pack writes in order and _Cursor.fields reads back.  A kind is
 
 The writer takes each dimension field from the shapes of the arrays that
 name it, and the reader returns every field but those (u8 arrays as int64),
-so both handle the same mapping of names to values.
+so both handle the same mapping of names to values.  A loaded snapshot
+block is column-major, as full_solve builds it, and every other loaded
+array row-major but a deim projector (_COLUMN_MAJOR).
 
 Block tags: "SNAP" a snapshot set (_SNAP); "PODB" a basis (_POD); "DEIM"
 the interpolant of one stage of a deim reduced model (_STAGE_DEIM: the
@@ -29,8 +31,9 @@ Loading a reduced model rebinds it to a freshly built full model after
 checking the stored model identity.
 
 Every reader walks the frame headers through one seeking cursor over the
-open file and reads only the payloads it wants, and every FormatError a
-loader raises names the file.
+open file and reads only the payloads it wants, each array of them straight
+into the array's own buffer, so a loader holds each byte it reads once.
+Every FormatError a loader raises names the file.
 """
 
 import contextlib
@@ -164,6 +167,16 @@ _SCALARS = {
     for kind, fmt in (("u32", "<I"), ("u64", "<Q"), ("i64", "<q"), ("f64", "<d"))
 }
 _ARRAYS = {"f8": "<f8", "u8": "<u8"}
+# what a reader returns: u8 arrays are indexes, below 2**63, read as int64
+_LOADED = {"f8": "<f8", "u8": "<i8"}
+# The snapshot blocks, which full_solve builds column-major: a reader
+# returns them in the stored order, as read.  It returns every other array
+# row-major, as the builders make all but an interpolant's projector, and
+# load_interpolant turns a deim projector column-major again.  BLAS
+# products round by layout, so these choices fix the last digits of
+# results.csv: a column-major smdeim projector moves its held-out sv1_err
+# in the 6th significant digit.
+_COLUMN_MAJOR = frozenset({"states", "nonlinear", "jacobian"})
 
 
 def _extent(dim, scope):
@@ -205,16 +218,17 @@ def _encode(fields, values):
 
 
 class _Cursor:
-    """Sequential reader over a buffer; size defaults to its length."""
+    """Sequential reader over the bytes off to end of a buffer (all of it by
+    default)."""
 
-    def __init__(self, buf, size=None):
+    def __init__(self, buf, off=0, end=None):
         self.buf = buf
-        self.size = len(buf) if size is None else size
-        self.off = 0
+        self.off = off
+        self.end = len(buf) if end is None else end
 
     def skip(self, nbytes):
         """Move past nbytes; returns the offset they start at."""
-        have = self.size - self.off
+        have = self.end - self.off
         if nbytes > have:
             raise FormatError(
                 f"truncated data: wanted {nbytes} bytes at offset {self.off}, "
@@ -225,15 +239,27 @@ class _Cursor:
 
     def take(self, nbytes):
         start = self.skip(nbytes)
-        return self.buf[start : self.off]
+        return memoryview(self.buf)[start : self.off]
+
+    def sub(self, nbytes):
+        """A cursor over the next nbytes, which this one moves past."""
+        start = self.skip(nbytes)
+        return type(self)(self.buf, start, self.off)
 
     def scalar(self, kind):
         return _SCALARS[kind].unpack(self.take(_SCALARS[kind].size))[0]
 
-    def fields(self, fields, scope=None):
+    def array(self, shape, code, order):
+        """The next array of the given shape and kind code, copied into a
+        buffer of its own in the given memory order."""
+        flat = np.frombuffer(self.take(8 * math.prod(shape)), dtype=_ARRAYS[code])
+        return flat.reshape(shape, order="F").astype(_LOADED[code], order=order)
+
+    def fields(self, fields, scope=None, only=None):
         """Read the field list fields, as _pack wrote it, into a mapping from
         field name to value, dimension fields left out.  scope maps the
-        fields of an enclosing list to their values."""
+        fields of an enclosing list to their values; only, when given, names
+        the arrays to read, and the cursor moves past the others."""
         scope = dict(scope or {})
         dims = set()
         for name, kind in fields:
@@ -244,21 +270,32 @@ class _Cursor:
             elif kind[0] in _ARRAYS:
                 dims.update(kind[1:])
                 shape = [_extent(dim, scope) for dim in kind[1:]]
-                a = np.frombuffer(self.take(8 * math.prod(shape)), dtype=_ARRAYS[kind[0]])
-                a = a.reshape(shape, order="F")
-                scope[name] = a.astype(np.int64) if kind[0] == "u8" else a.copy()
+                if only is None or name in only:
+                    order = "F" if name in _COLUMN_MAJOR else "C"
+                    scope[name] = self.array(shape, kind[0], order)
+                else:
+                    self.skip(8 * math.prod(shape))
             else:
-                scope[name] = _Cursor(self.take(self.scalar("u64"))).fields(kind)
+                scope[name] = self.sub(self.scalar("u64")).fields(kind)
         return {f: scope[f] for f, _ in fields if f in scope and f not in dims}
 
 
 class _FileCursor(_Cursor):
-    """A _Cursor whose buffer is an open binary file of size bytes; it reads
-    only what it takes."""
+    """A _Cursor whose buffer is an open binary file; it reads only what it
+    takes, and each array straight into the array's own buffer."""
 
     def take(self, nbytes):
         self.buf.seek(self.skip(nbytes))
         return memoryview(self.buf.read(nbytes))
+
+    def array(self, shape, code, order):
+        out = np.empty(shape, dtype=_LOADED[code], order="F")
+        self.buf.seek(self.skip(out.nbytes))
+        got = self.buf.readinto(out.reshape(-1, order="F"))
+        if got != out.nbytes:
+            raise FormatError(f"truncated data: wanted {out.nbytes} bytes at "
+                              f"offset {self.off - out.nbytes}, got {got}")
+        return out if order == "F" else np.ascontiguousarray(out)
 
 
 # -- header and block framing ---------------------------------------------
@@ -298,7 +335,7 @@ def _reading(path):
     FormatError raised in the with block names the file."""
     try:
         with open(path, "rb") as f:
-            cur = _FileCursor(f, os.fstat(f.fileno()).st_size)
+            cur = _FileCursor(f, 0, os.fstat(f.fileno()).st_size)
             if bytes(cur.take(4)) != MAGIC:
                 raise FormatError("bad magic; not an artifact file")
             if (version := cur.scalar("u32")) != FORMAT_VERSION:
@@ -313,7 +350,7 @@ def _frames(cur):
     """(tag, payload offset, payload length) of each block, in file order.
     At each step the cursor stands at the payload, which the caller may
     read or not; the walk goes on from the payload's end."""
-    while cur.off < cur.size:
+    while cur.off < cur.end:
         tag = bytes(cur.take(4)).decode("ascii", "backslashreplace")
         length = cur.scalar("u64")
         start = cur.skip(length)
@@ -323,19 +360,28 @@ def _frames(cur):
 
 
 def _load(path, tag, parse, *args):
-    """parse(payload, *args) of the last tag block of the artifact file
-    path, whose payload it reads alone."""
+    """parse(cursor, *args), the cursor over the payload of the last tag
+    block of the artifact file path, which parse reads alone."""
     with _reading(path) as cur:
         spans = [(off, n) for got, off, n in _frames(cur) if got == tag]
         if not spans:
             raise FormatError(f"no {tag!r} block")
         cur.off, n = spans[-1]
-        return parse(cur.take(n), *args)
+        return parse(cur.sub(n), *args)
 
 
-def load_snapshots(path):
-    """The snapshot set of an artifact file's SNAP block."""
-    snap = _load(path, TAG_SNAP, lambda payload: _Cursor(payload).fields(_SNAP))
+def load_snapshots(path, arrays=None):
+    """The snapshot set of an artifact file's SNAP block.
+
+    With arrays, a tuple of names among "states", "nonlinear" and
+    "jacobian", it returns just those arrays, in that order; of the payload
+    it then reads only them and the scalars before them.  The arrays come
+    back column-major, as full_solve builds them.
+    """
+    if arrays is not None:
+        got = _load(path, TAG_SNAP, lambda cur: cur.fields(_SNAP, only=arrays))
+        return tuple(got[name] for name in arrays)
+    snap = _load(path, TAG_SNAP, lambda cur: cur.fields(_SNAP))
     ident = (snap.pop("ident").split(";") + ["", ""])[:3]
     rows, cols = snap.pop("coords")
     pattern = SparsityPattern(n=snap["states"].shape[0], rows=rows, cols=cols)
@@ -362,7 +408,11 @@ def _pod_basis(fields):
 
 
 def parse_pod_block(payload):
-    return _pod_basis(_Cursor(payload).fields(_POD))
+    return _parse_pod(_Cursor(payload))
+
+
+def _parse_pod(cur):
+    return _pod_basis(cur.fields(_POD))
 
 
 def deim_block(interp, stage):
@@ -409,8 +459,7 @@ def _core(fields):
     return TensorCore(*(fields.pop(name) for name, _ in _CORE))
 
 
-def _parse_redm(payload, model):
-    cur = _Cursor(payload)
+def _parse_redm(cur, model):
     rm = cur.fields(_REDM)
     if model.model_id != rm["model_id"] or model.config_hash != rm["config_hash"]:
         raise FormatError(
@@ -449,7 +498,11 @@ def traj_block(trajectory, mean_iters, solve_seconds=0.0):
 
 def parse_traj_block(payload):
     """Returns (trajectory, mean_iters, solve_seconds)."""
-    traj = _Cursor(payload).fields(_TRAJ)
+    return _parse_traj(_Cursor(payload))
+
+
+def _parse_traj(cur):
+    traj = cur.fields(_TRAJ)
     return traj["trajectory"], traj["mean_iters"], traj["solve_seconds"]
 
 
@@ -461,7 +514,7 @@ def save_pod_basis(path, basis):
 
 
 def load_pod_basis(path):
-    return _load(path, TAG_POD, parse_pod_block)
+    return _load(path, TAG_POD, _parse_pod)
 
 
 def load_interpolant(path, stage=0, tag=TAG_MINT):
@@ -471,9 +524,10 @@ def load_interpolant(path, stage=0, tag=TAG_MINT):
     found = []
     with _reading(path) as cur:
         for n in (n for got, _, n in _frames(cur) if got == tag):
-            found.append(_Cursor(cur.take(min(n, 8))).scalar("u64"))
+            block = cur.sub(n)
+            found.append(block.scalar("u64"))
             if found[-1] == stage:
-                rest = _Cursor(cur.take(n - 8)).fields(_MINT[1:] if tag == TAG_MINT else _DEIM)
+                rest = block.fields(_MINT[1:] if tag == TAG_MINT else _DEIM)
                 break
         else:
             raise FormatError(f"no {tag!r} block for stage {stage} "
@@ -489,7 +543,7 @@ def load_interpolant(path, stage=0, tag=TAG_MINT):
 def load_trajectory(path):
     """(trajectory, mean_iters, solve_seconds), read from the last TRAJ
     block alone."""
-    return _load(path, TAG_TRAJ, parse_traj_block)
+    return _load(path, TAG_TRAJ, _parse_traj)
 
 
 def save_reduced_model(path, rm):

@@ -96,7 +96,9 @@ def check_rank(svd, m, what):
 def build_smdeim(snap, m, svd=None):
     """Interpolant over the gathered pattern coordinates (the fast route).
 
-    svd, when given, is thin_svd(snap.jacobian), already computed.
+    svd, when given, is thin_svd(snap.jacobian), already computed, or that
+    with only its leading columns (at least m).  Then only snap.pattern is
+    read, so the stage operator, which carries the same pattern, will do.
     """
     if svd is None:
         svd = thin_svd(snap.jacobian)
@@ -141,7 +143,11 @@ def build_mdeim_reference(snap, m, guard_n=None):
     are refused.  The padded matrix is built in Fortran order and
     `leading_svd` factors it in place (QR, the SVD of R, then only the m
     left vectors the selection reads): the route holds the padded matrix
-    and those m vectors at its peak, 8 n^2 (n_s + m) bytes.
+    and those m vectors at its peak, 8 n^2 (n_s + m) bytes of n^2-row
+    arrays, plus O(n_s^2) for the SVD of the n_s-by-n_s R (about
+    6 * 8 n_s^2 bytes: its copy, factors and gesdd workspace).  The
+    interpolant's n^2-by-m basis and projector are built once the padded
+    matrix is freed.
     """
     n = snap.pattern.n
     _check_guard(n, guard_n, 8 * n * n * (snap.n_cols + m), "build_mdeim_reference")

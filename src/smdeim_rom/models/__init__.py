@@ -77,9 +77,9 @@ def full_solve(model, n_t=None, newton_tol=1e-10, newton_cap=50):
     Returns (trajectory, stats, snapshot_sets): trajectory is (n, n_t) with
     the initial state in column 0; snapshot_sets has one SnapshotSet per
     stage, each holding every recorded state along with that stage's
-    nonlinear term and gathered Jacobian values at those states.  Single
-    stage models record the trajectory's columns; the two-stage model
-    records both intermediate states of every step.
+    nonlinear term and gathered Jacobian values at those states, all three
+    column-major.  Single stage models record the trajectory's columns; the
+    two-stage model records both intermediate states of every step.
 
     Every stage solve starts from the run's initial state, so per-step
     iteration counts reflect solve difficulty rather than step size and
@@ -116,13 +116,15 @@ def full_solve(model, n_t=None, newton_tol=1e-10, newton_cap=50):
 
     if model.single_stage:
         outputs = list(trajectory.T)
-    states = np.column_stack(outputs) if outputs else np.empty((model.n, 0))
+    # column-major, as io loads them, so each chunk below is contiguous and
+    # a loaded set rounds as the built one
+    states = np.array(outputs).T if outputs else np.empty((model.n, 0), order="F")
     sets = []
     for stage in model.stages:
         # in column chunks, so the temporaries stay small and are reused; a
         # block call's columns equal the vector calls' bit for bit
-        nonlinear = np.empty(states.shape)
-        jac = np.empty((stage.op.pattern.r, states.shape[1]))
+        nonlinear = np.empty(states.shape, order="F")
+        jac = np.empty((stage.op.pattern.r, states.shape[1]), order="F")
         for c in range(0, states.shape[1], SNAPSHOT_CHUNK):
             cols = slice(c, c + SNAPSHOT_CHUNK)
             nonlinear[:, cols] = stage.op.nonlinear_term(states[:, cols])

@@ -400,11 +400,12 @@ def reduce_model(
     """Build a ReducedModel for one Jacobian strategy.
 
     snapshots: per-stage SnapshotSet list (as produced by full_solve),
-    required by the deim/smdeim/mdeim-reference strategies.  m is the number
-    of interpolation modes for those strategies.  prebuilt optionally maps a
-    stage index to an already constructed interpolant, letting callers reuse
-    an expensive build: a DeimInterpolant of the nonlinear-term snapshots for
-    deim, a MatrixInterpolant of the requested mode for smdeim and
+    required by the deim/smdeim/mdeim-reference strategies unless prebuilt
+    covers every stage.  m is the number of interpolation modes for those
+    strategies.  prebuilt optionally maps a stage index to an already
+    constructed interpolant, letting callers reuse an expensive build: a
+    DeimInterpolant of the nonlinear-term snapshots for deim, a
+    MatrixInterpolant of the requested mode for smdeim and
     mdeim-reference.  cores optionally gives `stage_cores(model, basis)`,
     so callers reducing one basis for several strategies project once.
     The offline wall time (tensor projection plus interpolant training) is
@@ -412,15 +413,16 @@ def reduce_model(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
+    prebuilt = prebuilt or {}
     if strategy in M_DEPENDENT:
-        if snapshots is None:
-            raise ValueError(f"strategy {strategy!r} requires snapshot sets")
+        if snapshots is None and not prebuilt.keys() >= set(range(len(model.stages))):
+            raise ValueError(f"strategy {strategy!r} requires snapshot sets "
+                             "or a prebuilt interpolant for every stage")
         if m is None:
             raise ValueError(f"strategy {strategy!r} requires the mode count m")
-        if len(snapshots) != len(model.stages):
+        if snapshots is not None and len(snapshots) != len(model.stages):
             raise ValueError("need one snapshot set per stage")
     u = basis.u
-    prebuilt = prebuilt or {}
     t_start = time.perf_counter()
     if cores is None:
         cores = stage_cores(model, basis)

@@ -8,11 +8,13 @@ so sharing results across tests cannot couple them.
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from smdeim_rom import io as artifact_io
 from smdeim_rom.models import full_solve
 from smdeim_rom.models.burgers import build_burgers
 from smdeim_rom.models.swe import build_swe
@@ -69,6 +71,61 @@ def swe_basis(swe_run):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260819)
+
+
+class FileReads:
+    """Bytes read through `read` and `readinto` from each file that
+    smdeim_rom.io opens, by file name."""
+
+    def __init__(self, monkeypatch):
+        self.bytes = {}
+        opener = open
+
+        def counted(path, *args, **kwargs):
+            return _CountedFile(opener(path, *args, **kwargs), self.bytes,
+                                Path(path).name)
+
+        monkeypatch.setattr(artifact_io, "open", counted, raising=False)
+
+    @property
+    def total(self):
+        return sum(self.bytes.values())
+
+    def clear(self):
+        self.bytes.clear()
+
+
+class _CountedFile:
+    def __init__(self, f, tally, name):
+        self.f, self.tally, self.name = f, tally, name
+
+    def _count(self, nbytes):
+        self.tally[self.name] = self.tally.get(self.name, 0) + nbytes
+
+    def read(self, *args):
+        data = self.f.read(*args)
+        self._count(len(data))
+        return data
+
+    def readinto(self, buf):
+        got = self.f.readinto(buf)
+        self._count(got)
+        return got
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+@pytest.fixture()
+def file_reads(monkeypatch):
+    """A FileReads counting from the start of the test."""
+    return FileReads(monkeypatch)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

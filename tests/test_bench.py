@@ -36,7 +36,7 @@ from smdeim_rom.jacobian_approx import (
     approximate_matrix,
     build_smdeim,
 )
-from smdeim_rom.linalg import thin_svd
+from smdeim_rom.linalg import SvdResult, thin_svd
 from smdeim_rom.pod import pod_basis
 
 TINY = """
@@ -281,15 +281,20 @@ def test_second_sweep_is_a_no_op(tmp_path):
 
 
 def test_split_pipeline_matches_sweep(tmp_path):
-    cfg_a, out_a = write_config(tmp_path, name="split.cfg", out=tmp_path / "split")
-    assert main(["simulate", "--config", str(cfg_a)]) == 0
-    assert main(["offline", "--config", str(cfg_a)]) == 0
-    assert main(["online", "--config", str(cfg_a)]) == 0
-    cfg_b, out_b = write_config(tmp_path, name="swp.cfg", out=tmp_path / "swp")
-    assert main(["sweep", "--config", str(cfg_b)]) == 0
-    assert masked(read_rows(out_a / "results.csv")) == masked(
-        read_rows(out_b / "results.csv")
-    )
+    # centered, the basis depends on the memory layout of the states: row
+    # means round by it
+    for case, extra in (("plain", ""), ("centered", "pod.centered = true\n")):
+        cfg_a, out_a = write_config(tmp_path, name=f"split-{case}.cfg",
+                                    out=tmp_path / f"split-{case}", extra=extra)
+        assert main(["simulate", "--config", str(cfg_a)]) == 0
+        assert main(["offline", "--config", str(cfg_a)]) == 0
+        assert main(["online", "--config", str(cfg_a)]) == 0
+        cfg_b, out_b = write_config(tmp_path, name=f"swp-{case}.cfg",
+                                    out=tmp_path / f"swp-{case}", extra=extra)
+        assert main(["sweep", "--config", str(cfg_b)]) == 0
+        rows = read_rows(out_a / "results.csv")
+        assert all(r["status"] == "ok" for r in rows)
+        assert masked(rows) == masked(read_rows(out_b / "results.csv"))
 
 
 def test_parallel_jobs_match_sequential(tmp_path, monkeypatch):
@@ -349,7 +354,8 @@ run.out = {out}
 
 class CommandCounts:
     """Model builds, tensor-core builds, SVDs, DEIM selections and
-    snapshot-file reads made while the wrapped commands run."""
+    snapshot-file reads, each with the arrays it asked for, made while the
+    wrapped commands run."""
 
     def __init__(self, monkeypatch):
         self.builds = 0
@@ -369,7 +375,7 @@ class CommandCounts:
         def counted_reader(read):
             def wrapper(path, *args, **kwargs):
                 if path.name.startswith("snap-"):
-                    self.snapshot_reads.append(path.name)
+                    self.snapshot_reads.append((path.name, *args, *kwargs.values()))
                 return read(path, *args, **kwargs)
 
             return wrapper
@@ -411,8 +417,8 @@ def test_offline_builds_each_model_once_and_factors_each_matrix_once(
     assert counts.run("simulate", cfg_path)["svds"] == 0
     offline = counts.run("offline", cfg_path)
     # per Burgers model (one stage): the state, Jacobian and nonlinear-term
-    # snapshot matrices, each factored once; one selection per stage, m and
-    # sampled strategy, shared by both k
+    # snapshot matrices, each read alone and factored once; one selection
+    # per stage, m and sampled strategy, shared by both k
     assert offline["builds"] == 2
     # one tensor core per (model, k) and operator, shared by the three
     # strategies; a Burgers model has one operator
@@ -420,7 +426,9 @@ def test_offline_builds_each_model_once_and_factors_each_matrix_once(
     assert offline["svds"] == 2 * 3
     assert offline["selections"] == 2 * 2 * 2
     assert offline["snapshot_reads"] == sorted(
-        p.name for p in (tmp_path / "out" / "artifacts").glob("snap-*")
+        (p.name, (block,))
+        for p in (tmp_path / "out" / "artifacts").glob("snap-*")
+        for block in ("jacobian", "nonlinear", "states")
     )
     spectra = sorted(p.name for p in (tmp_path / "out" / "plotdata").iterdir())
     assert spectra == [
@@ -509,9 +517,9 @@ def test_online_reads_only_the_stage_0_snapshots(tmp_path, monkeypatch):
     reads = []
     load = artifact_io.load_snapshots
 
-    def counted(path):
+    def counted(path, *args, **kwargs):
         reads.append(Path(path).name)
-        return load(path)
+        return load(path, *args, **kwargs)
 
     monkeypatch.setattr(artifact_io, "load_snapshots", counted)
     runner.cmd_online(cfg)
@@ -522,11 +530,58 @@ def test_online_reads_only_the_stage_0_snapshots(tmp_path, monkeypatch):
     ]
 
 
+def _arrays_in(obj):
+    """The numpy arrays held in obj, through containers and attributes."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        items = obj
+    elif isinstance(obj, dict):
+        items = obj.values()
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return []
+    return [a for item in items for a in _arrays_in(item)]
+
+
+def test_offline_context_keeps_no_snapshot_block(tmp_path, monkeypatch):
+    # what the context holds as offline ends: each SVD with the max(rom.m)
+    # leading columns the selections read, and no array that spans the
+    # snapshot columns (a states, nonlinear or jacobian block)
+    cfg = parse_config_text(SWE_SMALL.format(out=tmp_path / "out").replace(
+        "rom.m = 12", "rom.m = 12, 7"))
+    kept = []
+    drop = runner._drop_contexts
+
+    def keep_then_drop():
+        kept.extend(runner._contexts.values())
+        drop()
+
+    monkeypatch.setattr(runner, "_drop_contexts", keep_then_drop)
+    runner.cmd_offline(cfg)
+    (ctx,) = kept
+    svds = {key: v for key, v in ctx._memo.items() if isinstance(v, SvdResult)}
+    assert sorted(svds) == sorted(
+        (block, j) for block in ("jacobian", "nonlinear") for j in (0, 1)
+    )
+    n_cols = artifact_io.load_snapshots(
+        runner.snap_paths(cfg, ctx.model)[0], ("states",))[0].shape[1]
+    for svd in svds.values():
+        assert svd.u.shape[1] == svd.w.shape[1] == 12
+        assert svd.w.shape[0] == svd.singulars.size == n_cols
+    held = _arrays_in(ctx._memo)
+    assert held and not [a.shape for a in held if a.ndim == 2 and a.shape[1] == n_cols]
+
+
 def run_context(cfg, run):
-    """The ModelContext of a session FullRun, seeded with its snapshots."""
+    """The ModelContext of a session FullRun, its snapshots saved where the
+    context reads them."""
+    runner.artifact_dir(cfg).mkdir(parents=True)
+    for path, snap in zip(runner.snap_paths(cfg, run.model), run.snaps):
+        artifact_io.save_snapshots(path, snap)
     return runner.ModelContext(cfg, run.model, run.trajectory,
-                               run.stats.mean_iterations, run.stats.online_seconds,
-                               run.snaps)
+                               run.stats.mean_iterations, run.stats.online_seconds)
 
 
 def _same_interp(a, b):
@@ -541,10 +596,11 @@ def _same_interp(a, b):
 
 
 def test_shared_products_equal_direct_calls_bit_for_bit(tmp_path):
-    cfg = parse_config_text(CONTRACT.format(out=tmp_path / "out"))
+    text = CONTRACT.format(out=tmp_path / "out").replace("rom.k = 4, 6", "rom.k = 4, 6, 100")
+    cfg = parse_config_text(text)
     runner.cmd_simulate(cfg)
     ctx = runner.ModelContext.open(cfg, {"n": 31}, simulate=False)
-    snap = ctx.snaps[0]
+    snap = artifact_io.load_snapshots(runner.snap_paths(cfg, ctx.model)[0])
     for k in (4, 6, 100):
         got = ctx.basis(k)
         want = pod_basis(snap.states, gamma=1.0, k_max=k)
@@ -570,8 +626,7 @@ def test_shared_products_equal_direct_calls_bit_for_bit(tmp_path):
 def test_deim_artifact_holds_one_deim_block_per_stage(tmp_path, swe_run):
     cfg = ExperimentConfig(model="swe", out_dir=str(tmp_path))
     ctx = run_context(cfg, swe_run)
-    model, snaps, traj = ctx.model, ctx.snaps, ctx.traj
-    runner.artifact_dir(cfg).mkdir(parents=True)
+    model, snaps, traj = ctx.model, swe_run.snaps, ctx.traj
     path = runner.build_rom_artifact(cfg, model, ctx, "deim", 25, 30)
     for j, snap in enumerate(snaps):
         got = artifact_io.load_interpolant(path, stage=j, tag=artifact_io.TAG_DEIM)
@@ -701,52 +756,31 @@ def test_plotdata_series(tmp_path):
     assert traj.exists()
 
 
-class FileReads:
-    """Bytes read through each file artifact_io opens, by file name."""
-
-    def __init__(self, monkeypatch):
-        self.bytes = {}
-        opener = open
-
-        def counted(path, *args, **kwargs):
-            return self._File(opener(path, *args, **kwargs), self.bytes,
-                              Path(path).name)
-
-        monkeypatch.setattr(artifact_io, "open", counted, raising=False)
-
-    class _File:
-        def __init__(self, f, tally, name):
-            self.f, self.tally, self.name = f, tally, name
-
-        def read(self, *args):
-            data = self.f.read(*args)
-            self.tally[self.name] = self.tally.get(self.name, 0) + len(data)
-            return data
-
-        def __getattr__(self, name):
-            return getattr(self.f, name)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.f.close()
-
-
-def test_online_reads_only_the_redm_and_stage_0_payloads(tmp_path, monkeypatch):
+def test_online_reads_only_the_redm_and_stage_0_payloads(tmp_path, file_reads):
     # of each reduced-model file: the frame headers, walked by its two
     # loaders, and the REDM and stage-0 interpolant payloads; of the
-    # snapshot files: stage 0's
+    # snapshot files: stage 0's frame headers, TRAJ payload, and the
+    # scalars and states of its SNAP payload
     cfg = parse_config_text(SWE_SMALL.format(out=tmp_path / "out").replace(
         "deim, smdeim", "deim, smdeim, tensorial"))
     runner.cmd_offline(cfg)
-    reads = FileReads(monkeypatch)
+    file_reads.clear()
     runner.cmd_online(cfg)
-    monkeypatch.undo()
+    reads = dict(file_reads.bytes)
     rom_files = sorted(runner.artifact_dir(cfg).glob("rom-*"))
     assert len(rom_files) == 3
     (snap0,) = runner.artifact_dir(cfg).glob("snap-*-s0.smdm")
-    assert sorted(reads.bytes) == sorted(p.name for p in [*rom_files, snap0])
+    assert sorted(reads) == sorted(p.name for p in [*rom_files, snap0])
+    blocks = artifact_io.read_blocks(snap0)
+    assert [t for t, _ in blocks] == [artifact_io.TAG_SNAP, artifact_io.TAG_TRAJ]
+    payload = blocks[0][1]
+    ident = int.from_bytes(payload[:4], "little")
+    scalars = 4 + ident + 4 * 8  # ident, n, n_cols, r and dt
+    n, n_cols = (int.from_bytes(payload[4 + ident + 8 * i:][:8], "little")
+                 for i in range(2))
+    frames = 8 + 12 * len(blocks)  # walked by each of its two loaders
+    want = 2 * frames + len(blocks[1][1]) + scalars + 8 * n * n_cols
+    assert reads[snap0.name] == want
     for path in rom_files:
         blocks = artifact_io.read_blocks(path)
         needed = sum(len(p) for t, p in blocks if t == artifact_io.TAG_REDM)
@@ -755,7 +789,7 @@ def test_online_reads_only_the_redm_and_stage_0_payloads(tmp_path, monkeypatch):
         assert len(stage0) == (0 if "tensorial" in path.name else 1)
         needed += sum(len(p) for p in stage0)
         frames = 8 + 12 * len(blocks)
-        assert needed <= reads.bytes[path.name] <= needed + 2 * frames, path.name
+        assert needed <= reads[path.name] <= needed + 2 * frames, path.name
 
 
 def test_failed_point_is_recorded_not_raised(tmp_path):
@@ -788,8 +822,8 @@ def dense_jacobians(cfg, strategy, k, m, count=None):
     """(true, approximate) stage-0 Jacobians as dense n-by-n arrays at the
     first count held-out probes (all of them by default)."""
     params = {"nx": cfg.swe_nx[0], "ny": cfg.swe_ny[0]}
-    ctx = runner.ModelContext.open(cfg, params, simulate=False)
-    model, snap = ctx.model, ctx.snaps[0]
+    model = runner.build_model(cfg, params)
+    snap = artifact_io.load_snapshots(runner.snap_paths(cfg, model)[0])
     op = model.stages[0].op
     path = runner.rom_artifact_path(cfg, model.config_hash, strategy, k, m)
     basis = artifact_io.load_reduced_model(path, model).basis
@@ -862,14 +896,13 @@ def test_heldout_metrics_form_no_dense_square_matrix(
 ):
     # The peak is taken from the end of the reduced solve, so it covers the
     # held-out evaluation, where an n-by-n float64 array alone would take
-    # 8 n^2 bytes (the evaluation peaks near 0.4 of that here).  The whole
-    # call peaks higher, up to 1.9 times 8 n^2, on loading the artifact
-    # before the solve: the reader holds the file's bytes, the parsed
+    # 8 n^2 bytes (the evaluation, reading stage 0's states for the probes
+    # first, peaks near 0.4 of that here for smdeim, 0.85 for deim).  The
+    # whole call peaks near 1.15 times 8 n^2, as it also holds the loaded
     # reduced model and the stage-0 interpolant with its r-by-m bases.
     cfg = ExperimentConfig(model="swe", out_dir=str(tmp_path))
     ctx = run_context(cfg, swe_run)
     model, traj = ctx.model, ctx.traj
-    runner.artifact_dir(cfg).mkdir(parents=True)
     runner.build_rom_artifact(cfg, model, ctx, strategy, 25, 30)
     after_solve = []
     rom_solve = runner.rom_solve

@@ -58,6 +58,33 @@ def test_snapshot_round_trip_bit_exact(tmp_path, setup):
     assert np.array_equal(back.jacobian, snaps[0].jacobian)
 
 
+def test_load_snapshots_holds_each_byte_once(tmp_path, swe_run):
+    # each array is read straight into its own column-major buffer, as
+    # full_solve builds it: no payload-sized buffer and no second copy
+    built = swe_run.snaps[0]
+    path = tmp_path / "snap.bin"
+    artifact_io.save_snapshots(path, built)
+    names = ("states", "nonlinear", "jacobian")
+    for arrays in (None, ("states",), ("jacobian", "states")):
+        tracemalloc.start()
+        try:
+            got = artifact_io.load_snapshots(path, arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if arrays is None:
+            blocks = [getattr(got, name) for name in names]
+            held = blocks + [got.pattern.rows, got.pattern.cols]
+            assert got.pattern == built.pattern
+        else:
+            blocks = held = list(got)
+        returned = sum(a.nbytes for a in held)
+        assert peak <= 1.1 * returned, arrays
+        for name, block in zip(arrays or names, blocks):
+            assert np.array_equal(block, getattr(built, name))
+            assert block.flags.f_contiguous and getattr(built, name).flags.f_contiguous
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -238,7 +265,7 @@ def test_reduced_model_round_trip_replays_identically(tmp_path, setup, strategy)
     assert s1.iterations == s2.iterations
 
 
-def test_loaders_read_only_their_payloads(tmp_path, setup, monkeypatch):
+def test_loaders_read_only_their_payloads(tmp_path, setup, file_reads):
     # the frame headers they walk, then their own payload: none of the
     # snapshot block, the other stage's interpolant or the basis
     model, _, snaps, basis = setup
@@ -250,22 +277,19 @@ def test_loaders_read_only_their_payloads(tmp_path, setup, monkeypatch):
               (artifact_io.TAG_MINT, artifact_io.mint_block(mis[0], stage=0)),
               (artifact_io.TAG_REDM, artifact_io.redm_block(rm))]
     _artifact_with_blocks(path, snaps[0], *blocks)
-    reads = []
-    monkeypatch.setattr(artifact_io, "open",
-                        lambda *a, **kw: _CountingFile(open(*a, **kw), reads),
-                        raising=False)
+    file_reads.clear()
     frames = 8 + 12 * (1 + len(blocks))  # the header and every frame header
     back = artifact_io.load_reduced_model(path, model)
     assert np.array_equal(rom_solve(back, 21)[0], rom_solve(rm, 21)[0])
-    assert sum(reads) == frames + len(blocks[3][1])
-    reads.clear()
+    assert file_reads.total == frames + len(blocks[3][1])
+    file_reads.clear()
     back_mi = artifact_io.load_interpolant(path, stage=0)
     assert np.array_equal(back_mi.interp.projector, mis[0].interp.projector)
     # the walk stops at its block; of the stage-1 block it reads the stage
-    assert sum(reads) == 8 + 12 * 4 + 8 + len(blocks[2][1])
-    reads.clear()
+    assert file_reads.total == 8 + 12 * 4 + 8 + len(blocks[2][1])
+    file_reads.clear()
     artifact_io.load_pod_basis(path)
-    assert sum(reads) == frames + len(blocks[1][1])
+    assert file_reads.total == frames + len(blocks[1][1])
 
 
 def test_reduced_model_identity_mismatch(tmp_path, setup):
@@ -311,29 +335,7 @@ def _artifact_with_blocks(path, snap, *blocks):
         artifact_io.append_block(path, tag, payload)
 
 
-class _CountingFile:
-    """A file object that adds the size of every read to a list."""
-
-    def __init__(self, f, reads):
-        self.f = f
-        self.reads = reads
-
-    def read(self, *args):
-        data = self.f.read(*args)
-        self.reads.append(len(data))
-        return data
-
-    def __getattr__(self, name):
-        return getattr(self.f, name)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.f.close()
-
-
-def test_load_trajectory_reads_only_its_block(tmp_path, setup, monkeypatch, rng):
+def test_load_trajectory_reads_only_its_block(tmp_path, setup, file_reads, rng):
     _, _, snaps, _ = setup
     path = tmp_path / "art.bin"
     traj = rng.standard_normal((5, 9))
@@ -342,16 +344,13 @@ def test_load_trajectory_reads_only_its_block(tmp_path, setup, monkeypatch, rng)
     _artifact_with_blocks(path, snaps[0], (artifact_io.TAG_TRAJ, earlier),
                           ("AAAA", bytes(1 << 16)), (artifact_io.TAG_TRAJ, payload),
                           ("BBBB", bytes(1 << 16)))
-    reads = []
-    monkeypatch.setattr(artifact_io, "open",
-                        lambda *a, **kw: _CountingFile(open(*a, **kw), reads),
-                        raising=False)
+    file_reads.clear()
     artifact_io.read_blocks(path)
-    assert sum(reads) == path.stat().st_size  # the counter sees whole reads
-    reads.clear()
+    assert file_reads.total == path.stat().st_size  # the counter sees whole reads
+    file_reads.clear()
     back, mean_iters, seconds = artifact_io.load_trajectory(path)
     assert np.array_equal(back, traj) and (mean_iters, seconds) == (3.25, 0.125)
-    assert sum(reads) < len(payload) + 1024
+    assert file_reads.total < len(payload) + 1024
 
 
 def test_load_trajectory_rejects_truncated_frames(tmp_path, setup):

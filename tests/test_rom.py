@@ -497,6 +497,32 @@ def test_smdeim_refuses_an_interpolant_of_another_stage():
     assert [stage.jacobian.plan.m for stage in rm.stages] == [12, 12]
 
 
+@pytest.mark.parametrize("name, strategy", [
+    ("swe", "deim"), ("swe", "smdeim"), ("burgers", "mdeim-reference"),
+])
+def test_prebuilt_interpolants_stand_in_for_the_snapshots(name, strategy):
+    # with an interpolant for every stage, reduce_model reads no snapshot
+    # set, and the model is the one it builds from them, bit for bit
+    from smdeim_rom.deim import deim_interpolant
+
+    model, snaps = solved(name)
+    basis = pod_basis(np.hstack([s.states for s in snaps]), gamma=1.0, k_max=8)
+    m = 10
+    build = {
+        "deim": lambda snap: deim_interpolant(thin_svd(snap.nonlinear).u, m),
+        "smdeim": lambda snap: build_smdeim(snap, m),
+        "mdeim-reference": lambda snap: build_mdeim_reference(snap, m),
+    }[strategy]
+    prebuilt = {j: build(snap) for j, snap in enumerate(snaps)}
+    built = reduce_model(model, basis, strategy, snapshots=snaps, m=m)
+    given = reduce_model(model, basis, strategy, m=m, prebuilt=prebuilt)
+    built.offline_seconds = given.offline_seconds = 0.0
+    assert artifact_io.redm_block(given) == artifact_io.redm_block(built)
+    if len(snaps) > 1:
+        with pytest.raises(ValueError, match="prebuilt interpolant for every stage"):
+            reduce_model(model, basis, strategy, m=m, prebuilt={0: prebuilt[0]})
+
+
 def test_mdeim_reference_strategy_agrees_with_smdeim(burgers_rom_parts):
     model, _, snaps, basis = burgers_rom_parts
     m = 10
