@@ -351,8 +351,8 @@ class ModelContext:
                                              guard_n=self.cfg.guard_n)
             if strategy == "smdeim":
                 # the stage operator carries the pattern of its snapshots
-                return build_smdeim(self.model.stages[stage].op, m,
-                                    svd=self.svd("jacobian", stage))
+                return build_smdeim(None, m, svd=self.svd("jacobian", stage),
+                                    pattern=self.model.stages[stage].op.pattern)
             svd = self.svd("nonlinear", stage)
             check_rank(svd, m, "nonlinear-term")
             return deim_interpolant(svd.u, m)

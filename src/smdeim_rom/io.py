@@ -17,9 +17,11 @@ fields that _pack writes in order and _Cursor.fields reads back.  A kind is
 
 The writer takes each dimension field from the shapes of the arrays that
 name it, and the reader returns every field but those (u8 arrays as int64),
-so both handle the same mapping of names to values.  A loaded snapshot
-block is column-major, as full_solve builds it, and every other loaded
-array row-major but a deim projector (_COLUMN_MAJOR).
+so both handle the same mapping of names to values.  BLAS products round by
+layout, so the snapshot arrays and a DEIM block's projector load
+column-major, as full_solve and deim_interpolant build them, and every
+other array row-major.  For a MINT block's projector that is not the built
+layout: products with a loaded one may round differently.
 
 Block tags: "SNAP" a snapshot set (_SNAP); "PODB" a basis (_POD); "DEIM"
 the interpolant of one stage of a deim reduced model (_STAGE_DEIM: the
@@ -31,8 +33,11 @@ Loading a reduced model rebinds it to a freshly built full model after
 checking the stored model identity.
 
 Every reader walks the frame headers through one seeking cursor over the
-open file and reads only the payloads it wants, each array of them straight
-into the array's own buffer, so a loader holds each byte it reads once.
+open file (a parse_*_block function, over its payload) and reads only the
+payloads it wants, each array of them straight into a column-major buffer
+of its own.  A column-major array is returned as read, so load_snapshots
+holds each snapshot byte once; a row-major one is copied out of that
+buffer, so for a moment two copies of it exist.
 Every FormatError a loader raises names the file.
 """
 
@@ -41,7 +46,6 @@ import io as _io
 import math
 import os
 import struct
-from dataclasses import replace
 
 import numpy as np
 
@@ -169,14 +173,6 @@ _SCALARS = {
 _ARRAYS = {"f8": "<f8", "u8": "<u8"}
 # what a reader returns: u8 arrays are indexes, below 2**63, read as int64
 _LOADED = {"f8": "<f8", "u8": "<i8"}
-# The snapshot blocks, which full_solve builds column-major: a reader
-# returns them in the stored order, as read.  It returns every other array
-# row-major, as the builders make all but an interpolant's projector, and
-# load_interpolant turns a deim projector column-major again.  BLAS
-# products round by layout, so these choices fix the last digits of
-# results.csv: a column-major smdeim projector moves its held-out sv1_err
-# in the 6th significant digit.
-_COLUMN_MAJOR = frozenset({"states", "nonlinear", "jacobian"})
 
 
 def _extent(dim, scope):
@@ -218,13 +214,19 @@ def _encode(fields, values):
 
 
 class _Cursor:
-    """Sequential reader over the bytes off to end of a buffer (all of it by
-    default)."""
+    """Sequential reader over the bytes off to end of a seekable binary
+    file, an open one or an io.BytesIO; it reads only what it takes, and
+    each array straight into the array's own buffer."""
 
-    def __init__(self, buf, off=0, end=None):
-        self.buf = buf
+    def __init__(self, f, off, end):
+        self.f = f
         self.off = off
-        self.end = len(buf) if end is None else end
+        self.end = end
+
+    @classmethod
+    def over(cls, payload):
+        """A cursor over all of the bytes payload."""
+        return cls(_io.BytesIO(payload), 0, len(payload))
 
     def skip(self, nbytes):
         """Move past nbytes; returns the offset they start at."""
@@ -238,28 +240,36 @@ class _Cursor:
         return self.off - nbytes
 
     def take(self, nbytes):
-        start = self.skip(nbytes)
-        return memoryview(self.buf)[start : self.off]
+        self.f.seek(self.skip(nbytes))
+        return memoryview(self.f.read(nbytes))
 
     def sub(self, nbytes):
         """A cursor over the next nbytes, which this one moves past."""
         start = self.skip(nbytes)
-        return type(self)(self.buf, start, self.off)
+        return _Cursor(self.f, start, self.off)
 
     def scalar(self, kind):
         return _SCALARS[kind].unpack(self.take(_SCALARS[kind].size))[0]
 
-    def array(self, shape, code, order):
-        """The next array of the given shape and kind code, copied into a
-        buffer of its own in the given memory order."""
-        flat = np.frombuffer(self.take(8 * math.prod(shape)), dtype=_ARRAYS[code])
-        return flat.reshape(shape, order="F").astype(_LOADED[code], order=order)
+    def array(self, shape, code, column_major):
+        """The next array of the given shape and kind code, read into a
+        column-major buffer of its own; row-major, a copy, unless
+        column_major."""
+        out = np.empty(shape, dtype=_LOADED[code], order="F")
+        self.f.seek(self.skip(out.nbytes))
+        got = self.f.readinto(out.reshape(-1, order="F"))
+        if got != out.nbytes:
+            raise FormatError(f"truncated data: wanted {out.nbytes} bytes at "
+                              f"offset {self.off - out.nbytes}, got {got}")
+        return out if column_major else np.ascontiguousarray(out)
 
-    def fields(self, fields, scope=None, only=None):
+    def fields(self, fields, scope=None, only=None, column_major=()):
         """Read the field list fields, as _pack wrote it, into a mapping from
         field name to value, dimension fields left out.  scope maps the
         fields of an enclosing list to their values; only, when given, names
-        the arrays to read, and the cursor moves past the others."""
+        the arrays to read, and the cursor moves past the others.  The
+        arrays named in column_major come back column-major, as read; every
+        other array row-major."""
         scope = dict(scope or {})
         dims = set()
         for name, kind in fields:
@@ -271,31 +281,12 @@ class _Cursor:
                 dims.update(kind[1:])
                 shape = [_extent(dim, scope) for dim in kind[1:]]
                 if only is None or name in only:
-                    order = "F" if name in _COLUMN_MAJOR else "C"
-                    scope[name] = self.array(shape, kind[0], order)
+                    scope[name] = self.array(shape, kind[0], name in column_major)
                 else:
                     self.skip(8 * math.prod(shape))
             else:
                 scope[name] = self.sub(self.scalar("u64")).fields(kind)
         return {f: scope[f] for f, _ in fields if f in scope and f not in dims}
-
-
-class _FileCursor(_Cursor):
-    """A _Cursor whose buffer is an open binary file; it reads only what it
-    takes, and each array straight into the array's own buffer."""
-
-    def take(self, nbytes):
-        self.buf.seek(self.skip(nbytes))
-        return memoryview(self.buf.read(nbytes))
-
-    def array(self, shape, code, order):
-        out = np.empty(shape, dtype=_LOADED[code], order="F")
-        self.buf.seek(self.skip(out.nbytes))
-        got = self.buf.readinto(out.reshape(-1, order="F"))
-        if got != out.nbytes:
-            raise FormatError(f"truncated data: wanted {out.nbytes} bytes at "
-                              f"offset {self.off - out.nbytes}, got {got}")
-        return out if order == "F" else np.ascontiguousarray(out)
 
 
 # -- header and block framing ---------------------------------------------
@@ -331,11 +322,11 @@ def append_block(path, tag, payload):
 
 @contextlib.contextmanager
 def _reading(path):
-    """A _FileCursor past the header of the artifact file path; a
+    """A _Cursor past the header of the artifact file path; a
     FormatError raised in the with block names the file."""
     try:
         with open(path, "rb") as f:
-            cur = _FileCursor(f, 0, os.fstat(f.fileno()).st_size)
+            cur = _Cursor(f, 0, os.fstat(f.fileno()).st_size)
             if bytes(cur.take(4)) != MAGIC:
                 raise FormatError("bad magic; not an artifact file")
             if (version := cur.scalar("u32")) != FORMAT_VERSION:
@@ -359,15 +350,20 @@ def _frames(cur):
         cur.off = start + length
 
 
-def _load(path, tag, parse, *args):
-    """parse(cursor, *args), the cursor over the payload of the last tag
-    block of the artifact file path, which parse reads alone."""
+@contextlib.contextmanager
+def _last_block(path, tag):
+    """A _Cursor over the payload of the last tag block of the artifact
+    file path, which the with block reads alone."""
     with _reading(path) as cur:
         spans = [(off, n) for got, off, n in _frames(cur) if got == tag]
         if not spans:
             raise FormatError(f"no {tag!r} block")
         cur.off, n = spans[-1]
-        return parse(cur.sub(n), *args)
+        yield cur.sub(n)
+
+
+# the snapshot arrays, which full_solve builds column-major
+_SNAP_ARRAYS = ("states", "nonlinear", "jacobian")
 
 
 def load_snapshots(path, arrays=None):
@@ -376,12 +372,13 @@ def load_snapshots(path, arrays=None):
     With arrays, a tuple of names among "states", "nonlinear" and
     "jacobian", it returns just those arrays, in that order; of the payload
     it then reads only them and the scalars before them.  The arrays come
-    back column-major, as full_solve builds them.
+    back column-major, as full_solve builds them, each read straight into
+    its own buffer, so the loader holds each of their bytes once.
     """
+    with _last_block(path, TAG_SNAP) as cur:
+        snap = cur.fields(_SNAP, only=arrays, column_major=_SNAP_ARRAYS)
     if arrays is not None:
-        got = _load(path, TAG_SNAP, lambda cur: cur.fields(_SNAP, only=arrays))
-        return tuple(got[name] for name in arrays)
-    snap = _load(path, TAG_SNAP, lambda cur: cur.fields(_SNAP))
+        return tuple(snap[name] for name in arrays)
     ident = (snap.pop("ident").split(";") + ["", ""])[:3]
     rows, cols = snap.pop("coords")
     pattern = SparsityPattern(n=snap["states"].shape[0], rows=rows, cols=cols)
@@ -408,11 +405,7 @@ def _pod_basis(fields):
 
 
 def parse_pod_block(payload):
-    return _parse_pod(_Cursor(payload))
-
-
-def _parse_pod(cur):
-    return _pod_basis(cur.fields(_POD))
+    return _pod_basis(_Cursor.over(payload).fields(_POD))
 
 
 def deim_block(interp, stage):
@@ -434,7 +427,7 @@ def _matrix_interpolant(mi):
 
 def parse_mint_block(payload):
     """Returns (stage, MatrixInterpolant)."""
-    mi = _Cursor(payload).fields(_MINT)
+    mi = _Cursor.over(payload).fields(_MINT)
     return mi.pop("stage"), _matrix_interpolant(mi)
 
 
@@ -496,14 +489,13 @@ def traj_block(trajectory, mean_iters, solve_seconds=0.0):
                            "solve_seconds": solve_seconds})
 
 
+def _traj(fields):
+    return fields["trajectory"], fields["mean_iters"], fields["solve_seconds"]
+
+
 def parse_traj_block(payload):
     """Returns (trajectory, mean_iters, solve_seconds)."""
-    return _parse_traj(_Cursor(payload))
-
-
-def _parse_traj(cur):
-    traj = cur.fields(_TRAJ)
-    return traj["trajectory"], traj["mean_iters"], traj["solve_seconds"]
+    return _traj(_Cursor.over(payload).fields(_TRAJ))
 
 
 # -- convenience wrappers -----------------------------------------------
@@ -514,7 +506,8 @@ def save_pod_basis(path, basis):
 
 
 def load_pod_basis(path):
-    return _load(path, TAG_POD, _parse_pod)
+    with _last_block(path, TAG_POD) as cur:
+        return _pod_basis(cur.fields(_POD))
 
 
 def load_interpolant(path, stage=0, tag=TAG_MINT):
@@ -527,23 +520,21 @@ def load_interpolant(path, stage=0, tag=TAG_MINT):
             block = cur.sub(n)
             found.append(block.scalar("u64"))
             if found[-1] == stage:
-                rest = block.fields(_MINT[1:] if tag == TAG_MINT else _DEIM)
-                break
-        else:
-            raise FormatError(f"no {tag!r} block for stage {stage} "
-                              f"(stages present: {sorted(found)})")
-    if tag == TAG_MINT:
-        return _matrix_interpolant(rest)
-    # the projector in the column-major layout deim_interpolant builds, so
-    # BLAS products with it round as on the built one
-    interp = DeimInterpolant(**rest)
-    return replace(interp, projector=np.asfortranarray(interp.projector))
+                if tag == TAG_MINT:
+                    return _matrix_interpolant(block.fields(_MINT[1:]))
+                # the projector column-major, as deim_interpolant builds it,
+                # so BLAS products with it round as on the built one
+                rest = block.fields(_DEIM, column_major=("projector",))
+                return DeimInterpolant(**rest)
+        raise FormatError(f"no {tag!r} block for stage {stage} "
+                          f"(stages present: {sorted(found)})")
 
 
 def load_trajectory(path):
     """(trajectory, mean_iters, solve_seconds), read from the last TRAJ
     block alone."""
-    return _load(path, TAG_TRAJ, _parse_traj)
+    with _last_block(path, TAG_TRAJ) as cur:
+        return _traj(cur.fields(_TRAJ))
 
 
 def save_reduced_model(path, rm):
@@ -554,4 +545,5 @@ def load_reduced_model(path, model):
     """Rebuild a persisted reduced model from the last REDM block, rebinding
     operator references to the supplied full model (which must match the
     stored identity)."""
-    return _load(path, TAG_REDM, _parse_redm, model)
+    with _last_block(path, TAG_REDM) as cur:
+        return _parse_redm(cur, model)

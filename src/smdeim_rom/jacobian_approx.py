@@ -93,23 +93,26 @@ def check_rank(svd, m, what):
         )
 
 
-def build_smdeim(snap, m, svd=None):
+def build_smdeim(snap, m, svd=None, pattern=None):
     """Interpolant over the gathered pattern coordinates (the fast route).
 
-    svd, when given, is thin_svd(snap.jacobian), already computed, or that
-    with only its leading columns (at least m).  Then only snap.pattern is
-    read, so the stage operator, which carries the same pattern, will do.
+    svd and pattern, when given, stand in for what snap holds: svd is
+    thin_svd(snap.jacobian), already computed, or that with only its
+    leading columns (at least m), and pattern is snap.pattern.  With both,
+    snap is not read and may be None.
     """
     if svd is None:
         svd = thin_svd(snap.jacobian)
+    if pattern is None:
+        pattern = snap.pattern
     check_rank(svd, m, "gathered")
     interp = deim_interpolant(svd.u, m)
     return MatrixInterpolant(
         mode="sparse",
-        pattern=snap.pattern,
+        pattern=pattern,
         interp=interp,
-        sample_rows=snap.pattern.rows[interp.indexes].copy(),
-        sample_cols=snap.pattern.cols[interp.indexes].copy(),
+        sample_rows=pattern.rows[interp.indexes].copy(),
+        sample_cols=pattern.cols[interp.indexes].copy(),
         singulars=svd.singulars,
     )
 

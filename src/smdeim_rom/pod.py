@@ -58,6 +58,17 @@ class PodBasis:
         return self.u.T @ (full - self.mean[:, None])
 
 
+def _row_means(s_mat, rows=256):
+    """The row means of s_mat, each summed along its row as numpy sums a
+    row-major matrix's rows, so they round the same in either layout; a
+    column-major s_mat is copied a block of rows at a time."""
+    means = np.empty(s_mat.shape[0])
+    for start in range(0, s_mat.shape[0], rows):
+        block = np.ascontiguousarray(s_mat[start : start + rows])
+        means[start : start + rows] = block.mean(axis=1)
+    return means
+
+
 def pod_basis(snapshots, gamma=0.99, k_max=None, centered=False):
     """Build a PodBasis from an (n, n_s) snapshot matrix.
 
@@ -78,7 +89,7 @@ def pod_basis(snapshots, gamma=0.99, k_max=None, centered=False):
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
     if centered:
-        mean = s_mat.mean(axis=1)
+        mean = _row_means(s_mat)
         work = s_mat - mean[:, None]
     else:
         mean = np.zeros(s_mat.shape[0])

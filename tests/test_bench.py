@@ -281,8 +281,8 @@ def test_second_sweep_is_a_no_op(tmp_path):
 
 
 def test_split_pipeline_matches_sweep(tmp_path):
-    # centered, the basis depends on the memory layout of the states: row
-    # means round by it
+    # centered, the basis reads the row means of the states, which sweep
+    # takes from the built set and the split pipeline from the loaded one
     for case, extra in (("plain", ""), ("centered", "pod.centered = true\n")):
         cfg_a, out_a = write_config(tmp_path, name=f"split-{case}.cfg",
                                     out=tmp_path / f"split-{case}", extra=extra)

@@ -213,7 +213,8 @@ def test_deim_block_round_trip(tmp_path, rng):
     path = tmp_path / "art.bin"
     artifact_io.append_block(path, artifact_io.TAG_DEIM, artifact_io.deim_block(interp, 0))
     back = artifact_io.load_interpolant(path, 0, tag=artifact_io.TAG_DEIM)
-    assert back.projector.flags.f_contiguous  # as deim_interpolant builds it
+    # each in the layout deim_interpolant builds it in
+    assert back.projector.flags.f_contiguous and back.basis.flags.c_contiguous
     assert np.array_equal(back.basis, interp.basis)
     assert np.array_equal(back.indexes, interp.indexes)
     assert np.array_equal(back.projector, interp.projector)

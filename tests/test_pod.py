@@ -85,6 +85,18 @@ def test_centered_mean_round_trip(rng):
     assert np.linalg.norm(basis.lift(basis.project(x)) - x) <= 1e-10
 
 
+def test_centered_basis_is_the_same_in_either_layout(rng):
+    # row means round by the order of the summands; pod_basis sums each row
+    # as numpy sums a row-major matrix's, over blocks of 256 rows
+    snap = rng.standard_normal((600, 181)) * np.exp(3 * rng.standard_normal((600, 181)))
+    built = pod_basis(snap, gamma=1.0, k_max=20, centered=True)
+    assert np.array_equal(built.mean, snap.mean(axis=1))
+    loaded = pod_basis(np.asfortranarray(snap), gamma=1.0, k_max=20, centered=True)
+    assert np.array_equal(loaded.mean, built.mean)
+    assert np.array_equal(loaded.u, built.u)
+    assert np.array_equal(loaded.singulars, built.singulars)
+
+
 def test_uncentered_mean_is_zero(rng):
     basis = pod_basis(rng.standard_normal((8, 4)), gamma=1.0)
     assert not basis.centered
