@@ -30,11 +30,11 @@ command to the next.
 
 Metrics are evaluated on stage-0 quantities at held-out snapshot states
 (every stride-th column), each projected onto the basis subspace first so
-the numbers isolate approximation error from subspace truncation error.
+the numbers isolate approximation error from subspace truncation error;
+rom.heldout_errors computes them from the strategy's own classes.
 """
 
 import contextlib
-import functools
 import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -43,7 +43,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .. import instrumentation
 from .. import io as artifact_io
@@ -51,17 +50,17 @@ from ..deim import DependentColumnsError, deim_interpolant
 from ..jacobian_approx import (
     MemoryGuardError,
     RankError,
-    approximate_matrix,
     build_mdeim_reference,
     build_smdeim,
     check_rank,
 )
-from ..linalg import SvdConvergenceError, leading_singular_value, thin_svd
+from ..linalg import SvdConvergenceError, thin_svd
 from ..models import burgers as burgers_model
 from ..models import full_solve
 from ..models import swe as swe_model
 from ..pod import pod_basis
-from ..rom import M_DEPENDENT, reduce_model, rom_solve, stage_cores
+from ..rom import (M_DEPENDENT, HeldoutProbe, heldout_errors, reduce_model,
+                   rom_solve, stage_cores)
 from ..stats import NewtonConvergenceError
 
 __all__ = [
@@ -232,24 +231,6 @@ def rom_artifact_path(cfg, config_hash, strategy, k, m):
     return artifact_dir(cfg) / f"rom-{config_hash}-{strategy}-k{k}-{mtag}.smdm"
 
 
-class _Probe:
-    """Held-out truth at one probe state x = lift(project(state)): the true
-    stage-0 Jacobian J with ||J||_F, and U^T J U with its norm; sigma_1(J)
-    is computed on first use."""
-
-    def __init__(self, op, basis, state):
-        self.xt = basis.project(state)
-        self.x = basis.lift(self.xt)
-        self.jac = op.jacobian(self.x)
-        self.jac_norm = scipy.sparse.linalg.norm(self.jac)
-        self.red = basis.u.T @ (self.jac @ basis.u)
-        self.red_norm = np.linalg.norm(self.red)
-
-    @functools.cached_property
-    def sv1(self):
-        return leading_singular_value(self.jac)
-
-
 class ModelContext:
     """One model and what the grid units of one command share for it.
 
@@ -360,15 +341,16 @@ class ModelContext:
         return self._once((strategy, stage, m), build)
 
     def probes(self, basis):
-        """Held-out truth at every probe state, for one basis."""
+        """The HeldoutProbe of every held-out state, for one basis."""
 
         def heldout():
-            (states,) = self._read(0, "states")
-            return states[:, _heldout_ids(states.shape[1], self.cfg.heldout_stride)]
+            stride = self.cfg.heldout_stride
+            return self._read(0, "states")[0][:, stride - 1::stride].copy()
 
         def build():
             op = self.model.stages[0].op
-            return [_Probe(op, basis, state) for state in self._once("heldout", heldout).T]
+            states = self._once("heldout", heldout)
+            return [HeldoutProbe(op, basis, state) for state in states.T]
 
         return self._once(("probes", basis.u.tobytes(), basis.mean.tobytes()), build)
 
@@ -421,36 +403,13 @@ def build_rom_artifact(cfg, model, ctx, strategy, k, m):
     tmp = path.with_name(path.name + ".tmp")
     tmp.unlink(missing_ok=True)  # the first block starts the file afresh
     for j, interp in prebuilt.items():
-        if strategy == "deim":
-            block = (artifact_io.TAG_DEIM, artifact_io.deim_block(interp, j))
-        else:
-            block = (artifact_io.TAG_MINT, artifact_io.mint_block(interp, stage=j))
-        artifact_io.append_block(tmp, *block)
+        artifact_io.append_block(tmp, *artifact_io.interpolant_block(interp, j))
     artifact_io.save_reduced_model(tmp, rm)
     os.replace(tmp, path)
     return path
 
 
 # -- metric evaluation ----------------------------------------------------
-
-
-def _heldout_ids(n_cols, stride):
-    return [i for i in range(n_cols) if i % stride == stride - 1]
-
-
-def _deim_jacobian_operator(linear, projector, rows):
-    """The deim Jacobian approximation L + P R as an operator, never formed.
-
-    L is the sparse linear part, P the (n, m) interpolation projector and R
-    the (m, n) sampled rows of the nonlinear-part Jacobian.
-    """
-    n = linear.shape[0]
-    return scipy.sparse.linalg.LinearOperator(
-        (n, n),
-        matvec=lambda v: linear @ v + projector @ (rows @ v),
-        rmatvec=lambda v: linear.T @ v + rows.T @ (projector.T @ v),
-        dtype=np.float64,
-    )
 
 
 def _trajectory_error(basis, traj_red, traj_full):
@@ -487,46 +446,12 @@ def run_online_point(cfg, model, ctx, traj_full, strategy, k, m):
                 f"offline artifact {path} was built with {key} = {built}, the "
                 f"config has {wanted}; run offline into a fresh run.out"
             )
-    interp = None
-    if strategy in M_DEPENDENT:
-        tag = artifact_io.TAG_DEIM if strategy == "deim" else artifact_io.TAG_MINT
-        interp = artifact_io.load_interpolant(path, stage=0, tag=tag)
+    interp = artifact_io.load_interpolant(path) if strategy in M_DEPENDENT else None
     with instrumentation.online_section():
         traj_red, stats = rom_solve(rm, model.default_n_t)
-
-    basis = rm.basis
-    traj_err = _trajectory_error(basis, traj_red, traj_full)
-
-    op0 = model.stages[0].op
-    jac = rm.stages[0].jacobian
-    red_errs = []
-    jac_errs = []
-    sv_errs = []
-    for count, probe in enumerate(ctx.probes(basis)):
-        red_approx = jac.evaluate(probe.xt, probe.x)
-        red_errs.append(float(np.linalg.norm(red_approx - probe.red) / probe.red_norm))
-        if interp is None:
-            continue
-        # the stage Jacobian's own plan samples the held-out state
-        samples = jac.plan.apply(probe.x[jac.plan.mesh])
-        if strategy == "deim":
-            rows = scipy.sparse.csr_matrix((samples, jac.plan.cols, jac.row_ptr),
-                                           shape=(jac.row_ptr.size - 1, op0.n))
-            approx = op0.linear + scipy.sparse.csr_matrix(interp.projector) @ rows
-            # Lanczos runs faster on the factored form than on this sum
-            sv_op = _deim_jacobian_operator(op0.linear, interp.projector, rows)
-        else:
-            approx = sv_op = approximate_matrix(interp, samples)
-        num = scipy.sparse.linalg.norm(approx - probe.jac)
-        jac_errs.append(float(num / probe.jac_norm))
-        if count < cfg.sv_probes:
-            sv_app = leading_singular_value(sv_op)
-            sv_errs.append(abs(sv_app - probe.sv1) / probe.sv1)
-
+    traj_err = _trajectory_error(rm.basis, traj_red, traj_full)
     return {
-        "jac_frob_err": float(np.mean(jac_errs)) if jac_errs else None,
-        "red_jac_frob_err": float(np.mean(red_errs)) if red_errs else None,
-        "sv1_err": float(np.mean(sv_errs)) if sv_errs else None,
+        **heldout_errors(rm, ctx.probes(rm.basis), interp, cfg.sv_probes),
         "traj_l2_err": traj_err,
         "mean_newton_iters": stats.mean_iterations,
         "offline_seconds": rm.offline_seconds,

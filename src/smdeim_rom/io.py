@@ -33,12 +33,15 @@ Loading a reduced model rebinds it to a freshly built full model after
 checking the stored model identity.
 
 Every reader walks the frame headers through one seeking cursor over the
-open file (a parse_*_block function, over its payload) and reads only the
-payloads it wants, each array of them straight into a column-major buffer
-of its own.  A column-major array is returned as read, so load_snapshots
-holds each snapshot byte once; a row-major one is copied out of that
-buffer, so for a moment two copies of it exist.
+open file and reads only the payloads it wants, each array of them straight
+into a column-major buffer of its own.  A column-major array is returned as
+read, so load_snapshots holds each snapshot byte once; a row-major one is
+copied out of that buffer, so for a moment two copies of it exist.  The
+writer streams a column-major array from its own buffer, with no copy.
 Every FormatError a loader raises names the file.
+
+An interpolant block is DEIM or MINT by the interpolant's type
+(interpolant_block), and load_interpolant reads a stage's from either.
 """
 
 import contextlib
@@ -62,13 +65,9 @@ __all__ = [
     "append_block",
     "read_blocks",
     "pod_block",
-    "parse_pod_block",
-    "deim_block",
-    "mint_block",
-    "parse_mint_block",
+    "interpolant_block",
     "redm_block",
     "traj_block",
-    "parse_traj_block",
     "save_pod_basis",
     "load_pod_basis",
     "load_interpolant",
@@ -199,7 +198,8 @@ def _pack(fields, values, out):
             cast = float if kind == "f64" else int
             out.write(_SCALARS[kind].pack(cast(value)))
         elif kind[0] in _ARRAYS:
-            out.write(np.asarray(value, dtype=_ARRAYS[kind[0]]).tobytes(order="F"))
+            # a view of a column-major array, a copy of any other
+            out.write(np.asarray(value, dtype=_ARRAYS[kind[0]]).ravel(order="F"))
         else:
             nested = _io.BytesIO()
             _pack(kind, value, nested)
@@ -214,19 +214,14 @@ def _encode(fields, values):
 
 
 class _Cursor:
-    """Sequential reader over the bytes off to end of a seekable binary
-    file, an open one or an io.BytesIO; it reads only what it takes, and
-    each array straight into the array's own buffer."""
+    """Sequential reader over the bytes off to end of an open binary file;
+    it reads only what it takes, and each array straight into the array's
+    own buffer."""
 
     def __init__(self, f, off, end):
         self.f = f
         self.off = off
         self.end = end
-
-    @classmethod
-    def over(cls, payload):
-        """A cursor over all of the bytes payload."""
-        return cls(_io.BytesIO(payload), 0, len(payload))
 
     def skip(self, nbytes):
         """Move past nbytes; returns the offset they start at."""
@@ -404,18 +399,15 @@ def _pod_basis(fields):
     return PodBasis(**{**fields, "centered": centered}, k=fields["u"].shape[1])
 
 
-def parse_pod_block(payload):
-    return _pod_basis(_Cursor.over(payload).fields(_POD))
-
-
-def deim_block(interp, stage):
-    return _encode(_STAGE_DEIM, {**vars(interp), "stage": stage})
-
-
-def mint_block(mi, stage=0):
-    coords = np.stack((mi.pattern.rows, mi.pattern.cols))
-    return _encode(_MINT, {**vars(mi), "stage": stage, "n": mi.pattern.n,
-                           "coords": coords, "interp": vars(mi.interp)})
+def interpolant_block(interp, stage):
+    """(tag, payload) of one stage's interpolant: a DEIM block for a
+    DeimInterpolant, a MINT block for a MatrixInterpolant."""
+    if isinstance(interp, DeimInterpolant):
+        return TAG_DEIM, _encode(_STAGE_DEIM, {**vars(interp), "stage": stage})
+    coords = np.stack((interp.pattern.rows, interp.pattern.cols))
+    return TAG_MINT, _encode(_MINT, {**vars(interp), "stage": stage,
+                                     "n": interp.pattern.n, "coords": coords,
+                                     "interp": vars(interp.interp)})
 
 
 def _matrix_interpolant(mi):
@@ -423,12 +415,6 @@ def _matrix_interpolant(mi):
     pattern = SparsityPattern(n=n, rows=rows, cols=cols)
     interp = DeimInterpolant(**mi.pop("interp"))
     return MatrixInterpolant(pattern=pattern, interp=interp, **mi)
-
-
-def parse_mint_block(payload):
-    """Returns (stage, MatrixInterpolant)."""
-    mi = _Cursor.over(payload).fields(_MINT)
-    return mi.pop("stage"), _matrix_interpolant(mi)
 
 
 def redm_block(rm):
@@ -489,15 +475,6 @@ def traj_block(trajectory, mean_iters, solve_seconds=0.0):
                            "solve_seconds": solve_seconds})
 
 
-def _traj(fields):
-    return fields["trajectory"], fields["mean_iters"], fields["solve_seconds"]
-
-
-def parse_traj_block(payload):
-    """Returns (trajectory, mean_iters, solve_seconds)."""
-    return _traj(_Cursor.over(payload).fields(_TRAJ))
-
-
 # -- convenience wrappers -----------------------------------------------
 
 
@@ -510,13 +487,16 @@ def load_pod_basis(path):
         return _pod_basis(cur.fields(_POD))
 
 
-def load_interpolant(path, stage=0, tag=TAG_MINT):
-    """The interpolant of one stage: the MatrixInterpolant of a MINT block,
-    or with tag=TAG_DEIM the DeimInterpolant of a stage DEIM block.  Of the
-    blocks of the tag before it, it reads only the stage, their first field."""
+def load_interpolant(path, stage=0):
+    """The interpolant of one stage: the MatrixInterpolant of a MINT block
+    or the DeimInterpolant of a DEIM block, whichever the file holds.  Of
+    the interpolant blocks before it, it reads only the stage, their first
+    field."""
     found = []
     with _reading(path) as cur:
-        for n in (n for got, _, n in _frames(cur) if got == tag):
+        for tag, _, n in _frames(cur):
+            if tag not in (TAG_DEIM, TAG_MINT):
+                continue
             block = cur.sub(n)
             found.append(block.scalar("u64"))
             if found[-1] == stage:
@@ -526,15 +506,16 @@ def load_interpolant(path, stage=0, tag=TAG_MINT):
                 # so BLAS products with it round as on the built one
                 rest = block.fields(_DEIM, column_major=("projector",))
                 return DeimInterpolant(**rest)
-        raise FormatError(f"no {tag!r} block for stage {stage} "
-                          f"(stages present: {sorted(found)})")
+        raise FormatError(f"no {TAG_DEIM!r} or {TAG_MINT!r} block for stage "
+                          f"{stage} (stages present: {sorted(found)})")
 
 
 def load_trajectory(path):
     """(trajectory, mean_iters, solve_seconds), read from the last TRAJ
     block alone."""
     with _last_block(path, TAG_TRAJ) as cur:
-        return _traj(cur.fields(_TRAJ))
+        traj = cur.fields(_TRAJ)
+    return traj["trajectory"], traj["mean_iters"], traj["solve_seconds"]
 
 
 def save_reduced_model(path, rm):

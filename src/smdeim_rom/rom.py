@@ -34,6 +34,10 @@ Each strategy class persists through three names: `kind`, which an artifact
 records; `parts()`, its offline products by name; and the classmethod
 `from_parts(op, basis, core, **parts)`, which rebuilds it on the stage
 operator op of a freshly built full model.  JACOBIANS maps kind to class.
+
+The interpolating classes also form the full-space J_hat(x) from their
+interpolant (`full_jacobian`), so `heldout_errors` measures any strategy
+against the true Jacobian at held-out states without naming it.
 """
 
 import functools
@@ -41,11 +45,13 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse.linalg
 
 from . import instrumentation
-from .jacobian_approx import build_mdeim_reference, build_smdeim, check_rank
+from .jacobian_approx import (approximate_matrix, build_mdeim_reference,
+                              build_smdeim, check_rank)
 from .deim import deim_interpolant
-from .linalg import solve_dense, thin_svd
+from .linalg import leading_singular_value, solve_dense, thin_svd
 from .pod import PodBasis
 from .stats import integrate
 
@@ -54,12 +60,14 @@ __all__ = [
     "M_DEPENDENT",
     "JACOBIANS",
     "TensorCore",
+    "HeldoutProbe",
     "ReducedStage",
     "ReducedModel",
     "build_tensor_core",
     "stage_cores",
     "reduce_model",
     "reduced_jacobian",
+    "heldout_errors",
     "rom_solve",
 ]
 
@@ -253,6 +261,8 @@ class MatrixInterpolantJacobian:
 
     kind = "matrix"
     needs_lift = False
+    # the sample coordinates, under the same names here and on the interpolant
+    _coordinates = ("sample_rows", "sample_cols")
 
     def __init__(self, op, basis, mi, stage=None):
         if mi.pattern != op.pattern:
@@ -311,6 +321,23 @@ class MatrixInterpolantJacobian:
         samples = self._sample(xt, x_full, 2 * self.reducer.size)
         return (self.reducer @ samples).reshape((self.k, self.k), order="F")
 
+    def _full_samples(self, x, interp):
+        # the plan's samples of the full state x, for an interp that
+        # samples where this Jacobian does
+        if any(not np.array_equal(getattr(interp, c), getattr(self, c))
+               for c in self._coordinates):
+            raise ValueError("the interpolant samples other coordinates than "
+                             "this Jacobian's: it was not reduced from it")
+        return self.plan.apply(x[self.plan.mesh])
+
+    def full_jacobian(self, x, interp):
+        """(J_hat(x), an operator for its sigma_1) at the full state x, from
+        interp, the MatrixInterpolant this Jacobian was reduced from (else
+        ValueError), sampled by this Jacobian's plan: here both are the
+        sparse matrix `approximate_matrix` gives."""
+        approx = approximate_matrix(interp, self._full_samples(x, interp))
+        return approx, approx
+
 
 class DeimFunctionJacobian(MatrixInterpolantJacobian):
     """Sampled rows of the nonlinear Jacobian through a function-snapshot
@@ -325,6 +352,7 @@ class DeimFunctionJacobian(MatrixInterpolantJacobian):
     """
 
     kind = "deim"
+    _coordinates = ("indexes",)
 
     def __init__(self, op, basis, indexes, left, lin_reduced):
         self.indexes = indexes
@@ -347,6 +375,24 @@ class DeimFunctionJacobian(MatrixInterpolantJacobian):
         samples = self._sample(xt, x_full, self.left_e.size * (1 + 2 * self.k))
         return self.lin_reduced + (self.left_e * samples) @ self.u_e
 
+    def full_jacobian(self, x, interp):
+        """(L + P R summed as one sparse matrix, the same never formed) at
+        the full state x: L the stage operator's linear part, P the
+        projector of interp, the DeimInterpolant this Jacobian was reduced
+        from (else ValueError), R the sampled nonlinear-Jacobian rows."""
+        samples = self._full_samples(x, interp)
+        rows = scipy.sparse.csr_matrix((samples, self.plan.cols, self.row_ptr),
+                                       shape=(self.row_ptr.size - 1, x.size))
+        linear, projector = self.op.linear, interp.projector
+        # Lanczos runs faster on the factored form than on the sum
+        factored = scipy.sparse.linalg.LinearOperator(
+            (x.size, x.size),
+            matvec=lambda v: linear @ v + projector @ (rows @ v),
+            rmatvec=lambda v: linear.T @ v + rows.T @ (projector.T @ v),
+            dtype=np.float64,
+        )
+        return linear + scipy.sparse.csr_matrix(projector) @ rows, factored
+
 
 JACOBIANS = {
     cls.kind: cls
@@ -354,6 +400,24 @@ JACOBIANS = {
                 DirectionalDerivativeJacobian, DeimFunctionJacobian,
                 MatrixInterpolantJacobian)
 }
+
+
+class HeldoutProbe:
+    """The truth at one held-out state for one basis: x = lift(project(
+    state)) with its reduced coordinates xt, the true Jacobian J(x) of op
+    with ||J||_F, and U^T J U with its norm; sigma_1(J) on first use."""
+
+    def __init__(self, op, basis, state):
+        self.xt = basis.project(state)
+        self.x = basis.lift(self.xt)
+        self.jac = op.jacobian(self.x)
+        self.jac_norm = scipy.sparse.linalg.norm(self.jac)
+        self.red = basis.u.T @ (self.jac @ basis.u)
+        self.red_norm = np.linalg.norm(self.red)
+
+    @functools.cached_property
+    def sv1(self):
+        return leading_singular_value(self.jac)
 
 
 @dataclass
@@ -484,6 +548,31 @@ def reduced_jacobian(rm, xt, stage=0):
     st = rm.stages[stage]
     x_full = rm.basis.lift(xt) if st.jacobian.needs_lift else None
     return st.jacobian.evaluate(xt, x_full)
+
+
+def heldout_errors(rm, probes, interp=None, sv_probes=0):
+    """Mean relative errors of rm's stage-0 Jacobian at probes, the
+    HeldoutProbes of rm's basis on the stage-0 operator, as a dict:
+    red_jac_frob_err of J_red against U^T J U, and with interp, stage 0's
+    interpolant (`io.load_interpolant`), jac_frob_err of J_hat against J,
+    both in the Frobenius norm, and sv1_err of sigma_1(J_hat) at the first
+    sv_probes probes, by Lanczos.  A mean over no probe is None."""
+    jac = rm.stages[0].jacobian
+    errs = {"jac_frob_err": [], "red_jac_frob_err": [], "sv1_err": []}
+    for count, probe in enumerate(probes):
+        red = jac.evaluate(probe.xt, probe.x)
+        errs["red_jac_frob_err"].append(
+            float(np.linalg.norm(red - probe.red) / probe.red_norm))
+        if interp is None:
+            continue
+        approx, sv_op = jac.full_jacobian(probe.x, interp)
+        num = scipy.sparse.linalg.norm(approx - probe.jac)
+        errs["jac_frob_err"].append(float(num / probe.jac_norm))
+        if count < sv_probes:
+            sv_app = leading_singular_value(sv_op)
+            errs["sv1_err"].append(abs(sv_app - probe.sv1) / probe.sv1)
+    return {name: float(np.mean(vals)) if vals else None
+            for name, vals in errs.items()}
 
 
 def rom_solve(rm, n_t, x0=None, continue_on_failure=False):

@@ -38,6 +38,7 @@ from smdeim_rom.jacobian_approx import (
 )
 from smdeim_rom.linalg import SvdResult, thin_svd
 from smdeim_rom.pod import pod_basis
+from smdeim_rom.rom import HeldoutProbe, heldout_errors
 
 TINY = """
 # tiny grid for driver tests
@@ -629,7 +630,7 @@ def test_deim_artifact_holds_one_deim_block_per_stage(tmp_path, swe_run):
     model, snaps, traj = ctx.model, swe_run.snaps, ctx.traj
     path = runner.build_rom_artifact(cfg, model, ctx, "deim", 25, 30)
     for j, snap in enumerate(snaps):
-        got = artifact_io.load_interpolant(path, stage=j, tag=artifact_io.TAG_DEIM)
+        got = artifact_io.load_interpolant(path, stage=j)
         assert _same_interp(got, deim_interpolant(thin_svd(snap.nonlinear).u, 30))
     # the bare header, one interpolant per stage and the reduced model,
     # which embeds its basis: no snapshot set and no standalone basis block
@@ -646,7 +647,8 @@ def test_deim_artifact_holds_one_deim_block_per_stage(tmp_path, swe_run):
         if tag != artifact_io.TAG_DEIM:
             artifact_io.append_block(path, tag, payload)
     del blocks
-    with pytest.raises(artifact_io.FormatError, match="'DEIM' block for stage 0"):
+    missing = r"no 'DEIM' or 'MINT' block for stage 0 \(stages present: \[\]\)"
+    with pytest.raises(artifact_io.FormatError, match=missing):
         runner.run_online_point(cfg, model, ctx, traj, "deim", 25, 30)
 
 
@@ -888,6 +890,33 @@ def test_deim_jac_frob_err_matches_dense_oracle(tmp_path):
     assert len(errs) > 1
     want = float(np.mean(errs))
     assert abs(float(row["jac_frob_err"]) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("name, strategy", [
+    ("swe", "deim"), ("swe", "smdeim"), ("burgers", "mdeim-reference"),
+])
+def test_library_heldout_errors_reproduce_the_runner_row(tmp_path, name, strategy):
+    # from the artifact's reduced model and interpolant and stage 0's
+    # states alone, bit for bit
+    cfg = dataclasses.replace(
+        parse_config_text((SWE_SMALL if name == "swe" else TINY).format(out=tmp_path)),
+        strategies=(strategy,),
+    )
+    runner.cmd_sweep(cfg)
+    (row,) = [r for r in read_rows(runner.csv_path(cfg)) if r["strategy"] == strategy]
+    assert row["status"] == "ok"
+    model = runner.build_model(cfg, runner.model_param_combos(cfg)[0])
+    path = runner.rom_artifact_path(cfg, model.config_hash, strategy,
+                                    cfg.k_list[0], cfg.m_list[0])
+    rm = artifact_io.load_reduced_model(path, model)
+    (states,) = artifact_io.load_snapshots(runner.snap_paths(cfg, model)[0], ("states",))
+    stride = cfg.heldout_stride
+    probes = [HeldoutProbe(model.stages[0].op, rm.basis, states[:, i])
+              for i in range(stride - 1, states.shape[1], stride)]
+    got = heldout_errors(rm, probes, artifact_io.load_interpolant(path), cfg.sv_probes)
+    assert len(probes) > 1
+    assert got == {metric: float(row[metric])
+                   for metric in ("jac_frob_err", "red_jac_frob_err", "sv1_err")}
 
 
 @pytest.mark.parametrize("strategy", ["deim", "smdeim"])

@@ -85,6 +85,21 @@ def test_load_snapshots_holds_each_byte_once(tmp_path, swe_run):
             assert block.flags.f_contiguous and getattr(built, name).flags.f_contiguous
 
 
+def test_save_snapshots_holds_no_copy_of_a_block(tmp_path, swe_run):
+    # each column-major array is written from its own buffer, so the
+    # writer holds no copy of the Jacobian block, the largest
+    built = swe_run.snaps[0]
+    path = tmp_path / "snap.bin"
+    tracemalloc.start()
+    try:
+        artifact_io.save_snapshots(path, built)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * built.jacobian.nbytes
+    assert np.array_equal(artifact_io.load_snapshots(path).jacobian, built.jacobian)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -211,8 +226,8 @@ def test_deim_block_round_trip(tmp_path, rng):
     v = thin_svd(rng.standard_normal((25, 6))).u
     interp = deim_interpolant(v)
     path = tmp_path / "art.bin"
-    artifact_io.append_block(path, artifact_io.TAG_DEIM, artifact_io.deim_block(interp, 0))
-    back = artifact_io.load_interpolant(path, 0, tag=artifact_io.TAG_DEIM)
+    artifact_io.append_block(path, *artifact_io.interpolant_block(interp, 0))
+    back = artifact_io.load_interpolant(path, 0)
     # each in the layout deim_interpolant builds it in
     assert back.projector.flags.f_contiguous and back.basis.flags.c_contiguous
     assert np.array_equal(back.basis, interp.basis)
@@ -231,7 +246,7 @@ def test_interpolant_block_round_trip(tmp_path, setup, route):
     )
     path = tmp_path / "art.bin"
     artifact_io.save_snapshots(path, snaps[0])
-    artifact_io.append_block(path, artifact_io.TAG_MINT, artifact_io.mint_block(mi, stage=0))
+    artifact_io.append_block(path, *artifact_io.interpolant_block(mi, 0))
     back = artifact_io.load_interpolant(path, stage=0)
     assert back.mode == mi.mode
     assert back.pattern == mi.pattern
@@ -241,6 +256,26 @@ def test_interpolant_block_round_trip(tmp_path, setup, route):
     assert np.array_equal(back.singulars, mi.singulars)
     with pytest.raises(artifact_io.FormatError):
         artifact_io.load_interpolant(path, stage=1)
+
+
+@pytest.mark.parametrize("kind", ["deim", "smdeim"])
+def test_missing_interpolant_stage_lists_the_stages_present(tmp_path, setup, kind):
+    _, _, snaps, _ = setup
+    if kind == "deim":
+        interp = deim_interpolant(thin_svd(snaps[0].nonlinear).u, 6)
+    else:
+        interp = build_smdeim(snaps[0], 6)
+    path = tmp_path / "art.bin"
+    _artifact_with_blocks(path, snaps[0], artifact_io.interpolant_block(interp, 2),
+                          artifact_io.interpolant_block(interp, 0))
+    assert [t for t, _ in artifact_io.read_blocks(path)][1:] == (
+        [artifact_io.TAG_DEIM if kind == "deim" else artifact_io.TAG_MINT] * 2
+    )
+    with pytest.raises(artifact_io.FormatError) as err:
+        artifact_io.load_interpolant(path, stage=1)
+    assert str(err.value) == (f"{path}: no 'DEIM' or 'MINT' block for stage 1 "
+                              "(stages present: [0, 2])")
+    assert type(artifact_io.load_interpolant(path, stage=2)) is type(interp)
 
 
 @pytest.mark.parametrize(
@@ -273,9 +308,9 @@ def test_loaders_read_only_their_payloads(tmp_path, setup, file_reads):
     mis = [build_smdeim(snaps[0], m) for m in (6, 5)]
     rm = reduce_model(model, basis, "smdeim", prebuilt={0: mis[0]}, snapshots=snaps, m=6)
     path = tmp_path / "art.bin"
-    blocks = [(artifact_io.TAG_MINT, artifact_io.mint_block(mis[1], stage=1)),
+    blocks = [artifact_io.interpolant_block(mis[1], 1),
               (artifact_io.TAG_POD, artifact_io.pod_block(basis)),
-              (artifact_io.TAG_MINT, artifact_io.mint_block(mis[0], stage=0)),
+              artifact_io.interpolant_block(mis[0], 0),
               (artifact_io.TAG_REDM, artifact_io.redm_block(rm))]
     _artifact_with_blocks(path, snaps[0], *blocks)
     file_reads.clear()
@@ -371,11 +406,15 @@ def test_load_trajectory_rejects_truncated_frames(tmp_path, setup):
 # -- FormatError paths of the REDM block ----------------------------------
 
 
-def _redm_file(path, payload):
-    """path rewritten as the bare header and one REDM block of payload."""
+def _block_file(path, tag, payload):
+    """path rewritten as the bare header and one tag block of payload."""
     path.unlink(missing_ok=True)
-    artifact_io.append_block(path, artifact_io.TAG_REDM, payload)
+    artifact_io.append_block(path, tag, payload)
     return path
+
+
+def _redm_file(path, payload):
+    return _block_file(path, artifact_io.TAG_REDM, payload)
 
 
 def test_reduced_model_unknown_jacobian_kind(tmp_path, setup):
@@ -501,7 +540,7 @@ def test_snapshot_body_round_trips(tmp_path_factory, n, n_cols, data):
 
 
 @given(n=st.integers(1, 6), data=st.data())
-def test_pod_block_round_trips(n, data):
+def test_pod_block_round_trips(tmp_path_factory, n, data):
     k = data.draw(st.integers(1, n))
     rng = _random(data.draw(st.integers(0, 2**32)))
     basis = PodBasis(
@@ -513,25 +552,24 @@ def test_pod_block_round_trips(n, data):
         mean=rng.standard_normal(n),
     )
     payload = artifact_io.pod_block(basis)
-    back = artifact_io.parse_pod_block(payload)
+    path = tmp_path_factory.getbasetemp() / "pod.bin"
+    back = artifact_io.load_pod_basis(_block_file(path, artifact_io.TAG_POD, payload))
     _assert_fields_equal(back, basis)
     assert artifact_io.pod_block(back) == payload
 
 
 @given(interp=_deim_interpolants(), stage=st.integers(0, 2**64 - 1))
 def test_deim_block_round_trips(tmp_path_factory, interp, stage):
-    payload = artifact_io.deim_block(interp, stage)
-    path = tmp_path_factory.getbasetemp() / "deim.bin"
-    path.unlink(missing_ok=True)
-    artifact_io.append_block(path, artifact_io.TAG_DEIM, payload)
-    back = artifact_io.load_interpolant(path, stage, tag=artifact_io.TAG_DEIM)
+    block = artifact_io.interpolant_block(interp, stage)
+    path = _block_file(tmp_path_factory.getbasetemp() / "deim.bin", *block)
+    back = artifact_io.load_interpolant(path, stage)
     _assert_fields_equal(back, interp)
-    assert artifact_io.deim_block(back, stage) == payload
+    assert artifact_io.interpolant_block(back, stage) == block
 
 
 @given(mode=st.sampled_from(["sparse", "vectorized"]), n=st.integers(1, 5),
        interp=_deim_interpolants(), stage=st.integers(0, 2**64 - 1), data=st.data())
-def test_mint_block_round_trips(mode, n, interp, stage, data):
+def test_mint_block_round_trips(tmp_path_factory, mode, n, interp, stage, data):
     rng = _random(data.draw(st.integers(0, 2**32)))
     mi = MatrixInterpolant(
         mode=mode,
@@ -541,19 +579,21 @@ def test_mint_block_round_trips(mode, n, interp, stage, data):
         sample_cols=rng.integers(0, n, interp.m),
         singulars=rng.standard_normal(data.draw(st.integers(0, 8))),
     )
-    payload = artifact_io.mint_block(mi, stage=stage)
-    got_stage, back = artifact_io.parse_mint_block(payload)
-    assert got_stage == stage
+    block = artifact_io.interpolant_block(mi, stage)
+    path = _block_file(tmp_path_factory.getbasetemp() / "mint.bin", *block)
+    back = artifact_io.load_interpolant(path, stage)
     _assert_fields_equal(back, mi)
-    assert artifact_io.mint_block(back, stage=stage) == payload
+    assert artifact_io.interpolant_block(back, stage) == block
 
 
 @given(n=st.integers(1, 6), n_t=st.integers(0, 5), mean_iters=_floats,
        seconds=_floats, seed=st.integers(0, 2**32))
-def test_traj_block_round_trips(n, n_t, mean_iters, seconds, seed):
+def test_traj_block_round_trips(tmp_path_factory, n, n_t, mean_iters, seconds, seed):
     traj = _random(seed).standard_normal((n, n_t))
     payload = artifact_io.traj_block(traj, mean_iters, seconds)
-    back, back_iters, back_seconds = artifact_io.parse_traj_block(payload)
+    path = tmp_path_factory.getbasetemp() / "traj.bin"
+    _block_file(path, artifact_io.TAG_TRAJ, payload)
+    back, back_iters, back_seconds = artifact_io.load_trajectory(path)
     assert np.array_equal(back, traj)
     assert (back_iters, back_seconds) == (mean_iters, seconds)
     assert artifact_io.traj_block(back, back_iters, back_seconds) == payload

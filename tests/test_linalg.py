@@ -16,7 +16,6 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smdeim_rom.bench.runner import _deim_jacobian_operator
 from smdeim_rom.deim import deim_interpolant
 from smdeim_rom.jacobian_approx import approximate_matrix, build_smdeim
 from smdeim_rom import instrumentation, linalg
@@ -30,6 +29,7 @@ from smdeim_rom.linalg import (
 )
 from smdeim_rom.models.burgers import build_burgers
 from smdeim_rom.models.swe import build_swe
+from smdeim_rom.rom import DeimFunctionJacobian
 
 
 @pytest.mark.parametrize("shape", [(12, 7), (7, 12), (9, 9), (40, 3)])
@@ -361,14 +361,19 @@ def test_leading_singular_value_of_smdeim_approximation(swe_run):
     assert abs(leading_singular_value(approx) - expect) <= 1e-13 * expect
 
 
-def test_leading_singular_value_of_deim_operator(swe_run):
+def test_leading_singular_value_of_deim_operator(swe_run, swe_basis):
+    # the factored L + P R that deim's full_jacobian gives for sigma_1
     snap, op, x = probe(swe_run)
     fn_interp = deim_interpolant(thin_svd(snap.nonlinear).u, 30)
+    u = swe_basis.u
+    jac = DeimFunctionJacobian(op, swe_basis, fn_interp.indexes,
+                               u.T @ fn_interp.projector, u.T @ (op.linear @ u))
+    summed, factored = jac.full_jacobian(x, fn_interp)
     rows = op.sample_nl_rows(x, fn_interp.indexes)
-    approx = _deim_jacobian_operator(op.linear, fn_interp.projector, rows)
     dense = op.linear.toarray() + fn_interp.projector @ rows.toarray()
+    assert np.abs(summed.toarray() - dense).max() <= 1e-13 * np.abs(dense).max()
     expect = dense_sv1(dense)
-    assert abs(leading_singular_value(approx) - expect) <= 1e-13 * expect
+    assert abs(leading_singular_value(factored) - expect) <= 1e-13 * expect
 
 
 def test_leading_singular_value_repeats_bit_for_bit(swe_run):

@@ -9,6 +9,7 @@ are asserted at random reduced states, and the integrator contracts
 models.
 """
 
+import dataclasses
 import functools
 import tracemalloc
 
@@ -495,6 +496,27 @@ def test_smdeim_refuses_an_interpolant_of_another_stage():
     rm = reduce_model(model, basis, "smdeim", snapshots=snaps, m=12,
                       prebuilt={0: mi0, 1: mi1})
     assert [stage.jacobian.plan.m for stage in rm.stages] == [12, 12]
+
+
+@pytest.mark.parametrize("strategy", ["deim", "smdeim"])
+def test_full_jacobian_refuses_an_interpolant_it_was_not_reduced_from(
+    burgers_rom_parts, strategy
+):
+    from smdeim_rom.deim import deim_interpolant
+
+    model, _, snaps, basis = burgers_rom_parts
+    if strategy == "deim":
+        interp = deim_interpolant(thin_svd(snaps[0].nonlinear).u, 10)
+        other = dataclasses.replace(interp, indexes=interp.indexes[::-1])
+    else:
+        interp = build_smdeim(snaps[0], 10)
+        other = dataclasses.replace(interp, sample_cols=interp.sample_cols[::-1])
+    rm = reduce_model(model, basis, strategy, m=10, prebuilt={0: interp})
+    jac, x = rm.stages[0].jacobian, snaps[0].states[:, 5]
+    approx, _ = jac.full_jacobian(x, interp)
+    assert approx.shape == (model.n, model.n)
+    with pytest.raises(ValueError, match="not reduced from it"):
+        jac.full_jacobian(x, other)
 
 
 @pytest.mark.parametrize("name, strategy", [
