@@ -437,7 +437,7 @@ def run_online_point(cfg, model, ctx, traj_full, strategy, k, m):
     for key, built, wanted in (
         ("pod.gamma", rm.basis.gamma, cfg.gamma),
         ("pod.centered", rm.basis.centered, cfg.centered),
-        ("rom.h", rm.meta["h"], cfg.h),
+        ("rom.h", rm.h, cfg.h),
         ("rom.newton_tol", rm.newton_tol, cfg.newton_tol),
         ("rom.newton_cap", rm.newton_cap, cfg.newton_cap),
     ):

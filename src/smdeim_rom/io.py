@@ -10,18 +10,17 @@ fields that _pack writes in order and _Cursor.fields reads back.  A kind is
 * a scalar, "u32", "u64", "i64" or "f64";
 * "str", a u32 byte count and the UTF-8 bytes;
 * a nested field list, a u64 byte count and its payload;
-* an array, ("f8" | "u8", *dims), of float64 or uint64 values stored
-  column-major.  A dimension is an int, the name of an earlier field of the
-  same list or of an enclosing one (the reader's scope), or a tuple of
-  those, their product.
+* an array, ("f8" | "u8", *dims), of float64 or uint64 values: a one-byte
+  order flag, "C" or "F", then the values in that order.  A dimension is an
+  int, the name of an earlier field of the same list or of an enclosing one
+  (the reader's scope), or a tuple of those, their product.
 
 The writer takes each dimension field from the shapes of the arrays that
 name it, and the reader returns every field but those (u8 arrays as int64),
-so both handle the same mapping of names to values.  BLAS products round by
-layout, so the snapshot arrays and a DEIM block's projector load
-column-major, as full_solve and deim_interpolant build them, and every
-other array row-major.  For a MINT block's projector that is not the built
-layout: products with a loaded one may round differently.
+so both handle the same mapping of names to values.  Each array is written
+in its own memory order, C for one contiguous in neither, and read back in
+the order its flag names, so a loaded object has the layout its builder
+made and BLAS products with it round as on the built one.
 
 Block tags: "SNAP" a snapshot set (_SNAP); "PODB" a basis (_POD); "DEIM"
 the interpolant of one stage of a deim reduced model (_STAGE_DEIM: the
@@ -34,10 +33,8 @@ checking the stored model identity.
 
 Every reader walks the frame headers through one seeking cursor over the
 open file and reads only the payloads it wants, each array of them straight
-into a column-major buffer of its own.  A column-major array is returned as
-read, so load_snapshots holds each snapshot byte once; a row-major one is
-copied out of that buffer, so for a moment two copies of it exist.  The
-writer streams a column-major array from its own buffer, with no copy.
+into a buffer of its own, which it returns: a loader holds each array byte
+once.  The writer streams a contiguous array from its own buffer.
 Every FormatError a loader raises names the file.
 
 An interpolant block is DEIM or MINT by the interpolant's type
@@ -77,7 +74,7 @@ __all__ = [
 ]
 
 MAGIC = b"SMDM"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 TAG_SNAP = "SNAP"
 TAG_POD = "PODB"
@@ -198,8 +195,11 @@ def _pack(fields, values, out):
             cast = float if kind == "f64" else int
             out.write(_SCALARS[kind].pack(cast(value)))
         elif kind[0] in _ARRAYS:
-            # a view of a column-major array, a copy of any other
-            out.write(np.asarray(value, dtype=_ARRAYS[kind[0]]).ravel(order="F"))
+            array = np.asarray(value, dtype=_ARRAYS[kind[0]])
+            flags = array.flags
+            order = "F" if flags.f_contiguous and not flags.c_contiguous else "C"
+            out.write(order.encode("ascii"))
+            out.write(array.ravel(order=order))  # a view, unless non-contiguous
         else:
             nested = _io.BytesIO()
             _pack(kind, value, nested)
@@ -246,25 +246,26 @@ class _Cursor:
     def scalar(self, kind):
         return _SCALARS[kind].unpack(self.take(_SCALARS[kind].size))[0]
 
-    def array(self, shape, code, column_major):
-        """The next array of the given shape and kind code, read into a
-        column-major buffer of its own; row-major, a copy, unless
-        column_major."""
-        out = np.empty(shape, dtype=_LOADED[code], order="F")
+    def array(self, shape, code):
+        """The next array of the given shape and kind code, read straight
+        into a buffer of its own in the order its flag names."""
+        flag = bytes(self.take(1))
+        if flag not in (b"C", b"F"):
+            raise FormatError(f"bad array order flag {flag!r} at offset {self.off - 1}")
+        order = flag.decode("ascii")
+        out = np.empty(shape, dtype=_LOADED[code], order=order)
         self.f.seek(self.skip(out.nbytes))
-        got = self.f.readinto(out.reshape(-1, order="F"))
+        got = self.f.readinto(out.reshape(-1, order=order))
         if got != out.nbytes:
             raise FormatError(f"truncated data: wanted {out.nbytes} bytes at "
                               f"offset {self.off - out.nbytes}, got {got}")
-        return out if column_major else np.ascontiguousarray(out)
+        return out
 
-    def fields(self, fields, scope=None, only=None, column_major=()):
+    def fields(self, fields, scope=None, only=None):
         """Read the field list fields, as _pack wrote it, into a mapping from
         field name to value, dimension fields left out.  scope maps the
         fields of an enclosing list to their values; only, when given, names
-        the arrays to read, and the cursor moves past the others.  The
-        arrays named in column_major come back column-major, as read; every
-        other array row-major."""
+        the arrays to read, and the cursor moves past the others."""
         scope = dict(scope or {})
         dims = set()
         for name, kind in fields:
@@ -276,9 +277,9 @@ class _Cursor:
                 dims.update(kind[1:])
                 shape = [_extent(dim, scope) for dim in kind[1:]]
                 if only is None or name in only:
-                    scope[name] = self.array(shape, kind[0], name in column_major)
+                    scope[name] = self.array(shape, kind[0])
                 else:
-                    self.skip(8 * math.prod(shape))
+                    self.skip(1 + 8 * math.prod(shape))
             else:
                 scope[name] = self.sub(self.scalar("u64")).fields(kind)
         return {f: scope[f] for f, _ in fields if f in scope and f not in dims}
@@ -357,21 +358,15 @@ def _last_block(path, tag):
         yield cur.sub(n)
 
 
-# the snapshot arrays, which full_solve builds column-major
-_SNAP_ARRAYS = ("states", "nonlinear", "jacobian")
-
-
 def load_snapshots(path, arrays=None):
     """The snapshot set of an artifact file's SNAP block.
 
     With arrays, a tuple of names among "states", "nonlinear" and
     "jacobian", it returns just those arrays, in that order; of the payload
-    it then reads only them and the scalars before them.  The arrays come
-    back column-major, as full_solve builds them, each read straight into
-    its own buffer, so the loader holds each of their bytes once.
+    it then reads only them and the scalars before them.
     """
     with _last_block(path, TAG_SNAP) as cur:
-        snap = cur.fields(_SNAP, only=arrays, column_major=_SNAP_ARRAYS)
+        snap = cur.fields(_SNAP, only=arrays)
     if arrays is not None:
         return tuple(snap[name] for name in arrays)
     ident = (snap.pop("ident").split(";") + ["", ""])[:3]
@@ -419,9 +414,8 @@ def _matrix_interpolant(mi):
 
 def redm_block(rm):
     out = _io.BytesIO()
-    m = rm.meta.get("m")
-    head = {"m": -1 if m is None else m, "h": rm.meta.get("h", 0.01),
-            "basis": vars(rm.basis), "n_stages": len(rm.stages)}
+    head = {"m": -1 if rm.m is None else rm.m, "basis": vars(rm.basis),
+            "n_stages": len(rm.stages)}
     _pack(_REDM, {**vars(rm), **head}, out)
     for st in rm.stages:
         explicit = st.explicit_core
@@ -465,9 +459,9 @@ def _parse_redm(cur, model):
         stages.append(
             ReducedStage(**st, core=core, explicit_core=explicit, jacobian=jac)
         )
-    m = rm.pop("m")
-    meta = {"m": None if m < 0 else m, "h": rm.pop("h")}
-    return ReducedModel(**rm, stages=stages, meta=meta)
+    if rm["m"] < 0:
+        rm["m"] = None
+    return ReducedModel(**rm, stages=stages)
 
 
 def traj_block(trajectory, mean_iters, solve_seconds=0.0):
@@ -502,10 +496,7 @@ def load_interpolant(path, stage=0):
             if found[-1] == stage:
                 if tag == TAG_MINT:
                     return _matrix_interpolant(block.fields(_MINT[1:]))
-                # the projector column-major, as deim_interpolant builds it,
-                # so BLAS products with it round as on the built one
-                rest = block.fields(_DEIM, column_major=("projector",))
-                return DeimInterpolant(**rest)
+                return DeimInterpolant(**block.fields(_DEIM))
         raise FormatError(f"no {TAG_DEIM!r} or {TAG_MINT!r} block for stage "
                           f"{stage} (stages present: {sorted(found)})")
 

@@ -116,8 +116,7 @@ def full_solve(model, n_t=None, newton_tol=1e-10, newton_cap=50):
 
     if model.single_stage:
         outputs = list(trajectory.T)
-    # column-major, as io loads them, so each chunk below is contiguous and
-    # a loaded set rounds as the built one
+    # column-major, so each column chunk below is contiguous
     states = np.array(outputs).T if outputs else np.empty((model.n, 0), order="F")
     sets = []
     for stage in model.stages:

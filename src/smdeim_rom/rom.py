@@ -42,7 +42,7 @@ against the true Jacobian at held-out states without naming it.
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg
@@ -441,7 +441,8 @@ class ReducedModel:
     newton_tol: float = 1e-10
     newton_cap: int = 50
     offline_seconds: float = 0.0
-    meta: dict = field(default_factory=dict)
+    m: int | None = None  # the interpolation mode count, for the sampled strategies
+    h: float = 0.01  # the directional-derivative step
 
     @property
     def k(self):
@@ -539,7 +540,8 @@ def reduce_model(
         newton_tol=newton_tol,
         newton_cap=newton_cap,
         offline_seconds=offline,
-        meta={"m": m, "h": h},
+        m=m,
+        h=h,
     )
 
 

@@ -638,7 +638,7 @@ def test_deim_artifact_holds_one_deim_block_per_stage(tmp_path, swe_run):
     assert [t for t, _ in blocks] == [artifact_io.TAG_DEIM] * len(snaps) + [
         artifact_io.TAG_REDM
     ]
-    assert path.read_bytes()[:12] == artifact_io.MAGIC + (2).to_bytes(4, "little") + b"DEIM"
+    assert path.read_bytes()[:12] == artifact_io.MAGIC + (3).to_bytes(4, "little") + b"DEIM"
     with pytest.raises(artifact_io.FormatError, match="no 'SNAP' block"):
         artifact_io.load_snapshots(path)
     # an artifact written before the deim interpolant was stored
@@ -708,9 +708,9 @@ def test_unreadable_model_artifact_exits_3_naming_it(tmp_path, capsys):
     assert main(["offline", "--config", str(cfg_path)]) == 0
     (path,) = (out / "artifacts").glob("rom-*-smdeim-*.smdm")
     whole = path.read_bytes()
-    old_header = artifact_io.MAGIC + (1).to_bytes(4, "little")
-    for raw, says in ((whole[:-10], "truncated"),
-                      (old_header + whole[8:], "format version 1")):
+    old = [(artifact_io.MAGIC + version.to_bytes(4, "little") + whole[8:],
+            f"format version {version};") for version in (1, 2)]
+    for raw, says in [(whole[:-10], "truncated"), *old]:
         path.write_bytes(raw)
         capsys.readouterr()
         assert main(["online", "--config", str(cfg_path)]) == 3
@@ -781,7 +781,8 @@ def test_online_reads_only_the_redm_and_stage_0_payloads(tmp_path, file_reads):
     n, n_cols = (int.from_bytes(payload[4 + ident + 8 * i:][:8], "little")
                  for i in range(2))
     frames = 8 + 12 * len(blocks)  # walked by each of its two loaders
-    want = 2 * frames + len(blocks[1][1]) + scalars + 8 * n * n_cols
+    states = 1 + 8 * n * n_cols  # the order flag and the values
+    want = 2 * frames + len(blocks[1][1]) + scalars + states
     assert reads[snap0.name] == want
     for path in rom_files:
         blocks = artifact_io.read_blocks(path)

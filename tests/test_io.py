@@ -26,9 +26,11 @@ from smdeim_rom.models.swe import build_swe
 from smdeim_rom.pod import PodBasis, pod_basis
 from smdeim_rom.rom import (
     JACOBIANS,
+    HeldoutProbe,
     ReducedModel,
     ReducedStage,
     TensorCore,
+    heldout_errors,
     reduce_model,
     rom_solve,
 )
@@ -58,20 +60,25 @@ def test_snapshot_round_trip_bit_exact(tmp_path, setup):
     assert np.array_equal(back.jacobian, snaps[0].jacobian)
 
 
+def _traced_peak(load):
+    """(what load() returns, the peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        got = load()
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_load_snapshots_holds_each_byte_once(tmp_path, swe_run):
-    # each array is read straight into its own column-major buffer, as
-    # full_solve builds it: no payload-sized buffer and no second copy
+    # each array is read straight into its own buffer, in the column-major
+    # order full_solve builds it in: no payload-sized buffer and no copy
     built = swe_run.snaps[0]
     path = tmp_path / "snap.bin"
     artifact_io.save_snapshots(path, built)
     names = ("states", "nonlinear", "jacobian")
     for arrays in (None, ("states",), ("jacobian", "states")):
-        tracemalloc.start()
-        try:
-            got = artifact_io.load_snapshots(path, arrays)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = _traced_peak(lambda: artifact_io.load_snapshots(path, arrays))
         if arrays is None:
             blocks = [getattr(got, name) for name in names]
             held = blocks + [got.pattern.rows, got.pattern.cols]
@@ -85,8 +92,44 @@ def test_load_snapshots_holds_each_byte_once(tmp_path, swe_run):
             assert block.flags.f_contiguous and getattr(built, name).flags.f_contiguous
 
 
+def _arrays(obj):
+    """Every array that obj, a loader's result, holds."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, tuple):
+        return [a for item in obj for a in _arrays(item)]
+    if hasattr(obj, "__dict__"):
+        return [a for item in vars(obj).values() for a in _arrays(item)]
+    return []
+
+
+@pytest.mark.parametrize("block", ["trajectory", "pod", "mint", "deim"])
+def test_loaders_hold_each_byte_once(tmp_path, swe_run, swe_basis, block):
+    # every array is read straight into a buffer in its built order, which
+    # the loader returns
+    snap = swe_run.snaps[0]
+    if block == "trajectory":
+        built, load = swe_run.trajectory, artifact_io.load_trajectory
+        tag, payload = artifact_io.TAG_TRAJ, artifact_io.traj_block(built, 2.5)
+    elif block == "pod":
+        built, load = swe_basis, artifact_io.load_pod_basis
+        tag, payload = artifact_io.TAG_POD, artifact_io.pod_block(built)
+    else:
+        built = (build_smdeim(snap, 30) if block == "mint"
+                 else deim_interpolant(thin_svd(snap.nonlinear).u, 30))
+        load = artifact_io.load_interpolant
+        tag, payload = artifact_io.interpolant_block(built, 0)
+    path = _block_file(tmp_path / "art.bin", tag, payload)
+    got, peak = _traced_peak(lambda: load(path))
+    assert peak <= 1.1 * sum(a.nbytes for a in _arrays(got))
+    if block == "trajectory":
+        _assert_same_array(got[0], built, block)
+    else:
+        _assert_fields_equal(got, built)
+
+
 def test_save_snapshots_holds_no_copy_of_a_block(tmp_path, swe_run):
-    # each column-major array is written from its own buffer, so the
+    # each contiguous array is written from its own buffer, so the
     # writer holds no copy of the Jacobian block, the largest
     built = swe_run.snaps[0]
     path = tmp_path / "snap.bin"
@@ -109,8 +152,9 @@ def test_bad_magic_rejected(tmp_path):
 
 
 def test_unsupported_version_rejected(tmp_path, setup):
-    # 1 is the version that files of the earlier layout carry, where the
-    # snapshot body came before any block
+    # 1 and 2 are the versions of earlier layouts: in 1 the snapshot body
+    # came before any block, and 2 stored every array column-major with no
+    # order flag
     _, _, snaps, _ = setup
     path = tmp_path / "snap.bin"
     artifact_io.save_snapshots(path, snaps[0])
@@ -119,7 +163,7 @@ def test_unsupported_version_rejected(tmp_path, setup):
                artifact_io.load_trajectory, artifact_io.load_pod_basis,
                artifact_io.load_interpolant,
                lambda p: artifact_io.load_reduced_model(p, None))
-    for version in (1, 99):
+    for version in (1, 2, 99):
         raw[4] = version  # format version field
         path.write_bytes(bytes(raw))
         for load in loaders:
@@ -131,8 +175,8 @@ def test_unsupported_version_rejected(tmp_path, setup):
 
 def test_every_file_is_the_header_then_blocks(tmp_path, setup):
     model, _, snaps, basis = setup
-    header = artifact_io.MAGIC + (2).to_bytes(4, "little")
-    assert artifact_io.FORMAT_VERSION == 2
+    header = artifact_io.MAGIC + (3).to_bytes(4, "little")
+    assert artifact_io.FORMAT_VERSION == 3
     snap_path = tmp_path / "snap.bin"
     artifact_io.save_snapshots(snap_path, snaps[0])
     raw = snap_path.read_bytes()
@@ -148,6 +192,19 @@ def test_every_file_is_the_header_then_blocks(tmp_path, setup):
         header + b"REDM" + len(payload).to_bytes(8, "little") + payload
     )
     assert [t for t, _ in artifact_io.read_blocks(rom_path)] == ["REDM"]
+
+
+def test_bad_order_flag_rejected_naming_file_and_offset(tmp_path):
+    payload = artifact_io.traj_block(np.ones((3, 4)), 2.0)
+    at = 8 + 12 + 4 * 8  # header, frame, then n, n_t, mean_iters, solve_seconds
+    path = _block_file(tmp_path / "art.bin", artifact_io.TAG_TRAJ, payload)
+    raw = bytearray(path.read_bytes())
+    assert raw[at:at + 1] == b"C"
+    raw[at] = ord("X")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(artifact_io.FormatError) as err:
+        artifact_io.load_trajectory(path)
+    assert str(err.value) == f"{path}: bad array order flag b'X' at offset {at}"
 
 
 def test_truncation_rejected(tmp_path, setup):
@@ -328,6 +385,41 @@ def test_loaders_read_only_their_payloads(tmp_path, setup, file_reads):
     assert file_reads.total == frames + len(blocks[1][1])
 
 
+@pytest.fixture(scope="module")
+def swe_11x9():
+    model = build_swe(nx_points=11, ny_points=9)
+    return model, full_solve(model, model.default_n_t)[2]
+
+
+@pytest.mark.parametrize("strategy", ["deim", "smdeim", "mdeim-reference"])
+def test_loaded_artifact_rounds_as_the_built_one(tmp_path, setup, swe_11x9, strategy):
+    # held-out errors of the loaded reduced model and stage-0 interpolant
+    # equal the built ones' bit for bit, as every array loads in the layout
+    # its builder made
+    if strategy == "mdeim-reference":
+        model, _, snaps, basis = setup
+        m = 6
+    else:
+        model, snaps = swe_11x9
+        basis, m = pod_basis(snaps[0].states, gamma=1.0, k_max=10), 12
+    build = {"deim": lambda snap: deim_interpolant(thin_svd(snap.nonlinear).u, m),
+             "smdeim": lambda snap: build_smdeim(snap, m),
+             "mdeim-reference": lambda snap: build_mdeim_reference(snap, m)}[strategy]
+    interps = [build(snap) for snap in snaps]
+    rm = reduce_model(model, basis, strategy, m=m, prebuilt=dict(enumerate(interps)))
+    path = tmp_path / "rom.bin"
+    for stage, interp in enumerate(interps):
+        artifact_io.append_block(path, *artifact_io.interpolant_block(interp, stage))
+    artifact_io.save_reduced_model(path, rm)
+    op = model.stages[0].op
+    probes = [HeldoutProbe(op, basis, x) for x in snaps[0].states.T[1::4]]
+    built = heldout_errors(rm, probes, interps[0], sv_probes=2)
+    loaded = heldout_errors(artifact_io.load_reduced_model(path, model), probes,
+                            artifact_io.load_interpolant(path), sv_probes=2)
+    assert None not in built.values()
+    assert loaded == built
+
+
 def test_reduced_model_identity_mismatch(tmp_path, setup):
     model, _, snaps, basis = setup
     rm = reduce_model(model, basis, "tensorial")
@@ -491,23 +583,39 @@ def _patterns(draw, n):
 
 
 @st.composite
+def _laid_out(draw, a):
+    """a in C order, in Fortran order or as a view contiguous in neither."""
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(a)
+    return np.repeat(a, 2, axis=-1)[..., ::2] if layout == "strided" else a
+
+
+@st.composite
 def _deim_interpolants(draw):
     d = draw(st.integers(1, 6))
     m = draw(st.integers(1, 4))
     rng = _random(draw(st.integers(0, 2**32)))
     return DeimInterpolant(
-        basis=rng.standard_normal((d, m)),
+        basis=draw(_laid_out(rng.standard_normal((d, m)))),
         indexes=rng.integers(0, d, m),
-        projector=rng.standard_normal((d, m)),
+        projector=draw(_laid_out(rng.standard_normal((d, m)))),
         inv_norm=draw(_floats),
     )
+
+
+def _assert_same_array(got, want, name):
+    # equal, and in the order it was written in: C for a non-contiguous one
+    assert np.array_equal(got, want), name
+    fortran = want.flags.f_contiguous and not want.flags.c_contiguous
+    assert got.flags["F_CONTIGUOUS" if fortran else "C_CONTIGUOUS"], name
 
 
 def _assert_fields_equal(back, orig):
     for name, value in vars(orig).items():
         got = getattr(back, name)
         if isinstance(value, np.ndarray):
-            assert np.array_equal(got, value), name
+            _assert_same_array(got, value, name)
         elif isinstance(value, DeimInterpolant):
             _assert_fields_equal(got, value)
         else:
@@ -524,9 +632,9 @@ def test_snapshot_body_round_trips(tmp_path_factory, n, n_cols, data):
         stage=data.draw(_names),
         dt=data.draw(_floats),
         pattern=pattern,
-        states=rng.standard_normal((n, n_cols)),
-        nonlinear=rng.standard_normal((n, n_cols)),
-        jacobian=rng.standard_normal((pattern.r, n_cols)),
+        states=data.draw(_laid_out(rng.standard_normal((n, n_cols)))),
+        nonlinear=data.draw(_laid_out(rng.standard_normal((n, n_cols)))),
+        jacobian=data.draw(_laid_out(rng.standard_normal((pattern.r, n_cols)))),
     )
     path = tmp_path_factory.getbasetemp() / "snap.bin"
     artifact_io.save_snapshots(path, snap)
@@ -544,7 +652,7 @@ def test_pod_block_round_trips(tmp_path_factory, n, data):
     k = data.draw(st.integers(1, n))
     rng = _random(data.draw(st.integers(0, 2**32)))
     basis = PodBasis(
-        u=rng.standard_normal((n, k)),
+        u=data.draw(_laid_out(rng.standard_normal((n, k)))),
         singulars=rng.standard_normal(data.draw(st.integers(0, 8))),
         k=k,
         gamma=data.draw(_floats),
@@ -587,21 +695,23 @@ def test_mint_block_round_trips(tmp_path_factory, mode, n, interp, stage, data):
 
 
 @given(n=st.integers(1, 6), n_t=st.integers(0, 5), mean_iters=_floats,
-       seconds=_floats, seed=st.integers(0, 2**32))
-def test_traj_block_round_trips(tmp_path_factory, n, n_t, mean_iters, seconds, seed):
-    traj = _random(seed).standard_normal((n, n_t))
+       seconds=_floats, seed=st.integers(0, 2**32), data=st.data())
+def test_traj_block_round_trips(tmp_path_factory, n, n_t, mean_iters, seconds, seed,
+                                data):
+    traj = data.draw(_laid_out(_random(seed).standard_normal((n, n_t))))
     payload = artifact_io.traj_block(traj, mean_iters, seconds)
     path = tmp_path_factory.getbasetemp() / "traj.bin"
     _block_file(path, artifact_io.TAG_TRAJ, payload)
     back, back_iters, back_seconds = artifact_io.load_trajectory(path)
-    assert np.array_equal(back, traj)
+    _assert_same_array(back, traj, "trajectory")
     assert (back_iters, back_seconds) == (mean_iters, seconds)
     assert artifact_io.traj_block(back, back_iters, back_seconds) == payload
 
 
-def _random_core(rng, k):
-    return TensorCore(const=rng.standard_normal(k), lin=rng.standard_normal((k, k)),
-                      quad=rng.standard_normal((k, k, k)))
+def _random_core(rng, draw, k):
+    return TensorCore(const=rng.standard_normal(k),
+                      lin=draw(_laid_out(rng.standard_normal((k, k)))),
+                      quad=draw(_laid_out(rng.standard_normal((k, k, k)))))
 
 
 def _random_parts(kind, rng, draw, n, k):
@@ -609,10 +719,11 @@ def _random_parts(kind, rng, draw, n, k):
         return {"h": draw(st.floats(1e-6, 1.0))}
     m = draw(st.integers(1, 4))
     if kind == "deim":
-        return {"indexes": rng.integers(0, n, m), "left": rng.standard_normal((k, m)),
-                "lin_reduced": rng.standard_normal((k, k))}
+        return {"indexes": rng.integers(0, n, m),
+                "left": draw(_laid_out(rng.standard_normal((k, m)))),
+                "lin_reduced": draw(_laid_out(rng.standard_normal((k, k))))}
     if kind == "matrix":
-        return {"reducer": rng.standard_normal((k * k, m)),
+        return {"reducer": draw(_laid_out(rng.standard_normal((k * k, m)))),
                 "sample_rows": rng.integers(0, n, m),
                 "sample_cols": rng.integers(0, n, m)}
     return {}
@@ -625,18 +736,19 @@ def test_reduced_model_block_round_trips(tmp_path_factory, swe_small, kind, data
     n = model.n
     k = data.draw(st.integers(1, 4))
     rng = _random(data.draw(st.integers(0, 2**32)))
-    basis = PodBasis(u=rng.standard_normal((n, k)), singulars=rng.standard_normal(k),
-                     k=k, gamma=1.0, centered=data.draw(st.booleans()),
-                     mean=rng.standard_normal(n))
+    basis = PodBasis(u=data.draw(_laid_out(rng.standard_normal((n, k)))),
+                     singulars=rng.standard_normal(k), k=k, gamma=1.0,
+                     centered=data.draw(st.booleans()), mean=rng.standard_normal(n))
     stages = []
     for stage in model.stages:
-        core = _random_core(rng, k)
+        core = _random_core(rng, data.draw, k)
         parts = _random_parts(kind, rng, data.draw, n, k)
         stages.append(ReducedStage(
             name=data.draw(_names),
             fraction=data.draw(_floats),
             core=core,
-            explicit_core=_random_core(rng, k) if data.draw(st.booleans()) else None,
+            explicit_core=(_random_core(rng, data.draw, k)
+                           if data.draw(st.booleans()) else None),
             jacobian=JACOBIANS[kind].from_parts(stage.op, basis, core, **parts),
         ))
     rm = ReducedModel(
@@ -645,13 +757,13 @@ def test_reduced_model_block_round_trips(tmp_path_factory, swe_small, kind, data
         stages=stages, initial_reduced=rng.standard_normal(k),
         newton_tol=data.draw(_floats), newton_cap=data.draw(st.integers(0, 2**64 - 1)),
         offline_seconds=data.draw(_floats),
-        meta={"m": data.draw(st.none() | st.integers(0, 2**63 - 1)), "h": data.draw(_floats)},
+        m=data.draw(st.none() | st.integers(0, 2**63 - 1)), h=data.draw(_floats),
     )
     payload = artifact_io.redm_block(rm)
     path = _redm_file(tmp_path_factory.getbasetemp() / f"redm-{kind}.bin", payload)
     back = artifact_io.load_reduced_model(path, model)
     for name in ("model_id", "config_hash", "strategy", "dt", "newton_tol",
-                 "newton_cap", "offline_seconds", "meta"):
+                 "newton_cap", "offline_seconds", "m", "h"):
         assert getattr(back, name) == getattr(rm, name), name
     assert np.array_equal(back.initial_reduced, rm.initial_reduced)
     _assert_fields_equal(back.basis, rm.basis)
@@ -666,5 +778,8 @@ def test_reduced_model_block_round_trips(tmp_path_factory, swe_small, kind, data
         orig_parts = st_orig.jacobian.parts()
         assert got.jacobian.parts().keys() == orig_parts.keys()
         for name, value in orig_parts.items():
-            assert np.array_equal(got.jacobian.parts()[name], value), name
+            if isinstance(value, np.ndarray):
+                _assert_same_array(got.jacobian.parts()[name], value, name)
+            else:
+                assert got.jacobian.parts()[name] == value, name
     assert artifact_io.redm_block(back) == payload

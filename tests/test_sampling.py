@@ -254,12 +254,12 @@ def test_sampled_strategy_round_trip_is_bit_exact(tmp_path, burgers_parts, strat
     # ends with the persisted products in their documented order
     payload = artifact_io.redm_block(rm)
     assert artifact_io.redm_block(back) == payload
+    # each array as its C order flag and values: the products are row-major
     if strategy == "deim":
-        tail = [np.asarray(fresh.indexes, "<u8").tobytes(),
-                np.asarray(fresh.left, "<f8").tobytes(order="F"),
-                np.asarray(fresh.lin_reduced, "<f8").tobytes(order="F")]
+        tail = [np.asarray(fresh.indexes, "<u8"), np.asarray(fresh.left, "<f8"),
+                np.asarray(fresh.lin_reduced, "<f8")]
     else:
-        tail = [np.asarray(fresh.reducer, "<f8").tobytes(order="F"),
-                np.asarray(fresh.sample_rows, "<u8").tobytes(),
-                np.asarray(fresh.sample_cols, "<u8").tobytes()]
-    assert payload.endswith(b"".join(tail))
+        tail = [np.asarray(fresh.reducer, "<f8"), np.asarray(fresh.sample_rows, "<u8"),
+                np.asarray(fresh.sample_cols, "<u8")]
+    assert all(a.flags.c_contiguous for a in tail)
+    assert payload.endswith(b"".join(b"C" + a.tobytes() for a in tail))
