@@ -259,7 +259,8 @@ class ModelContext:
         """The context of one model, reading only the TRAJ block of stage
         0's file.  When a snapshot file is absent, simulate=True runs the
         full solve and persists it; otherwise MissingArtifactError names
-        the file."""
+        the file.  Each file is written as a .tmp and renamed into place
+        once whole, stage 0's after its TRAJ block."""
         model = build_model(cfg, params)
         paths = snap_paths(cfg, model)
         missing = [p for p in paths if not p.exists()]
@@ -273,11 +274,13 @@ class ModelContext:
         traj, stats, snaps = full_solve(
             model, newton_tol=cfg.newton_tol, newton_cap=cfg.newton_cap
         )
-        for p, s in zip(paths, snaps):
-            artifact_io.save_snapshots(p, s)
         record = (traj, stats.mean_iterations, stats.online_seconds)
-        artifact_io.append_block(paths[0], artifact_io.TAG_TRAJ,
-                                 artifact_io.traj_block(*record))
+        for j, (p, s) in enumerate(zip(paths, snaps)):
+            tmp = p.with_name(p.name + ".tmp")
+            artifact_io.save_snapshots(tmp, s)
+            if j == 0:
+                artifact_io.save_trajectory(tmp, *record)
+            os.replace(tmp, p)
         return cls(cfg, model, *record)
 
     def _once(self, key, build):
@@ -402,8 +405,8 @@ def build_rom_artifact(cfg, model, ctx, strategy, k, m):
     rm.offline_seconds = time.perf_counter() - t0
     tmp = path.with_name(path.name + ".tmp")
     tmp.unlink(missing_ok=True)  # the first block starts the file afresh
-    for j, interp in prebuilt.items():
-        artifact_io.append_block(tmp, *artifact_io.interpolant_block(interp, j))
+    if prebuilt:  # online reads stage 0's alone
+        artifact_io.save_interpolant(tmp, prebuilt[0], 0)
     artifact_io.save_reduced_model(tmp, rm)
     os.replace(tmp, path)
     return path
@@ -446,7 +449,7 @@ def run_online_point(cfg, model, ctx, traj_full, strategy, k, m):
                 f"offline artifact {path} was built with {key} = {built}, the "
                 f"config has {wanted}; run offline into a fresh run.out"
             )
-    interp = artifact_io.load_interpolant(path) if strategy in M_DEPENDENT else None
+    interp = artifact_io.load_interpolant(path, model) if strategy in M_DEPENDENT else None
     with instrumentation.online_section():
         traj_red, stats = rom_solve(rm, model.default_n_t)
     traj_err = _trajectory_error(rm.basis, traj_red, traj_full)

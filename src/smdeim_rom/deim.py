@@ -46,24 +46,23 @@ class DependentColumnsError(ValueError):
 class DeimInterpolant:
     """Interpolatory projector V (P^T V)^{-1} P^T for a fixed basis prefix.
 
-    basis is (d, m) with orthonormal columns in the intended use; indexes are
-    the m selected rows; projector is the precomputed d-by-m matrix
-    V (P^T V)^{-1}; inv_norm is ||(P^T V)^{-1}||_2, the stability factor of
-    the error bound.
+    V is the (d, m) basis, with orthonormal columns in the intended use;
+    indexes are the m selected rows; projector is the precomputed d-by-m
+    matrix V (P^T V)^{-1}, which spans what V spans; inv_norm is
+    ||(P^T V)^{-1}||_2, the stability factor of the error bound.
     """
 
-    basis: np.ndarray
     indexes: np.ndarray
     projector: np.ndarray
     inv_norm: float
 
     @property
     def d(self):
-        return int(self.basis.shape[0])
+        return int(self.projector.shape[0])
 
     @property
     def m(self):
-        return int(self.basis.shape[1])
+        return int(self.projector.shape[1])
 
     def apply(self, samples):
         """Approximate a vector from its values at the selected rows."""
@@ -122,19 +121,18 @@ def deim_interpolant(v, m=None):
     projector = np.linalg.solve(square.T, basis.T).T
     sing = scipy.linalg.svdvals(square)
     inv_norm = float(1.0 / sing[-1])
-    return DeimInterpolant(
-        basis=basis, indexes=indexes, projector=projector, inv_norm=inv_norm
-    )
+    return DeimInterpolant(indexes=indexes, projector=projector, inv_norm=inv_norm)
 
 
 def deim_error_bound(interp, f):
     """Upper bound on the 2-norm interpolation error for the vector f.
 
-    Valid when the interpolant basis has orthonormal columns: the bound is
-    ||(P^T V)^{-1}||_2 * ||(I - V V^T) f||_2.
+    Valid when the interpolant basis V has orthonormal columns: the bound is
+    ||(P^T V)^{-1}||_2 * ||(I - V V^T) f||_2, V V^T from the projector's QR.
     """
     f = np.asarray(f, dtype=np.float64)
     if f.shape[0] != interp.d:
         raise ValueError(f"vector length {f.shape[0]} vs basis rows {interp.d}")
-    residual = f - interp.basis @ (interp.basis.T @ f)
+    q = np.linalg.qr(interp.projector)[0]
+    residual = f - q @ (q.T @ f)
     return interp.inv_norm * float(np.linalg.norm(residual))

@@ -28,21 +28,21 @@ stage, then _DEIM); "MINT" a matrix interpolant (_MINT); "TRAJ" a
 full-order trajectory with its mean Newton iteration count (_TRAJ); "REDM"
 a reduced model: _REDM, then per stage _STAGE, the explicit core (_CORE)
 when its flag is set, the Jacobian kind (_KIND) and that kind's _PARTS.
-Loading a reduced model rebinds it to a freshly built full model after
-checking the stored model identity.
+A block stores only what its loader reads: a MINT block keeps its stage
+pattern's n and r, not the pattern, and a DEIM interpolant is its
+projector.  Loading a reduced model or a MINT block rebinds it to a freshly
+built full model (a MINT block to its stage's pattern) after checking that
+it was built for it.
 
-Every reader walks the frame headers through one seeking cursor over the
-open file and reads only the payloads it wants, each array of them straight
-into a buffer of its own, which it returns: a loader holds each array byte
-once.  The writer streams a contiguous array from its own buffer.
-Every FormatError a loader raises names the file.
-
-An interpolant block is DEIM or MINT by the interpolant's type
-(interpolant_block), and load_interpolant reads a stage's from either.
+One writer, append_block, streams a block to the file, each contiguous
+array from its own buffer, and patches each length in once its payload is
+written.  Every reader walks the frame headers through one seeking cursor
+over the open file and reads only the payloads it wants, each array of them
+straight into a buffer of its own, which it returns: each side holds each
+array byte once.  Every FormatError a loader raises names the file.
 """
 
 import contextlib
-import io as _io
 import math
 import os
 import struct
@@ -61,20 +61,18 @@ __all__ = [
     "load_snapshots",
     "append_block",
     "read_blocks",
-    "pod_block",
-    "interpolant_block",
-    "redm_block",
-    "traj_block",
     "save_pod_basis",
     "load_pod_basis",
+    "save_interpolant",
     "load_interpolant",
+    "save_trajectory",
     "load_trajectory",
     "save_reduced_model",
     "load_reduced_model",
 ]
 
 MAGIC = b"SMDM"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 TAG_SNAP = "SNAP"
 TAG_POD = "PODB"
@@ -106,8 +104,7 @@ _POD = (
 
 _DEIM = (
     ("d", "u64"), ("m", "u64"),
-    ("indexes", ("u8", "m")),
-    ("basis", ("f8", "d", "m")), ("projector", ("f8", "d", "m")),
+    ("indexes", ("u8", "m")), ("projector", ("f8", "d", "m")),
     ("inv_norm", "f64"),
 )
 
@@ -115,7 +112,6 @@ _STAGE_DEIM = (("stage", "u64"), *_DEIM)
 
 _MINT = (
     ("stage", "u64"), ("mode", "str"), ("n", "u64"), ("r", "u64"),
-    ("coords", ("u8", 2, "r")),
     ("interp", _DEIM),
     ("m", "u64"), ("sample_rows", ("u8", "m")), ("sample_cols", ("u8", "m")),
     ("n_sing", "u64"), ("singulars", ("f8", "n_sing")),
@@ -177,9 +173,22 @@ def _extent(dim, scope):
     return math.prod(_extent(d, scope) for d in dim) if isinstance(dim, tuple) else dim
 
 
+@contextlib.contextmanager
+def _sized(out):
+    """Write a u64 byte count to the seekable binary stream out, then what
+    the with block writes there, and patch the count in once it is done."""
+    at = out.tell()
+    out.write(bytes(8))
+    yield
+    end = out.tell()
+    out.seek(at)
+    out.write(_SCALARS["u64"].pack(end - at - 8))
+    out.seek(end)
+
+
 def _pack(fields, values, out):
-    """Write values, a mapping from field name to value, to the binary
-    stream out as the field list fields."""
+    """Write values, a mapping from field name to value, to the seekable
+    binary stream out as the field list fields."""
     dims = {}
     for name, kind in fields:
         if kind[0] in _ARRAYS:
@@ -201,16 +210,8 @@ def _pack(fields, values, out):
             out.write(order.encode("ascii"))
             out.write(array.ravel(order=order))  # a view, unless non-contiguous
         else:
-            nested = _io.BytesIO()
-            _pack(kind, value, nested)
-            out.write(_SCALARS["u64"].pack(nested.tell()))
-            out.write(nested.getbuffer())
-
-
-def _encode(fields, values):
-    out = _io.BytesIO()
-    _pack(fields, values, out)
-    return out.getvalue()
+            with _sized(out):
+                _pack(kind, value, out)
 
 
 class _Cursor:
@@ -290,30 +291,31 @@ class _Cursor:
 _HEADER = MAGIC + _SCALARS["u32"].pack(FORMAT_VERSION)
 
 
-def save_snapshots(path, snap):
-    """Write one snapshot set to path as a fresh artifact file: the header
-    and a SNAP block, its payload streamed to the file."""
-    ident = f"{snap.model_id};{snap.config_hash};{snap.stage}"
-    coords = np.stack((snap.pattern.rows, snap.pattern.cols))
-    with open(path, "wb") as f:
-        f.write(_HEADER + TAG_SNAP.encode("ascii") + bytes(8))  # length below
-        _pack(_SNAP, {**vars(snap), "ident": ident, "coords": coords}, f)
-        length = f.tell() - len(_HEADER) - 12
-        f.seek(len(_HEADER) + 4)
-        f.write(_SCALARS["u64"].pack(length))
-
-
-def append_block(path, tag, payload):
+def append_block(path, tag, *lists):
     """Append one tagged block to the artifact file path, writing the
-    header first when the file is absent or empty."""
+    header first when the file is absent or empty.  Its payload is lists,
+    (field list, values) pairs, each streamed to the file by _pack in turn;
+    the frame's length is patched in once they are written."""
     raw = tag.encode("ascii")
     if len(raw) != 4:
         raise ValueError(f"tag must be 4 ASCII characters, got {tag!r}")
-    with open(path, "ab") as f:
-        if f.tell() == 0:
+    # not "ab": a file opened for appending writes at its end whatever seek says
+    with os.fdopen(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b") as f:
+        if f.seek(0, os.SEEK_END) == 0:
             f.write(_HEADER)
-        f.write(raw + _SCALARS["u64"].pack(len(payload)))
-        f.write(payload)
+        f.write(raw)
+        with _sized(f):
+            for fields, values in lists:
+                _pack(fields, values, f)
+
+
+def save_snapshots(path, snap):
+    """Write one snapshot set to path as a fresh artifact file: the header
+    and a SNAP block."""
+    ident = f"{snap.model_id};{snap.config_hash};{snap.stage}"
+    coords = np.stack((snap.pattern.rows, snap.pattern.cols))
+    open(path, "wb").close()
+    append_block(path, TAG_SNAP, (_SNAP, {**vars(snap), "ident": ident, "coords": coords}))
 
 
 @contextlib.contextmanager
@@ -382,11 +384,11 @@ def read_blocks(path):
         return [(tag, cur.take(n)) for tag, _, n in _frames(cur)]
 
 
-# -- block payloads ------------------------------------------------------
+# -- savers and loaders of the other blocks -------------------------------
 
 
-def pod_block(basis):
-    return _encode(_POD, vars(basis))
+def save_pod_basis(path, basis):
+    append_block(path, TAG_POD, (_POD, vars(basis)))
 
 
 def _pod_basis(fields):
@@ -394,98 +396,45 @@ def _pod_basis(fields):
     return PodBasis(**{**fields, "centered": centered}, k=fields["u"].shape[1])
 
 
-def interpolant_block(interp, stage):
-    """(tag, payload) of one stage's interpolant: a DEIM block for a
-    DeimInterpolant, a MINT block for a MatrixInterpolant."""
-    if isinstance(interp, DeimInterpolant):
-        return TAG_DEIM, _encode(_STAGE_DEIM, {**vars(interp), "stage": stage})
-    coords = np.stack((interp.pattern.rows, interp.pattern.cols))
-    return TAG_MINT, _encode(_MINT, {**vars(interp), "stage": stage,
-                                     "n": interp.pattern.n, "coords": coords,
-                                     "interp": vars(interp.interp)})
-
-
-def _matrix_interpolant(mi):
-    n, (rows, cols) = mi.pop("n"), mi.pop("coords")
-    pattern = SparsityPattern(n=n, rows=rows, cols=cols)
-    interp = DeimInterpolant(**mi.pop("interp"))
-    return MatrixInterpolant(pattern=pattern, interp=interp, **mi)
-
-
-def redm_block(rm):
-    out = _io.BytesIO()
-    head = {"m": -1 if rm.m is None else rm.m, "basis": vars(rm.basis),
-            "n_stages": len(rm.stages)}
-    _pack(_REDM, {**vars(rm), **head}, out)
-    for st in rm.stages:
-        explicit = st.explicit_core
-        _pack(_STAGE, {**vars(st.core), "name": st.name, "fraction": st.fraction,
-                       "explicit": explicit is not None}, out)
-        if explicit is not None:
-            _pack(_CORE, vars(explicit), out)
-        _pack(_KIND, {"kind": st.jacobian.kind}, out)
-        _pack(_PARTS[st.jacobian.kind], st.jacobian.parts(), out)
-    return out.getvalue()
-
-
-def _core(fields):
-    return TensorCore(*(fields.pop(name) for name, _ in _CORE))
-
-
-def _parse_redm(cur, model):
-    rm = cur.fields(_REDM)
-    if model.model_id != rm["model_id"] or model.config_hash != rm["config_hash"]:
-        raise FormatError(
-            f"artifact was built for {rm['model_id']};{rm['config_hash']}, the "
-            f"supplied model is {model.model_id};{model.config_hash}"
-        )
-    n_stages = rm.pop("n_stages")
-    if len(model.stages) != n_stages:
-        raise FormatError(
-            f"artifact stores {n_stages} stages, model has {len(model.stages)}"
-        )
-    rm["basis"] = basis = _pod_basis(rm["basis"])
-    scope = {"k": rm["initial_reduced"].size}
-    stages = []
-    for stage in model.stages:
-        st = cur.fields(_STAGE, scope)
-        core = _core(st)
-        explicit = _core(cur.fields(_CORE, scope)) if st.pop("explicit") else None
-        kind = cur.fields(_KIND)["kind"]
-        if kind not in _PARTS:
-            raise FormatError(f"unknown jacobian payload kind {kind!r}")
-        parts = cur.fields(_PARTS[kind], scope)
-        jac = JACOBIANS[kind].from_parts(stage.op, basis, core, **parts)
-        stages.append(
-            ReducedStage(**st, core=core, explicit_core=explicit, jacobian=jac)
-        )
-    if rm["m"] < 0:
-        rm["m"] = None
-    return ReducedModel(**rm, stages=stages)
-
-
-def traj_block(trajectory, mean_iters, solve_seconds=0.0):
-    return _encode(_TRAJ, {"trajectory": trajectory, "mean_iters": mean_iters,
-                           "solve_seconds": solve_seconds})
-
-
-# -- convenience wrappers -----------------------------------------------
-
-
-def save_pod_basis(path, basis):
-    append_block(path, TAG_POD, pod_block(basis))
-
-
 def load_pod_basis(path):
     with _last_block(path, TAG_POD) as cur:
         return _pod_basis(cur.fields(_POD))
 
 
-def load_interpolant(path, stage=0):
-    """The interpolant of one stage: the MatrixInterpolant of a MINT block
-    or the DeimInterpolant of a DEIM block, whichever the file holds.  Of
-    the interpolant blocks before it, it reads only the stage, their first
-    field."""
+def save_interpolant(path, interp, stage):
+    """Append one stage's interpolant to path: a DEIM block for a
+    DeimInterpolant, a MINT block for a MatrixInterpolant, which stores its
+    pattern's n and r but not the pattern."""
+    if isinstance(interp, DeimInterpolant):
+        return append_block(path, TAG_DEIM, (_STAGE_DEIM, {**vars(interp), "stage": stage}))
+    pattern = interp.pattern
+    append_block(path, TAG_MINT, (_MINT, {**vars(interp), "stage": stage, "n": pattern.n,
+                                          "r": pattern.r, "interp": vars(interp.interp)}))
+
+
+def _matrix_interpolant(mi, model, stage):
+    """The MatrixInterpolant of a MINT block's fields, bound to the pattern
+    of the model's stage, on which it must have been built: its n and r, and
+    the sample coordinates its indexes name there."""
+    n, r, index = mi.pop("n"), mi.pop("r"), mi["interp"]["indexes"]
+    pattern = model.stages[stage].op.pattern if stage < len(model.stages) else None
+    sparse = mi["mode"] == "sparse"
+    fits = pattern is not None and (n, r) == (pattern.n, pattern.r) and np.all(
+        (index >= 0) & (index < (r if sparse else n * n)))
+    if fits:
+        want = (pattern.rows[index], pattern.cols[index]) if sparse else (index % n, index // n)
+        fits = all(map(np.array_equal, (mi["sample_rows"], mi["sample_cols"]), want))
+    if not fits:
+        raise FormatError(f"stage {stage} interpolant (n={n}, r={r}) was not built "
+                          f"on the model's stage {stage} pattern")
+    return MatrixInterpolant(pattern=pattern, interp=DeimInterpolant(**mi.pop("interp")), **mi)
+
+
+def load_interpolant(path, model, stage=0):
+    """The interpolant of one stage of model: the MatrixInterpolant of a
+    MINT block, bound to the stage's pattern, or the DeimInterpolant of a
+    DEIM block, whichever the file holds.  Of the interpolant blocks before
+    it, it reads only the stage, their first field."""
     found = []
     with _reading(path) as cur:
         for tag, _, n in _frames(cur):
@@ -493,12 +442,18 @@ def load_interpolant(path, stage=0):
                 continue
             block = cur.sub(n)
             found.append(block.scalar("u64"))
-            if found[-1] == stage:
-                if tag == TAG_MINT:
-                    return _matrix_interpolant(block.fields(_MINT[1:]))
+            if found[-1] != stage:
+                continue
+            if tag == TAG_DEIM:
                 return DeimInterpolant(**block.fields(_DEIM))
+            return _matrix_interpolant(block.fields(_MINT[1:]), model, stage)
         raise FormatError(f"no {TAG_DEIM!r} or {TAG_MINT!r} block for stage "
                           f"{stage} (stages present: {sorted(found)})")
+
+
+def save_trajectory(path, trajectory, mean_iters, solve_seconds=0.0):
+    append_block(path, TAG_TRAJ, (_TRAJ, {"trajectory": trajectory, "mean_iters": mean_iters,
+                                          "solve_seconds": solve_seconds}))
 
 
 def load_trajectory(path):
@@ -510,7 +465,21 @@ def load_trajectory(path):
 
 
 def save_reduced_model(path, rm):
-    append_block(path, TAG_REDM, redm_block(rm))
+    lists = [(_REDM, {**vars(rm), "m": -1 if rm.m is None else rm.m,
+                      "basis": vars(rm.basis), "n_stages": len(rm.stages)})]
+    for st in rm.stages:
+        explicit = st.explicit_core
+        lists.append((_STAGE, {**vars(st.core), "name": st.name, "fraction": st.fraction,
+                               "explicit": explicit is not None}))
+        if explicit is not None:
+            lists.append((_CORE, vars(explicit)))
+        lists += [(_KIND, {"kind": st.jacobian.kind}),
+                  (_PARTS[st.jacobian.kind], st.jacobian.parts())]
+    append_block(path, TAG_REDM, *lists)
+
+
+def _core(fields):
+    return TensorCore(*(fields.pop(name) for name, _ in _CORE))
 
 
 def load_reduced_model(path, model):
@@ -518,4 +487,32 @@ def load_reduced_model(path, model):
     operator references to the supplied full model (which must match the
     stored identity)."""
     with _last_block(path, TAG_REDM) as cur:
-        return _parse_redm(cur, model)
+        rm = cur.fields(_REDM)
+        if model.model_id != rm["model_id"] or model.config_hash != rm["config_hash"]:
+            raise FormatError(
+                f"artifact was built for {rm['model_id']};{rm['config_hash']}, the "
+                f"supplied model is {model.model_id};{model.config_hash}"
+            )
+        n_stages = rm.pop("n_stages")
+        if len(model.stages) != n_stages:
+            raise FormatError(
+                f"artifact stores {n_stages} stages, model has {len(model.stages)}"
+            )
+        rm["basis"] = basis = _pod_basis(rm["basis"])
+        scope = {"k": rm["initial_reduced"].size}
+        stages = []
+        for stage in model.stages:
+            st = cur.fields(_STAGE, scope)
+            core = _core(st)
+            explicit = _core(cur.fields(_CORE, scope)) if st.pop("explicit") else None
+            kind = cur.fields(_KIND)["kind"]
+            if kind not in _PARTS:
+                raise FormatError(f"unknown jacobian payload kind {kind!r}")
+            parts = cur.fields(_PARTS[kind], scope)
+            jac = JACOBIANS[kind].from_parts(stage.op, basis, core, **parts)
+            stages.append(
+                ReducedStage(**st, core=core, explicit_core=explicit, jacobian=jac)
+            )
+    if rm["m"] < 0:
+        rm["m"] = None
+    return ReducedModel(**rm, stages=stages)

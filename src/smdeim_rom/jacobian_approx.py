@@ -149,8 +149,8 @@ def build_mdeim_reference(snap, m, guard_n=None):
     and those m vectors at its peak, 8 n^2 (n_s + m) bytes of n^2-row
     arrays, plus O(n_s^2) for the SVD of the n_s-by-n_s R (about
     6 * 8 n_s^2 bytes: its copy, factors and gesdd workspace).  The
-    interpolant's n^2-by-m basis and projector are built once the padded
-    matrix is freed.
+    interpolant's n^2-by-m projector, which it keeps, and the copy of the m
+    vectors it is solved from are built once the padded matrix is freed.
     """
     n = snap.pattern.n
     _check_guard(n, guard_n, 8 * n * n * (snap.n_cols + m), "build_mdeim_reference")

@@ -6,6 +6,7 @@ stores raw little-endian float64, so serialization must not perturb values.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,12 +94,13 @@ def test_load_snapshots_holds_each_byte_once(tmp_path, swe_run):
 
 
 def _arrays(obj):
-    """Every array that obj, a loader's result, holds."""
+    """Every array that obj, a loader's result, holds, but a pattern's: a
+    loader rebinds the model's and reads none."""
     if isinstance(obj, np.ndarray):
         return [obj]
     if isinstance(obj, tuple):
         return [a for item in obj for a in _arrays(item)]
-    if hasattr(obj, "__dict__"):
+    if hasattr(obj, "__dict__") and not isinstance(obj, SparsityPattern):
         return [a for item in vars(obj).values() for a in _arrays(item)]
     return []
 
@@ -108,18 +110,20 @@ def test_loaders_hold_each_byte_once(tmp_path, swe_run, swe_basis, block):
     # every array is read straight into a buffer in its built order, which
     # the loader returns
     snap = swe_run.snaps[0]
+    path = tmp_path / "art.bin"
     if block == "trajectory":
         built, load = swe_run.trajectory, artifact_io.load_trajectory
-        tag, payload = artifact_io.TAG_TRAJ, artifact_io.traj_block(built, 2.5)
+        artifact_io.save_trajectory(path, built, 2.5)
     elif block == "pod":
         built, load = swe_basis, artifact_io.load_pod_basis
-        tag, payload = artifact_io.TAG_POD, artifact_io.pod_block(built)
+        artifact_io.save_pod_basis(path, built)
     else:
         built = (build_smdeim(snap, 30) if block == "mint"
                  else deim_interpolant(thin_svd(snap.nonlinear).u, 30))
-        load = artifact_io.load_interpolant
-        tag, payload = artifact_io.interpolant_block(built, 0)
-    path = _block_file(tmp_path / "art.bin", tag, payload)
+        artifact_io.save_interpolant(path, built, 0)
+
+        def load(p):
+            return artifact_io.load_interpolant(p, swe_run.model)
     got, peak = _traced_peak(lambda: load(path))
     assert peak <= 1.1 * sum(a.nbytes for a in _arrays(got))
     if block == "trajectory":
@@ -128,19 +132,42 @@ def test_loaders_hold_each_byte_once(tmp_path, swe_run, swe_basis, block):
         _assert_fields_equal(got, built)
 
 
-def test_save_snapshots_holds_no_copy_of_a_block(tmp_path, swe_run):
-    # each contiguous array is written from its own buffer, so the
-    # writer holds no copy of the Jacobian block, the largest
-    built = swe_run.snaps[0]
-    path = tmp_path / "snap.bin"
-    tracemalloc.start()
-    try:
-        artifact_io.save_snapshots(path, built)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.1 * built.jacobian.nbytes
-    assert np.array_equal(artifact_io.load_snapshots(path).jacobian, built.jacobian)
+@pytest.mark.parametrize("tag", ["SNAP", "PODB", "DEIM", "MINT", "TRAJ", "REDM"])
+def test_savers_hold_no_copy_of_a_block(tmp_path, swe_run, swe_basis, tag):
+    # each contiguous array is streamed from its own buffer and each length
+    # patched in after, so no saver holds a copy of its largest array; each
+    # case is (save, the largest array, what load reads back of it)
+    model, snap = swe_run.model, swe_run.snaps[0]
+    if tag == "SNAP":
+        save, largest, load = (lambda p: artifact_io.save_snapshots(p, snap), snap.jacobian,
+                               lambda p: artifact_io.load_snapshots(p).jacobian)
+    elif tag == "PODB":
+        save, largest, load = (lambda p: artifact_io.save_pod_basis(p, swe_basis),
+                               swe_basis.u, lambda p: artifact_io.load_pod_basis(p).u)
+    elif tag == "DEIM":
+        interp = deim_interpolant(thin_svd(snap.nonlinear).u, 30)
+        save, largest, load = (lambda p: artifact_io.save_interpolant(p, interp, 0),
+                               interp.projector,
+                               lambda p: artifact_io.load_interpolant(p, model).projector)
+    elif tag == "MINT":
+        mi = build_smdeim(snap, 30)
+        save, largest, load = (lambda p: artifact_io.save_interpolant(p, mi, 0),
+                               mi.interp.projector,
+                               lambda p: artifact_io.load_interpolant(p, model).interp.projector)
+    elif tag == "TRAJ":
+        save, largest, load = (lambda p: artifact_io.save_trajectory(p, swe_run.trajectory, 2.5),
+                               swe_run.trajectory, lambda p: artifact_io.load_trajectory(p)[0])
+    else:
+        rm = reduce_model(model, swe_basis, "smdeim", snapshots=swe_run.snaps, m=30)
+        largest = rm.stages[0].jacobian.reducer
+        assert largest.nbytes > rm.stages[0].core.quad.nbytes
+        save, load = (lambda p: artifact_io.save_reduced_model(p, rm), lambda p: (
+            artifact_io.load_reduced_model(p, model).stages[0].jacobian.reducer))
+    path = tmp_path / "art.bin"
+    _, peak = _traced_peak(lambda: save(path))
+    assert peak <= 0.1 * largest.nbytes
+    assert [t for t, _ in artifact_io.read_blocks(path)] == [tag]
+    _assert_same_array(load(path), largest, tag)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -152,18 +179,18 @@ def test_bad_magic_rejected(tmp_path):
 
 
 def test_unsupported_version_rejected(tmp_path, setup):
-    # 1 and 2 are the versions of earlier layouts: in 1 the snapshot body
-    # came before any block, and 2 stored every array column-major with no
-    # order flag
+    # 1 to 3 are the versions of earlier layouts: in 1 the snapshot body
+    # came before any block, 2 stored every array column-major with no
+    # order flag, and 3 stored a DEIM basis and a MINT block's pattern
     _, _, snaps, _ = setup
     path = tmp_path / "snap.bin"
     artifact_io.save_snapshots(path, snaps[0])
     raw = bytearray(path.read_bytes())
     loaders = (artifact_io.load_snapshots, artifact_io.read_blocks,
                artifact_io.load_trajectory, artifact_io.load_pod_basis,
-               artifact_io.load_interpolant,
+               lambda p: artifact_io.load_interpolant(p, None),
                lambda p: artifact_io.load_reduced_model(p, None))
-    for version in (1, 2, 99):
+    for version in (1, 2, 3, 99):
         raw[4] = version  # format version field
         path.write_bytes(bytes(raw))
         for load in loaders:
@@ -175,8 +202,8 @@ def test_unsupported_version_rejected(tmp_path, setup):
 
 def test_every_file_is_the_header_then_blocks(tmp_path, setup):
     model, _, snaps, basis = setup
-    header = artifact_io.MAGIC + (3).to_bytes(4, "little")
-    assert artifact_io.FORMAT_VERSION == 3
+    header = artifact_io.MAGIC + (4).to_bytes(4, "little")
+    assert artifact_io.FORMAT_VERSION == 4
     snap_path = tmp_path / "snap.bin"
     artifact_io.save_snapshots(snap_path, snaps[0])
     raw = snap_path.read_bytes()
@@ -187,17 +214,17 @@ def test_every_file_is_the_header_then_blocks(tmp_path, setup):
     rm = reduce_model(model, basis, "tensorial")
     rom_path = tmp_path / "rom.bin"
     artifact_io.save_reduced_model(rom_path, rm)
-    payload = artifact_io.redm_block(rm)
-    assert rom_path.read_bytes() == (
-        header + b"REDM" + len(payload).to_bytes(8, "little") + payload
-    )
+    raw = rom_path.read_bytes()
+    assert raw[:8] == header
+    assert raw[8:12] == b"REDM"
+    assert int.from_bytes(raw[12:20], "little") == len(raw) - 20
     assert [t for t, _ in artifact_io.read_blocks(rom_path)] == ["REDM"]
 
 
 def test_bad_order_flag_rejected_naming_file_and_offset(tmp_path):
-    payload = artifact_io.traj_block(np.ones((3, 4)), 2.0)
     at = 8 + 12 + 4 * 8  # header, frame, then n, n_t, mean_iters, solve_seconds
-    path = _block_file(tmp_path / "art.bin", artifact_io.TAG_TRAJ, payload)
+    path = tmp_path / "art.bin"
+    artifact_io.save_trajectory(path, np.ones((3, 4)), 2.0)
     raw = bytearray(path.read_bytes())
     assert raw[at:at + 1] == b"C"
     raw[at] = ord("X")
@@ -219,19 +246,35 @@ def test_truncation_rejected(tmp_path, setup):
     assert str(err.value).startswith(f"{path}: ")
 
 
+_TEXT = (("text", "str"),)
+
+
+def _text(value):
+    return (_TEXT, {"text": value})
+
+
+def _zeros(count):
+    """A field list of one array of count zeros: b"C" and 8 * count bytes."""
+    return (("zeros", ("f8", count)),), {"zeros": np.zeros(count)}
+
+
 def test_block_framing_appends_in_order(tmp_path, setup):
+    # each block's length, and a nested list's, is patched in once written,
+    # after the blocks already in the file
     _, _, snaps, _ = setup
     path = tmp_path / "art.bin"
     artifact_io.save_snapshots(path, snaps[0])
-    artifact_io.append_block(path, "AAAA", b"first")
-    artifact_io.append_block(path, "BBBB", b"second")
-    artifact_io.append_block(path, "AAAA", b"third")
+    artifact_io.append_block(path, "AAAA", _text("first"))
+    artifact_io.append_block(path, "BBBB", _text("sec"), _text("ond"))
+    artifact_io.append_block(path, "AAAA", ((("inner", _TEXT),), {"inner": {"text": "third"}}))
     assert artifact_io.read_blocks(path)[1:] == [
-        ("AAAA", b"first"), ("BBBB", b"second"), ("AAAA", b"third"),
+        ("AAAA", b"\x05\0\0\0first"),
+        ("BBBB", b"\x03\0\0\0sec\x03\0\0\0ond"),
+        ("AAAA", b"\x09" + bytes(7) + b"\x05\0\0\0third"),
     ]
     assert artifact_io.read_blocks(path)[0][0] == artifact_io.TAG_SNAP
     with pytest.raises(ValueError):
-        artifact_io.append_block(path, "TOOLONG", b"")
+        artifact_io.append_block(path, "TOOLONG")
 
 
 def test_read_blocks_holds_one_copy_of_the_file(tmp_path, setup):
@@ -241,16 +284,11 @@ def test_read_blocks_holds_one_copy_of_the_file(tmp_path, setup):
     path = tmp_path / "art.bin"
     artifact_io.save_snapshots(path, snaps[0])
     for tag in ("AAAA", "BBBB"):
-        artifact_io.append_block(path, tag, bytes(1 << 20))
+        artifact_io.append_block(path, tag, _zeros(1 << 17))
     size = path.stat().st_size
-    tracemalloc.start()
-    try:
-        blocks = artifact_io.read_blocks(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    blocks, peak = _traced_peak(lambda: artifact_io.read_blocks(path))
     assert [(t, bytes(p)) for t, p in blocks[-2:]] == [
-        ("AAAA", bytes(1 << 20)), ("BBBB", bytes(1 << 20)),
+        ("AAAA", b"C" + bytes(1 << 20)), ("BBBB", b"C" + bytes(1 << 20)),
     ]
     assert peak < 1.5 * size
 
@@ -283,11 +321,10 @@ def test_deim_block_round_trip(tmp_path, rng):
     v = thin_svd(rng.standard_normal((25, 6))).u
     interp = deim_interpolant(v)
     path = tmp_path / "art.bin"
-    artifact_io.append_block(path, *artifact_io.interpolant_block(interp, 0))
-    back = artifact_io.load_interpolant(path, 0)
-    # each in the layout deim_interpolant builds it in
-    assert back.projector.flags.f_contiguous and back.basis.flags.c_contiguous
-    assert np.array_equal(back.basis, interp.basis)
+    artifact_io.save_interpolant(path, interp, 0)
+    back = artifact_io.load_interpolant(path, None, 0)  # a DEIM block reads no model
+    # in the layout deim_interpolant builds it in
+    assert back.projector.flags.f_contiguous
     assert np.array_equal(back.indexes, interp.indexes)
     assert np.array_equal(back.projector, interp.projector)
     assert back.inv_norm == interp.inv_norm
@@ -295,7 +332,7 @@ def test_deim_block_round_trip(tmp_path, rng):
 
 @pytest.mark.parametrize("route", ["sparse", "vectorized"])
 def test_interpolant_block_round_trip(tmp_path, setup, route):
-    _, _, snaps, _ = setup
+    model, _, snaps, _ = setup
     mi = (
         build_smdeim(snaps[0], 6)
         if route == "sparse"
@@ -303,36 +340,49 @@ def test_interpolant_block_round_trip(tmp_path, setup, route):
     )
     path = tmp_path / "art.bin"
     artifact_io.save_snapshots(path, snaps[0])
-    artifact_io.append_block(path, *artifact_io.interpolant_block(mi, 0))
-    back = artifact_io.load_interpolant(path, stage=0)
+    artifact_io.save_interpolant(path, mi, 0)
+    back = artifact_io.load_interpolant(path, model, stage=0)
     assert back.mode == mi.mode
+    assert back.pattern is model.stages[0].op.pattern
     assert back.pattern == mi.pattern
     assert np.array_equal(back.sample_rows, mi.sample_rows)
     assert np.array_equal(back.sample_cols, mi.sample_cols)
     assert np.array_equal(back.interp.projector, mi.interp.projector)
     assert np.array_equal(back.singulars, mi.singulars)
     with pytest.raises(artifact_io.FormatError):
-        artifact_io.load_interpolant(path, stage=1)
+        artifact_io.load_interpolant(path, model, stage=1)
 
 
 @pytest.mark.parametrize("kind", ["deim", "smdeim"])
 def test_missing_interpolant_stage_lists_the_stages_present(tmp_path, setup, kind):
-    _, _, snaps, _ = setup
+    model, _, snaps, _ = setup
     if kind == "deim":
         interp = deim_interpolant(thin_svd(snaps[0].nonlinear).u, 6)
     else:
         interp = build_smdeim(snaps[0], 6)
     path = tmp_path / "art.bin"
-    _artifact_with_blocks(path, snaps[0], artifact_io.interpolant_block(interp, 2),
-                          artifact_io.interpolant_block(interp, 0))
+    artifact_io.save_snapshots(path, snaps[0])
+    for stage in (2, 0):
+        artifact_io.save_interpolant(path, interp, stage)
     assert [t for t, _ in artifact_io.read_blocks(path)][1:] == (
         [artifact_io.TAG_DEIM if kind == "deim" else artifact_io.TAG_MINT] * 2
     )
     with pytest.raises(artifact_io.FormatError) as err:
-        artifact_io.load_interpolant(path, stage=1)
+        artifact_io.load_interpolant(path, model, stage=1)
     assert str(err.value) == (f"{path}: no 'DEIM' or 'MINT' block for stage 1 "
                               "(stages present: [0, 2])")
-    assert type(artifact_io.load_interpolant(path, stage=2)) is type(interp)
+    assert type(artifact_io.load_interpolant(path, model, stage=0)) is type(interp)
+
+
+def test_interpolant_of_another_stage_rejected(tmp_path, swe_run):
+    # a MINT block of stage 0 stored as stage 1 does not fit stage 1's pattern
+    model, snaps = swe_run.model, swe_run.snaps
+    assert model.stages[0].op.pattern != model.stages[1].op.pattern
+    path = tmp_path / "art.bin"
+    artifact_io.save_interpolant(path, build_smdeim(snaps[0], 30), 1)
+    with pytest.raises(artifact_io.FormatError) as err:
+        artifact_io.load_interpolant(path, model, 1)
+    assert str(err.value).startswith(f"{path}: stage 1 interpolant")
 
 
 @pytest.mark.parametrize(
@@ -365,18 +415,19 @@ def test_loaders_read_only_their_payloads(tmp_path, setup, file_reads):
     mis = [build_smdeim(snaps[0], m) for m in (6, 5)]
     rm = reduce_model(model, basis, "smdeim", prebuilt={0: mis[0]}, snapshots=snaps, m=6)
     path = tmp_path / "art.bin"
-    blocks = [artifact_io.interpolant_block(mis[1], 1),
-              (artifact_io.TAG_POD, artifact_io.pod_block(basis)),
-              artifact_io.interpolant_block(mis[0], 0),
-              (artifact_io.TAG_REDM, artifact_io.redm_block(rm))]
-    _artifact_with_blocks(path, snaps[0], *blocks)
+    artifact_io.save_snapshots(path, snaps[0])
+    artifact_io.save_interpolant(path, mis[1], 1)
+    artifact_io.save_pod_basis(path, basis)
+    artifact_io.save_interpolant(path, mis[0], 0)
+    artifact_io.save_reduced_model(path, rm)
+    blocks = artifact_io.read_blocks(path)[1:]
     file_reads.clear()
     frames = 8 + 12 * (1 + len(blocks))  # the header and every frame header
     back = artifact_io.load_reduced_model(path, model)
     assert np.array_equal(rom_solve(back, 21)[0], rom_solve(rm, 21)[0])
     assert file_reads.total == frames + len(blocks[3][1])
     file_reads.clear()
-    back_mi = artifact_io.load_interpolant(path, stage=0)
+    back_mi = artifact_io.load_interpolant(path, model, stage=0)
     assert np.array_equal(back_mi.interp.projector, mis[0].interp.projector)
     # the walk stops at its block; of the stage-1 block it reads the stage
     assert file_reads.total == 8 + 12 * 4 + 8 + len(blocks[2][1])
@@ -409,13 +460,13 @@ def test_loaded_artifact_rounds_as_the_built_one(tmp_path, setup, swe_11x9, stra
     rm = reduce_model(model, basis, strategy, m=m, prebuilt=dict(enumerate(interps)))
     path = tmp_path / "rom.bin"
     for stage, interp in enumerate(interps):
-        artifact_io.append_block(path, *artifact_io.interpolant_block(interp, stage))
+        artifact_io.save_interpolant(path, interp, stage)
     artifact_io.save_reduced_model(path, rm)
     op = model.stages[0].op
     probes = [HeldoutProbe(op, basis, x) for x in snaps[0].states.T[1::4]]
     built = heldout_errors(rm, probes, interps[0], sv_probes=2)
     loaded = heldout_errors(artifact_io.load_reduced_model(path, model), probes,
-                            artifact_io.load_interpolant(path), sv_probes=2)
+                            artifact_io.load_interpolant(path, model), sv_probes=2)
     assert None not in built.values()
     assert loaded == built
 
@@ -438,9 +489,7 @@ def test_trajectory_block_round_trip(tmp_path, setup, rng):
     path = tmp_path / "art.bin"
     artifact_io.save_snapshots(path, snaps[0])
     traj = rng.standard_normal((5, 9))
-    artifact_io.append_block(
-        path, artifact_io.TAG_TRAJ, artifact_io.traj_block(traj, 3.25, 0.125)
-    )
+    artifact_io.save_trajectory(path, traj, 3.25, 0.125)
     back, mean_iters, seconds = artifact_io.load_trajectory(path)
     assert np.array_equal(back, traj)
     assert mean_iters == 3.25
@@ -457,21 +506,16 @@ def test_missing_block_reports_tag(tmp_path, setup):
     assert str(err.value).startswith(f"{path}: ")
 
 
-def _artifact_with_blocks(path, snap, *blocks):
-    artifact_io.save_snapshots(path, snap)
-    for tag, payload in blocks:
-        artifact_io.append_block(path, tag, payload)
-
-
 def test_load_trajectory_reads_only_its_block(tmp_path, setup, file_reads, rng):
     _, _, snaps, _ = setup
     path = tmp_path / "art.bin"
     traj = rng.standard_normal((5, 9))
-    payload = artifact_io.traj_block(traj, 3.25, 0.125)
-    earlier = artifact_io.traj_block(traj + 1.0, 1.0)
-    _artifact_with_blocks(path, snaps[0], (artifact_io.TAG_TRAJ, earlier),
-                          ("AAAA", bytes(1 << 16)), (artifact_io.TAG_TRAJ, payload),
-                          ("BBBB", bytes(1 << 16)))
+    artifact_io.save_snapshots(path, snaps[0])
+    artifact_io.save_trajectory(path, traj + 1.0, 1.0)
+    artifact_io.append_block(path, "AAAA", _zeros(1 << 13))
+    artifact_io.save_trajectory(path, traj, 3.25, 0.125)
+    artifact_io.append_block(path, "BBBB", _zeros(1 << 13))
+    payload = artifact_io.read_blocks(path)[3][1]
     file_reads.clear()
     artifact_io.read_blocks(path)
     assert file_reads.total == path.stat().st_size  # the counter sees whole reads
@@ -484,8 +528,9 @@ def test_load_trajectory_reads_only_its_block(tmp_path, setup, file_reads, rng):
 def test_load_trajectory_rejects_truncated_frames(tmp_path, setup):
     _, _, snaps, _ = setup
     path = tmp_path / "art.bin"
-    payload = artifact_io.traj_block(np.ones((3, 4)), 2.0)
-    _artifact_with_blocks(path, snaps[0], (artifact_io.TAG_TRAJ, payload))
+    artifact_io.save_snapshots(path, snaps[0])
+    artifact_io.save_trajectory(path, np.ones((3, 4)), 2.0)
+    payload = artifact_io.read_blocks(path)[-1][1]
     whole = path.read_bytes()
     for cut in (len(payload) // 2, len(payload) + 6):  # in the payload, the frame
         path.write_bytes(whole[:-cut])
@@ -498,25 +543,29 @@ def test_load_trajectory_rejects_truncated_frames(tmp_path, setup):
 # -- FormatError paths of the REDM block ----------------------------------
 
 
-def _block_file(path, tag, payload):
-    """path rewritten as the bare header and one tag block of payload."""
-    path.unlink(missing_ok=True)
-    artifact_io.append_block(path, tag, payload)
+def _redm_file(path, payload):
+    """path rewritten as the bare header and one REDM block of payload."""
+    header = artifact_io.MAGIC + artifact_io.FORMAT_VERSION.to_bytes(4, "little")
+    path.write_bytes(header + b"REDM" + len(payload).to_bytes(8, "little") + payload)
     return path
 
 
-def _redm_file(path, payload):
-    return _block_file(path, artifact_io.TAG_REDM, payload)
+def _redm_payload(path, rm):
+    """The payload of rm's REDM block, saved to path as a fresh file."""
+    path.unlink(missing_ok=True)
+    artifact_io.save_reduced_model(path, rm)
+    ((_, payload),) = artifact_io.read_blocks(path)
+    return bytes(payload)
 
 
 def test_reduced_model_unknown_jacobian_kind(tmp_path, setup):
     model, _, snaps, basis = setup
     rm = reduce_model(model, basis, "smdeim", snapshots=snaps, m=6)
-    payload = artifact_io.redm_block(rm)
+    path = tmp_path / "art.bin"
+    payload = _redm_payload(path, rm)
     kind = b"\x06\x00\x00\x00matrix"
     assert payload.count(kind) == 1
-    bad = payload.replace(kind, b"\x06\x00\x00\x00matrox")
-    path = _redm_file(tmp_path / "art.bin", bad)
+    _redm_file(path, payload.replace(kind, b"\x06\x00\x00\x00matrox"))
     with pytest.raises(artifact_io.FormatError) as err:
         artifact_io.load_reduced_model(path, model)
     assert "matrox" in str(err.value)
@@ -527,7 +576,8 @@ def test_reduced_model_stage_count_mismatch(tmp_path, swe_small):
     model, basis = swe_small
     rm = reduce_model(model, basis, "tensorial")
     rm.stages = rm.stages[:1]
-    path = _redm_file(tmp_path / "art.bin", artifact_io.redm_block(rm))
+    path = tmp_path / "art.bin"
+    artifact_io.save_reduced_model(path, rm)
     with pytest.raises(artifact_io.FormatError) as err:
         artifact_io.load_reduced_model(path, model)
     assert "1 stages, model has 2" in str(err.value)
@@ -542,8 +592,8 @@ def test_reduced_model_cut_short_anywhere_is_a_format_error(tmp_path, swe_small)
     path = tmp_path / "art.bin"
     for strategy in ("tensorial", "directional-derivative"):
         rm = reduce_model(model, basis, strategy)
-        payload = artifact_io.redm_block(rm)
-        whole = _redm_file(path, payload).read_bytes()
+        payload = _redm_payload(path, rm)
+        whole = path.read_bytes()
         for cut in range(len(payload)):
             _redm_file(path, payload[:cut])
             with pytest.raises(artifact_io.FormatError, match="truncated") as err:
@@ -592,12 +642,11 @@ def _laid_out(draw, a):
 
 
 @st.composite
-def _deim_interpolants(draw):
-    d = draw(st.integers(1, 6))
+def _deim_interpolants(draw, d=None):
+    d = draw(st.integers(1, 6)) if d is None else d
     m = draw(st.integers(1, 4))
     rng = _random(draw(st.integers(0, 2**32)))
     return DeimInterpolant(
-        basis=draw(_laid_out(rng.standard_normal((d, m)))),
         indexes=rng.integers(0, d, m),
         projector=draw(_laid_out(rng.standard_normal((d, m)))),
         inv_norm=draw(_floats),
@@ -647,6 +696,20 @@ def test_snapshot_body_round_trips(tmp_path_factory, n, n_cols, data):
     assert path.read_bytes() == raw
 
 
+def _round_trip(tmp_path_factory, save, load, built):
+    """What load(path) reads back after save(path, built) writes a fresh
+    file, once it is checked that save writes what was read to a second
+    file byte for byte."""
+    paths = [tmp_path_factory.getbasetemp() / name for name in ("first.bin", "again.bin")]
+    for path in paths:
+        path.unlink(missing_ok=True)
+    save(paths[0], built)
+    back = load(paths[0])
+    save(paths[1], back)
+    assert paths[1].read_bytes() == paths[0].read_bytes()
+    return back
+
+
 @given(n=st.integers(1, 6), data=st.data())
 def test_pod_block_round_trips(tmp_path_factory, n, data):
     k = data.draw(st.integers(1, n))
@@ -659,39 +722,45 @@ def test_pod_block_round_trips(tmp_path_factory, n, data):
         centered=data.draw(st.booleans()),
         mean=rng.standard_normal(n),
     )
-    payload = artifact_io.pod_block(basis)
-    path = tmp_path_factory.getbasetemp() / "pod.bin"
-    back = artifact_io.load_pod_basis(_block_file(path, artifact_io.TAG_POD, payload))
+    back = _round_trip(tmp_path_factory, artifact_io.save_pod_basis,
+                       artifact_io.load_pod_basis, basis)
     _assert_fields_equal(back, basis)
-    assert artifact_io.pod_block(back) == payload
 
 
 @given(interp=_deim_interpolants(), stage=st.integers(0, 2**64 - 1))
 def test_deim_block_round_trips(tmp_path_factory, interp, stage):
-    block = artifact_io.interpolant_block(interp, stage)
-    path = _block_file(tmp_path_factory.getbasetemp() / "deim.bin", *block)
-    back = artifact_io.load_interpolant(path, stage)
+    back = _round_trip(tmp_path_factory,
+                       lambda p, x: artifact_io.save_interpolant(p, x, stage),
+                       lambda p: artifact_io.load_interpolant(p, None, stage), interp)
     _assert_fields_equal(back, interp)
-    assert artifact_io.interpolant_block(back, stage) == block
+
+
+def _model_of(pattern, n_stages):
+    """What load_interpolant reads of a model: each stage's pattern."""
+    stage = SimpleNamespace(op=SimpleNamespace(pattern=pattern))
+    return SimpleNamespace(stages=[stage] * n_stages)
 
 
 @given(mode=st.sampled_from(["sparse", "vectorized"]), n=st.integers(1, 5),
-       interp=_deim_interpolants(), stage=st.integers(0, 2**64 - 1), data=st.data())
-def test_mint_block_round_trips(tmp_path_factory, mode, n, interp, stage, data):
+       stage=st.integers(0, 3), data=st.data())
+def test_mint_block_round_trips(tmp_path_factory, mode, n, stage, data):
+    pattern = data.draw(_patterns(n).filter(lambda p: p.r > 0))
+    interp = data.draw(_deim_interpolants(pattern.r if mode == "sparse" else n * n))
+    index = interp.indexes
     rng = _random(data.draw(st.integers(0, 2**32)))
     mi = MatrixInterpolant(
         mode=mode,
-        pattern=data.draw(_patterns(n)),
+        pattern=pattern,
         interp=interp,
-        sample_rows=rng.integers(0, n, interp.m),
-        sample_cols=rng.integers(0, n, interp.m),
+        sample_rows=pattern.rows[index] if mode == "sparse" else index % n,
+        sample_cols=pattern.cols[index] if mode == "sparse" else index // n,
         singulars=rng.standard_normal(data.draw(st.integers(0, 8))),
     )
-    block = artifact_io.interpolant_block(mi, stage)
-    path = _block_file(tmp_path_factory.getbasetemp() / "mint.bin", *block)
-    back = artifact_io.load_interpolant(path, stage)
+    model = _model_of(pattern, stage + 1)
+    back = _round_trip(tmp_path_factory,
+                       lambda p, x: artifact_io.save_interpolant(p, x, stage),
+                       lambda p: artifact_io.load_interpolant(p, model, stage), mi)
     _assert_fields_equal(back, mi)
-    assert artifact_io.interpolant_block(back, stage) == block
 
 
 @given(n=st.integers(1, 6), n_t=st.integers(0, 5), mean_iters=_floats,
@@ -699,13 +768,11 @@ def test_mint_block_round_trips(tmp_path_factory, mode, n, interp, stage, data):
 def test_traj_block_round_trips(tmp_path_factory, n, n_t, mean_iters, seconds, seed,
                                 data):
     traj = data.draw(_laid_out(_random(seed).standard_normal((n, n_t))))
-    payload = artifact_io.traj_block(traj, mean_iters, seconds)
-    path = tmp_path_factory.getbasetemp() / "traj.bin"
-    _block_file(path, artifact_io.TAG_TRAJ, payload)
-    back, back_iters, back_seconds = artifact_io.load_trajectory(path)
+    back, back_iters, back_seconds = _round_trip(
+        tmp_path_factory, lambda p, t: artifact_io.save_trajectory(p, *t),
+        artifact_io.load_trajectory, (traj, mean_iters, seconds))
     _assert_same_array(back, traj, "trajectory")
     assert (back_iters, back_seconds) == (mean_iters, seconds)
-    assert artifact_io.traj_block(back, back_iters, back_seconds) == payload
 
 
 def _random_core(rng, draw, k):
@@ -759,9 +826,8 @@ def test_reduced_model_block_round_trips(tmp_path_factory, swe_small, kind, data
         offline_seconds=data.draw(_floats),
         m=data.draw(st.none() | st.integers(0, 2**63 - 1)), h=data.draw(_floats),
     )
-    payload = artifact_io.redm_block(rm)
-    path = _redm_file(tmp_path_factory.getbasetemp() / f"redm-{kind}.bin", payload)
-    back = artifact_io.load_reduced_model(path, model)
+    back = _round_trip(tmp_path_factory, artifact_io.save_reduced_model,
+                       lambda p: artifact_io.load_reduced_model(p, model), rm)
     for name in ("model_id", "config_hash", "strategy", "dt", "newton_tol",
                  "newton_cap", "offline_seconds", "m", "h"):
         assert getattr(back, name) == getattr(rm, name), name
@@ -782,4 +848,3 @@ def test_reduced_model_block_round_trips(tmp_path_factory, swe_small, kind, data
                 _assert_same_array(got.jacobian.parts()[name], value, name)
             else:
                 assert got.jacobian.parts()[name] == value, name
-    assert artifact_io.redm_block(back) == payload

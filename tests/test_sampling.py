@@ -250,10 +250,14 @@ def test_sampled_strategy_round_trip_is_bit_exact(tmp_path, burgers_parts, strat
     for col in (0, 7, 20):
         xt = basis.project(snaps[0].states[:, col])
         assert np.array_equal(loaded.evaluate(xt, None), fresh.evaluate(xt, None))
-    # the loaded model writes the same bytes, and the stage payload still
-    # ends with the persisted products in their documented order
-    payload = artifact_io.redm_block(rm)
-    assert artifact_io.redm_block(back) == payload
+    # the loaded model writes the same bytes, and the stage payload, the
+    # file's last, still ends with the persisted products in their
+    # documented order
+    again = tmp_path / f"{strategy}-again.bin"
+    artifact_io.save_snapshots(again, snaps[0])
+    artifact_io.save_reduced_model(again, back)
+    raw = path.read_bytes()
+    assert again.read_bytes() == raw
     # each array as its C order flag and values: the products are row-major
     if strategy == "deim":
         tail = [np.asarray(fresh.indexes, "<u8"), np.asarray(fresh.left, "<f8"),
@@ -262,4 +266,4 @@ def test_sampled_strategy_round_trip_is_bit_exact(tmp_path, burgers_parts, strat
         tail = [np.asarray(fresh.reducer, "<f8"), np.asarray(fresh.sample_rows, "<u8"),
                 np.asarray(fresh.sample_cols, "<u8")]
     assert all(a.flags.c_contiguous for a in tail)
-    assert payload.endswith(b"".join(b"C" + a.tobytes() for a in tail))
+    assert raw.endswith(b"".join(b"C" + a.tobytes() for a in tail))
