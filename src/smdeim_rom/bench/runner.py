@@ -25,8 +25,8 @@ time, and every grid unit of a model run in one process shares one
 ModelContext, which factors each snapshot matrix once.  It reads from a
 stage's snapshot file only the arrays a reader takes, when it takes them:
 the POD basis and the held-out probes stage 0's states, each SVD the block
-it factors, which is dropped once factored.  Nothing is kept from one
-command to the next.
+it factors, which leading_svd consumes in place on a tall block.  Nothing
+is kept from one command to the next.
 
 Metrics are evaluated on stage-0 quantities at held-out snapshot states
 (every stride-th column), each projected onto the basis subspace first so
@@ -54,7 +54,8 @@ from ..jacobian_approx import (
     build_smdeim,
     check_rank,
 )
-from ..linalg import SvdConvergenceError, thin_svd
+from ..linalg import SvdConvergenceError, leading_svd
+from ..linalg import thin_svd  # noqa: F401  uncalled; the tracer patches it (ROADMAP item 8)
 from ..models import burgers as burgers_model
 from ..models import full_solve
 from ..models import swe as swe_model
@@ -238,7 +239,8 @@ class ModelContext:
     first use, once each: the POD basis of the max(rom.k) leading modes,
     the SVD of each stage's "jacobian" and "nonlinear" snapshots with every
     singular value but only the max(rom.m) leading columns of u and w (all
-    the selections read), the tensor cores of each k, the interpolants of
+    the selections read, and leading_svd forms no others), the tensor
+    cores of each k, the interpolants of
     each (strategy, stage, m), stage 0's held-out states and the held-out
     truth of each basis.  It keeps no snapshot block: each of these reads
     from the stage's file the arrays it takes, and drops them when done.
@@ -296,15 +298,13 @@ class ModelContext:
         )
 
     def svd(self, block, stage):
-        """thin_svd of one stage's "jacobian" or "nonlinear" snapshots, with
-        the leading max(rom.m) columns of u and w."""
-
-        def build():
-            svd = thin_svd(*self._read(stage, block))
-            keep = max(self.cfg.m_list)
-            return replace(svd, u=svd.u[:, :keep].copy(), w=svd.w[:, :keep].copy())
-
-        return self._once((block, stage), build)
+        """leading_svd of one stage's "jacobian" or "nonlinear" snapshots at
+        max(rom.m) columns.  The block is read column-major into a buffer
+        of its own, so where leading_svd goes QR first it is consumed in
+        place."""
+        return self._once((block, stage), lambda: leading_svd(
+            *self._read(stage, block), max(self.cfg.m_list)
+        ))
 
     def basis(self, k):
         """The POD basis for k, an entry of rom.k, truncated from one basis

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 
 _COUNTERS = {
     "thin_svd_calls": 0,
+    "leading_svd_calls": 0,
     "deim_select_calls": 0,
     "sample_flops": 0,
     "reduced_jacobian_flops": 0,
@@ -35,7 +36,7 @@ def online_section():
     """Fail loudly if an offline-only kernel runs inside the guarded block."""
     before = snapshot()
     yield
-    for name in ("thin_svd_calls", "deim_select_calls"):
+    for name in ("thin_svd_calls", "leading_svd_calls", "deim_select_calls"):
         if _COUNTERS[name] != before[name]:
             raise OfflineCallInOnlineSection(
                 f"{name} changed inside an online section "

@@ -174,23 +174,32 @@ def thin_svd(a):
 def leading_svd(a, m):
     """Thin SVD of a (p, s) matrix with only its leading m left vectors formed.
 
-    For p >= s this is the R-SVD (Chan, ACM TOMS 8(1), 1982), the steps
-    gesdd takes on a tall matrix: a Householder QR a = Q R in place,
-    `thin_svd`'s factorization of the (s, s) triangle R, then
-    u = Q @ u_R[:, :m] by LAPACK ormqr, signed again by the convention.  A
-    Fortran-ordered float64 `a` is consumed; any other input is copied
-    first.  A wide matrix is factored directly.  u and w hold min(m, p, s)
-    columns, singulars all min(p, s) values; thin_svd_calls is not bumped.
+    Its singular values are thin_svd's bit for bit, because it takes the
+    branch gesdd takes.  For p >= int(11 s / 6), gesdd's MNTHR, this is the
+    R-SVD (Chan, ACM TOMS 8(1), 1982), gesdd's QR-first steps: a
+    Householder QR a = Q R in place, `thin_svd`'s factorization of the
+    (s, s) triangle R, then u = Q @ u_R[:, :m] by LAPACK ormqr, signed
+    again by the convention.  There a Fortran-ordered float64 `a` is
+    consumed; any other input is copied first.  Below that threshold, and
+    for a wide matrix, `a` is factored directly, left intact, and u and w
+    are copied out of the full factors.  u and w hold min(m, p, s)
+    columns, singulars all min(p, s) values.  It bumps leading_svd_calls,
+    not thin_svd_calls.
+
+    ormqr rounds each column by how many it forms: a caller that needs the
+    same bits at several m factors once at the largest and slices.
 
     Raises SvdConvergenceError, naming the shape, when neither gesdd nor
-    the gesvd retry converges on R (on `a` when it is wide).
+    the gesvd retry converges on R (on `a` below the threshold).
     """
     a = np.asarray(a, dtype=np.float64)
     rows, cols = a.shape
+    instrumentation.bump("leading_svd_calls")
     what = f"a {rows}x{cols} matrix"
-    if rows < cols:
+    if rows < int(cols * 11 / 6):
         svd = _factor(a, what)
-        return SvdResult(u=svd.u[:, :m], singulars=svd.singulars, w=svd.w[:, :m])
+        return SvdResult(u=svd.u[:, :m].copy(), singulars=svd.singulars,
+                         w=svd.w[:, :m].copy())
     (qr, tau), r = scipy.linalg.qr(a, overwrite_a=True, mode="raw", check_finite=False)
     svd = _factor(r, f"the triangular factor of {what}")
     c = np.zeros((rows, min(m, cols)), dtype=np.float64, order="F")

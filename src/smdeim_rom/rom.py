@@ -51,7 +51,8 @@ from . import instrumentation
 from .jacobian_approx import (approximate_matrix, build_mdeim_reference,
                               build_smdeim, check_rank)
 from .deim import deim_interpolant
-from .linalg import leading_singular_value, solve_dense, thin_svd
+from .linalg import leading_singular_value, leading_svd, solve_dense
+from .linalg import thin_svd  # noqa: F401  uncalled; the tracer patches it (ROADMAP item 8)
 from .pod import PodBasis
 from .stats import integrate
 
@@ -471,8 +472,11 @@ def reduce_model(
     constructed interpolant, letting callers reuse an expensive build: a
     DeimInterpolant of the nonlinear-term snapshots for deim, a
     MatrixInterpolant of the requested mode for smdeim and
-    mdeim-reference.  cores optionally gives `stage_cores(model, basis)`,
-    so callers reducing one basis for several strategies project once.
+    mdeim-reference.  Without one, deim trains on `leading_svd` of a
+    Fortran copy of the stage's nonlinear-term snapshots at m columns, as
+    build_smdeim does on its Jacobian snapshots.  cores optionally gives
+    `stage_cores(model, basis)`, so callers reducing one basis for several
+    strategies project once.
     The offline wall time (tensor projection plus interpolant training) is
     recorded on the result.
     """
@@ -505,7 +509,7 @@ def reduce_model(
             if s_idx in prebuilt:
                 fn_interp = prebuilt[s_idx]
             else:
-                svd = thin_svd(snapshots[s_idx].nonlinear)
+                svd = leading_svd(np.array(snapshots[s_idx].nonlinear, order="F"), m)
                 check_rank(svd, m, "nonlinear-term")
                 fn_interp = deim_interpolant(svd.u, m)
             jac = DeimFunctionJacobian(stage.op, basis, fn_interp.indexes,

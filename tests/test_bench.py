@@ -36,7 +36,7 @@ from smdeim_rom.jacobian_approx import (
     approximate_matrix,
     build_smdeim,
 )
-from smdeim_rom.linalg import SvdResult, thin_svd
+from smdeim_rom.linalg import SvdResult, leading_svd, thin_svd
 from smdeim_rom.pod import pod_basis
 from smdeim_rom.rom import HeldoutProbe, heldout_errors
 
@@ -398,7 +398,8 @@ class CommandCounts:
         return {
             "builds": self.builds,
             "cores": self.cores,
-            "svds": after["thin_svd_calls"] - before["thin_svd_calls"],
+            "svds": sum(after[c] - before[c]
+                        for c in ("thin_svd_calls", "leading_svd_calls")),
             "selections": after["deim_select_calls"] - before["deim_select_calls"],
             "snapshot_reads": sorted(self.snapshot_reads),
         }
@@ -608,19 +609,51 @@ def test_shared_products_equal_direct_calls_bit_for_bit(tmp_path):
         assert got.u.flags.c_contiguous
         for field in ("u", "singulars", "mean"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
+    # the context factors each block once, at the widest m it serves
+    width = max(cfg.m_list)
+    jacobian = leading_svd(np.array(snap.jacobian, order="F"), width)
+    nonlinear = leading_svd(np.array(snap.nonlinear, order="F"), width)
     for m in (6, 8):
         got = ctx.interpolant("smdeim", 0, m)
-        want = build_smdeim(snap, m)
+        want = build_smdeim(None, m, svd=jacobian, pattern=snap.pattern)
         assert _same_interp(got.interp, want.interp)
         assert np.array_equal(got.sample_rows, want.sample_rows)
         assert np.array_equal(got.sample_cols, want.sample_cols)
         assert np.array_equal(got.singulars, want.singulars)
         assert _same_interp(
-            ctx.interpolant("deim", 0, m),
-            deim_interpolant(thin_svd(snap.nonlinear).u, m),
+            ctx.interpolant("deim", 0, m), deim_interpolant(nonlinear.u, m)
         )
     with pytest.raises(RankError):
         ctx.interpolant("deim", 0, snap.n_cols + 1)
+
+
+def _traced_peak(fn):
+    """fn() and the tracemalloc peak of its call over what was held before."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_jacobian_svd_is_factored_in_the_block_it_reads(tmp_path, swe_run):
+    # SWE 21x15 stage 0 is 3952 x 180: tall enough for the QR-first
+    # branch, so the block read from the file is consumed in place and only
+    # max(rom.m) left vectors are formed (thin_svd's copy and its 180
+    # vectors cost 2.23 times the block)
+    cfg = ExperimentConfig(model="swe", out_dir=str(tmp_path))
+    ctx = run_context(cfg, swe_run)
+    snap = swe_run.snaps[0]
+    block = snap.jacobian.nbytes
+    svd, peak = _traced_peak(lambda: ctx.svd("jacobian", 0))
+    assert svd.u.shape == (snap.pattern.r, max(cfg.m_list))
+    assert peak - block <= 0.5 * block
+    # the library route copies the caller's block, and factors the copy
+    interp, peak = _traced_peak(lambda: build_smdeim(snap, 30))
+    assert np.array_equal(interp.singulars, svd.singulars)
+    assert peak <= 1.4 * block
 
 
 def test_deim_artifact_holds_the_stage_0_deim_block(tmp_path, swe_run):
@@ -629,7 +662,8 @@ def test_deim_artifact_holds_the_stage_0_deim_block(tmp_path, swe_run):
     model, snaps, traj = ctx.model, swe_run.snaps, ctx.traj
     path = runner.build_rom_artifact(cfg, model, ctx, "deim", 25, 30)
     got = artifact_io.load_interpolant(path, model, stage=0)
-    assert _same_interp(got, deim_interpolant(thin_svd(snaps[0].nonlinear).u, 30))
+    assert _same_interp(got, deim_interpolant(
+        leading_svd(np.array(snaps[0].nonlinear, order="F"), 30).u, 30))
     # the bare header, stage 0's interpolant, the only one online reads, and
     # the reduced model, which embeds its basis: no snapshot set and no
     # standalone basis block

@@ -189,12 +189,14 @@ def leading_svd_inputs(draw):
     return np.asarray(a, order=order), draw(st.integers(1, rank))
 
 
-@given(leading_svd_inputs())
-def test_property_leading_svd_equals_thin_svd_leading_pairs(inputs):
-    a, m = inputs
+def check_leading_svd(a, m):
+    """leading_svd(a, m) against thin_svd(a): the same singular values bit
+    for bit, the leading m vector pairs to round-off, no thin_svd count,
+    and `a` consumed in place exactly where gesdd takes its QR-first
+    branch (rows >= int(11 cols / 6)), with no copy of it made there."""
     expect = thin_svd(a)
-    calls = instrumentation.snapshot()["thin_svd_calls"]
-    consumed = a.flags.f_contiguous and a.shape[0] >= a.shape[1]
+    before = instrumentation.snapshot()
+    consumed = a.flags.f_contiguous and a.shape[0] >= int(a.shape[1] * 11 / 6)
     original = a.copy()
     tracemalloc.start()
     try:
@@ -203,21 +205,54 @@ def test_property_leading_svd_equals_thin_svd_leading_pairs(inputs):
         extra = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
+    after = instrumentation.snapshot()
     # leading_svd is not thin_svd: the benchmark's traced count check
     # matches thin_svd_calls against the thin_svd calls it wraps
-    assert instrumentation.snapshot()["thin_svd_calls"] == calls
+    assert after["thin_svd_calls"] == before["thin_svd_calls"]
+    assert after["leading_svd_calls"] == before["leading_svd_calls"] + 1
     q = min(a.shape)
     assert res.singulars.shape == (q,)
     assert res.u.shape == (a.shape[0], m) and res.w.shape == (a.shape[1], m)
-    assert np.max(np.abs(res.singulars - expect.singulars)) <= 1e-15 * expect.singulars[0]
+    assert np.array_equal(res.singulars, expect.singulars)
     assert np.max(np.abs(res.u - expect.u[:, :m])) <= 1e-12
     assert np.max(np.abs(res.w - expect.w[:, :m])) <= 1e-12
     if consumed:
-        # factored in place: past u, a call allocates about 40 KiB whatever
-        # the number of rows, and no copy of a
-        assert extra <= res.u.nbytes + 64 * 1024
+        # factored in place: past u and about 7 q^2 doubles for R, its
+        # copy, factors and gesdd workspace, a call allocates about 40 KiB
+        # whatever the number of rows, and no copy of a
+        assert extra <= res.u.nbytes + 8 * 8 * q * q + 64 * 1024
     else:
         assert np.array_equal(a, original)
+
+
+@given(leading_svd_inputs())
+def test_property_leading_svd_equals_thin_svd_leading_pairs(inputs):
+    check_leading_svd(*inputs)
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (329, 180), (330, 180), (595, 401), (734, 401), (735, 401),
+])
+def test_leading_svd_equals_thin_svd_on_both_sides_of_the_qr_threshold(rows, cols):
+    # int(11 cols / 6) is 330 for 180 columns and 735 for 401 (the Burgers
+    # n=201 Jacobian block is 595 x 401); 30 well-separated leading values
+    # over a decaying tail keep the leading vectors well determined
+    rng = np.random.default_rng(rows * cols)
+    q, m = min(rows, cols), 30
+    s = np.concatenate((1.0 - np.arange(m) / 40, 0.2 * 0.5 ** (np.arange(q - m) / 8)))
+    left = np.linalg.qr(rng.standard_normal((rows, q)))[0]
+    right = np.linalg.qr(rng.standard_normal((cols, q)))[0]
+    check_leading_svd(np.asfortranarray((left * s) @ right.T), m)
+
+
+@pytest.mark.parametrize("factor", [
+    thin_svd, lambda a: linalg.leading_svd(np.asfortranarray(a), 2),
+], ids=["thin_svd", "leading_svd"])
+def test_a_factorization_inside_an_online_section_raises(factor, rng):
+    a = rng.standard_normal((40, 4))
+    with pytest.raises(instrumentation.OfflineCallInOnlineSection, match=r"_svd_calls"):
+        with instrumentation.online_section():
+            factor(a)
 
 
 def test_leading_svd_rejects_non_finite_input(rng):

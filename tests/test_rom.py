@@ -26,7 +26,7 @@ from smdeim_rom.jacobian_approx import (
     approximate_matrix,
     build_smdeim,
 )
-from smdeim_rom.linalg import SingularMatrixError, thin_svd
+from smdeim_rom.linalg import SingularMatrixError, leading_svd, thin_svd
 from smdeim_rom.models import FullModel, ImplicitStage, full_solve
 from smdeim_rom.models.burgers import build_burgers
 from smdeim_rom.models.quadratic import QuadraticOperator
@@ -531,7 +531,8 @@ def test_prebuilt_interpolants_stand_in_for_the_snapshots(tmp_path, name, strate
     basis = pod_basis(np.hstack([s.states for s in snaps]), gamma=1.0, k_max=8)
     m = 10
     build = {
-        "deim": lambda snap: deim_interpolant(thin_svd(snap.nonlinear).u, m),
+        "deim": lambda snap: deim_interpolant(
+            leading_svd(np.array(snap.nonlinear, order="F"), m).u, m),
         "smdeim": lambda snap: build_smdeim(snap, m),
         "mdeim-reference": lambda snap: build_mdeim_reference(snap, m),
     }[strategy]
